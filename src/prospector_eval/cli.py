@@ -9,23 +9,23 @@ Subcommands:
 * ``oracle``      — print the correct posterior for one update
 * ``surface``     — write one rule set's error surface for one network
 
-Exit codes: 0 success, 1 runtime failure (infeasible update, no
-convergence, invalid table, I/O), 2 usage error (bad flags or unusable
-inputs).  Human-readable numbers are printed with 6 significant digits;
-files always carry 17.
+Exit codes: 0 success, 1 runtime failure (unreachable update, failed
+generation, I/O), 2 usage error (bad flags or unusable inputs, such as a
+malformed network file, an invalid table, or a base rate of 0 or 1).
+Human-readable numbers are printed with 6 significant digits; files always
+carry 17.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .cases import CASE_STUDY_IDS, case_study_table
 from .engine import Rule, infer
-from .errors import ProspectorEvalError
+from .errors import DegenerateBaseRateError, InvalidTableError, ProspectorEvalError
 from .generate import (
     DEFAULT_BASE_RATE_MARGIN,
     DEFAULT_IPF_MAX_ITERATIONS,
@@ -34,12 +34,7 @@ from .generate import (
     GenerationConfig,
     generate,
 )
-from .oracle import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
-    EvidenceUpdate,
-    correct_posterior,
-)
+from .oracle import EvidenceUpdate, correct_posterior
 from .study import (
     DEFAULT_SEED,
     DEFAULT_UPDATE_GRID,
@@ -54,20 +49,15 @@ from .study import (
     summarize,
     surface_csv_text,
 )
-from .table import JointTable, conditional_profile, load_networks, network_view, save_networks
-
-WORKERS_ENV_VAR = "PROSPECTOR_EVAL_WORKERS"
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
+from .table import (
+    MARGINAL_FLOOR,
+    JointTable,
+    conditional_profile,
+    load_networks,
+    network_view,
+    require_valid,
+    save_networks,
+)
 
 
 def _parse_grid(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
@@ -78,21 +68,6 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]
     if not values or any(not 0.0 <= v <= 1.0 for v in values):
         parser.error("--grid values must lie in [0, 1] and the list must be nonempty")
     return values
-
-
-def _add_oracle_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--oracle-tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="marginal tolerance for the correct-answer projection",
-    )
-    sub.add_argument(
-        "--oracle-max-iterations",
-        type=int,
-        default=DEFAULT_MAX_ITERATIONS,
-        help="iteration cap for the correct-answer projection",
-    )
 
 
 def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
@@ -118,10 +93,9 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        default=_default_workers(),
-        help=f"parallel evaluation processes (default ${WORKERS_ENV_VAR} or 1)",
+        default=1,
+        help="deprecated; has no effect (evaluation is one array pass)",
     )
-    _add_oracle_flags(sub)
 
 
 def _add_network_selection(sub: argparse.ArgumentParser) -> None:
@@ -165,13 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(str(v) for v in DEFAULT_UPDATE_GRID),
         help="update grid for the printed summary statistics",
     )
-    _add_oracle_flags(case)
 
     orc = commands.add_parser("oracle", help="print the correct posterior for one update")
     _add_network_selection(orc)
     orc.add_argument("--e1", type=float, required=True, help="new probability of E1")
     orc.add_argument("--e2", type=float, required=True, help="new probability of E2")
-    _add_oracle_flags(orc)
 
     surf = commands.add_parser("surface", help="write one rule set's error surface")
     _add_network_selection(surf)
@@ -180,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     surf.add_argument("--step", type=float, default=0.05, help="surface lattice step")
     surf.add_argument("--out", required=True, help="error-surface CSV to write")
-    _add_oracle_flags(surf)
 
     return parser
 
@@ -197,13 +168,23 @@ def _load_networks_checked(path: str, parser: argparse.ArgumentParser) -> list[J
     return tables
 
 
-def _select_network(args, parser: argparse.ArgumentParser) -> JointTable:
+def _select_network(
+    args, parser: argparse.ArgumentParser, *, marginal_floor: float = MARGINAL_FLOOR
+) -> JointTable:
+    """The table named by --case or --networks/--index; exits 2 unless it
+    passes ``require_valid`` with the given evidence-state floor."""
     if args.case is not None:
-        return case_study_table(args.case)
-    tables = _load_networks_checked(args.networks, parser)
-    if not 0 <= args.index < len(tables):
-        parser.error(f"--index {args.index} out of range (file has {len(tables)} networks)")
-    return tables[args.index]
+        table = case_study_table(args.case)
+    else:
+        tables = _load_networks_checked(args.networks, parser)
+        if not 0 <= args.index < len(tables):
+            parser.error(f"--index {args.index} out of range (file has {len(tables)} networks)")
+        table = tables[args.index]
+    try:
+        require_valid(table, marginal_floor=marginal_floor)
+    except InvalidTableError as exc:
+        parser.error(f"unusable network: {exc}")
+    return table
 
 
 def _cmd_generate(args, parser) -> int:
@@ -228,15 +209,16 @@ def _cmd_generate(args, parser) -> int:
 def _run_sweep(args, parser):
     tables = _load_networks_checked(args.networks, parser)
     grid = _parse_grid(args.grid, parser)
-    evaluations = evaluate_tables(
-        tables,
-        grid=grid,
-        filter_enabled=args.filter,
-        filter_mode=args.filter_mode,
-        oracle_tolerance=args.oracle_tolerance,
-        oracle_max_iterations=args.oracle_max_iterations,
-        workers=max(1, args.workers),
-    )
+    try:
+        evaluations = evaluate_tables(
+            tables,
+            grid=grid,
+            filter_enabled=args.filter,
+            filter_mode=args.filter_mode,
+            workers=args.workers,
+        )
+    except (InvalidTableError, DegenerateBaseRateError) as exc:
+        parser.error(f"unusable network file {args.networks}: {exc}")
     counts: dict[str, int] = {}
     for table in tables:
         counts[table.kind] = counts.get(table.kind, 0) + 1
@@ -272,21 +254,8 @@ def _cmd_case_study(args, parser) -> int:
     grid = _parse_grid(args.grid, parser)
     view = network_view(table)
     profile = conditional_profile(table)
-    records = evaluate_network(
-        table,
-        grid,
-        network_id=f"case-{args.id}",
-        oracle_tolerance=args.oracle_tolerance,
-        oracle_max_iterations=args.oracle_max_iterations,
-    )
-    summary = summarize(records)
-    points = error_surface(
-        table,
-        Rule.INDEPENDENT,
-        args.step,
-        oracle_tolerance=args.oracle_tolerance,
-        oracle_max_iterations=args.oracle_max_iterations,
-    )
+    summary = summarize(evaluate_network(table, grid, network_id=f"case-{args.id}"))
+    points = error_surface(table, Rule.INDEPENDENT, args.step)
     Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")
 
     q = profile.as_tuple()
@@ -311,29 +280,23 @@ def _cmd_case_study(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    table = _select_network(args, parser)
+    # The update needs no conditional on an empty evidence state, so a zero
+    # pair weight is valid here; an update it makes unreachable exits 1.
+    table = _select_network(args, parser, marginal_floor=0.0)
     for name, value in (("--e1", args.e1), ("--e2", args.e2)):
         if not 0.0 <= value <= 1.0:
             parser.error(f"{name} must lie in [0, 1], got {value}")
-    posterior = correct_posterior(
-        table,
-        EvidenceUpdate(args.e1, args.e2),
-        tolerance=args.oracle_tolerance,
-        max_iterations=args.oracle_max_iterations,
-    )
+    posterior = correct_posterior(table, EvidenceUpdate(args.e1, args.e2))
     print(f"{posterior:.6g}")
     return 0
 
 
 def _cmd_surface(args, parser) -> int:
     table = _select_network(args, parser)
-    points = error_surface(
-        table,
-        Rule(args.rule),
-        args.step,
-        oracle_tolerance=args.oracle_tolerance,
-        oracle_max_iterations=args.oracle_max_iterations,
-    )
+    try:
+        points = error_surface(table, Rule(args.rule), args.step)
+    except DegenerateBaseRateError as exc:
+        parser.error(f"unusable network: {exc}")
     Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")
     print(f"wrote {len(points)} surface points to {args.out}")
     return 0

@@ -29,7 +29,7 @@ class ZeroMarginalError(ProspectorEvalError):
 
 
 class DegenerateBaseRateError(ProspectorEvalError):
-    """An evidence base rate is 0 or 1, so link parameters are undefined."""
+    """A base rate is 0 or 1, so link parameters or prior odds are undefined."""
 
 
 class EmptyEvidenceError(ProspectorEvalError, ValueError):

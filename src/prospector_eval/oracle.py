@@ -6,15 +6,23 @@ all distributions with the prescribed P'(E1) and P'(E2) — the conclusion
 marginal is left free and lands wherever the projection puts it.
 
 The minimizer has the form q = p * a^[e1] * b^[e2] (one multiplier per
-constrained variable), so it is found by alternately rescaling the E1 and
-E2 slices to their targets until both margins match — the classic
-proportional-fitting iteration, which converges geometrically for interior
-targets.  Targets of exactly 0 or 1 are handled first by exact
-conditioning, which is the divergence-minimizing way to impose certainty.
+constrained variable).  Because the multipliers do not depend on C, every
+conditional P(C | E1, E2) — and more generally every defined conditional
+odds ratio — survives the update untouched; only the four evidence-pair
+weights n_ab = P(E1=a, E2=b) move, and they keep their odds ratio
+theta = n_FF n_TT / (n_FT n_TF) (Mosteller 1968, JASA 63:1).  So the new
+weight x = n'_TT is the root in [max(0, u1 + u2 - 1), min(u1, u2)] of
 
-Because the multipliers do not depend on C, every conditional
-P(C | E1, E2) — and more generally every defined conditional odds ratio —
-survives the update untouched; only the evidence-pair weights move.
+    (1 - theta) x^2 + [(1 - u1 - u2) + theta (u1 + u2)] x - theta u1 u2 = 0,
+
+the other three weights follow from the margins, and
+
+    P'(C) = sum over (a, b) of n'_ab * P(C | E1=a, E2=b).
+
+Certain targets (u = 0 or 1) satisfy the same equation, and the result is
+exact conditioning.  A zero pair weight (theta = 0 or infinity) stays zero,
+which pins x by the margins alone; targets that would need mass on it are
+unreachable.  Nothing iterates.
 """
 
 from __future__ import annotations
@@ -23,19 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleUpdateError, NoConvergenceError, NotIndependentError
+from .errors import InfeasibleUpdateError, NotIndependentError
 from .table import (
     EVIDENCE_STATES,
-    MASK_C,
     MASK_E1,
     MASK_E2,
     JointTable,
     base_rates,
-    conditional_profile,
 )
 
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MAX_ITERATIONS = 10000
+#: Margins within this of their targets count as met: an update at the
+#: table's own base rates returns the cells unchanged, and rounding of this
+#: size on a zero pair weight does not make an update unreachable.
+MATCH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,88 +64,112 @@ class EvidenceUpdate:
 
 @dataclass(frozen=True)
 class UpdatedTable:
-    """Result of a minimum cross-entropy update."""
+    """Result of a minimum cross-entropy update.
+
+    ``iterations`` is always 0: the projection is solved in closed form.
+    """
 
     table: JointTable
     marginal_deviation: tuple[float, float]
     iterations: int
 
 
-def _condition(q: np.ndarray, mask: np.ndarray, target: float) -> np.ndarray:
-    """Impose a certain evidence value by exact conditioning."""
-    keep = mask if target == 1.0 else ~mask
-    mass = float(q[keep].sum())
-    if mass <= 0.0:
-        raise InfeasibleUpdateError(
-            f"target {target} requires conditioning on a zero-probability event"
-        )
-    return np.where(keep, q / mass, 0.0)
+def unreachable_message(u1: float, u2: float) -> str:
+    """Why the update (u1, u2) has no answer on a table where it is NaN."""
+    return (
+        f"evidence marginals ({u1!r}, {u2!r}) are unreachable: they need mass on "
+        "an evidence-pair state the table gives zero probability"
+    )
 
 
-def mce_update(
-    table: JointTable,
-    update: EvidenceUpdate,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> UpdatedTable:
+def pair_weights(pairs, u1, u2) -> np.ndarray:
+    """New evidence-pair weights with margins P'(E1) = u1 and P'(E2) = u2.
+
+    ``pairs`` holds weights in FF, FT, TF, TT order along its last axis and
+    broadcasts against ``u1`` and ``u2``, which must broadcast to the shape
+    of the result without that axis.  Each result keeps its row's odds
+    ratio and zero pattern; where the targets are unreachable it is NaN.
+    """
+    pairs = np.asarray(pairs, dtype=float)
+    n_ff, n_ft, n_tf, n_tt = (pairs[..., k] for k in range(4))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # log theta: no product of weights can underflow or overflow.
+        log_theta = np.log(n_ff) + np.log(n_tt) - np.log(n_ft) - np.log(n_tf)
+        # Relabel E2 where theta < 1, so the root is taken with t = e^|log theta|
+        # >= 1, where the discriminant is a sum of non-negative terms.  The
+        # equation is scaled by 1 / max(1, t - 1): with a = min(1, t - 1) and
+        # b = min(1, 1 / (t - 1)) every term stays finite, even for t = inf.
+        flip = log_theta < 0.0
+        v2 = np.where(flip, 1.0 - u2, u2)
+        d = np.expm1(np.abs(log_theta))
+        a, b = np.minimum(d, 1.0), np.minimum(1.0 / d, 1.0)
+        disc = (a * (u1 - v2)) ** 2 + b * b + 2.0 * a * b * (u1 * (1.0 - v2) + v2 * (1.0 - u1))
+        y = 2.0 * (a + b) * u1 * v2 / (b + a * (u1 + v2) + np.sqrt(disc))
+        x = np.where(flip, u1 - y, y)
+    zero = pairs <= 0.0
+    degenerate = zero.any()
+    if degenerate:
+        # A zero weight stays zero, which pins x by the margins alone.
+        x = np.where(n_ff <= 0.0, u2 - (1.0 - u1), x)
+        x = np.where(n_ft <= 0.0, u2, x)
+        x = np.where(n_tf <= 0.0, u1, x)
+        x = np.where(n_tt <= 0.0, 0.0, x)
+    # Clipping to the bounds any table with these margins obeys removes
+    # rounding and makes certain targets exact.
+    x = np.minimum(np.maximum(x, np.maximum(0.0, u2 - (1.0 - u1))), np.minimum(u1, u2))
+    weights = np.maximum(np.stack(((1.0 - u1) - (u2 - x), u2 - x, u1 - x, x), axis=-1), 0.0)
+    if degenerate:
+        unreachable = (zero & (weights > MATCH_TOL)).any(axis=-1)
+        weights = np.where(zero, 0.0, weights)
+        weights = np.where(unreachable[..., None], np.nan, weights)
+    return weights
+
+
+def posteriors(cells, u1, u2) -> np.ndarray:
+    """P'(C) under the minimum cross-entropy update, NaN where unreachable.
+
+    ``cells`` holds tables in the canonical order along its last axis and
+    broadcasts (without that axis) against ``u1`` and ``u2``.
+    """
+    cells = np.asarray(cells, dtype=float)
+    pairs = cells[..., 0::2] + cells[..., 1::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        profile = np.where(pairs > 0.0, cells[..., 1::2] / pairs, 0.0)
+    return (pair_weights(pairs, u1, u2) * profile).sum(axis=-1)
+
+
+def mce_update(table: JointTable, update: EvidenceUpdate) -> UpdatedTable:
     """Project the table onto the prescribed evidence marginals.
 
     Zero cells stay zero, conditional odds ratios are preserved, and if the
-    update equals the table's own base rates the cells come back unchanged.
-    Raises InfeasibleUpdateError when a target is unreachable for the
-    table's zero pattern and NoConvergenceError if the scaling loop hits
-    ``max_iterations`` (it reports the remaining deviation).
+    update equals the table's own base rates (within ``MATCH_TOL``) the cells
+    come back unchanged.  Raises InfeasibleUpdateError when a target is
+    unreachable for the table's zero pattern.
     """
-    u1, u2 = update.p_new_e1, update.p_new_e2
-    q = table.as_array()
-
-    for target, mask in ((u1, MASK_E1), (u2, MASK_E2)):
-        if target == 0.0 or target == 1.0:
-            q = _condition(q, mask, target)
-
-    iterations = 0
-    while True:
-        m1 = float(q[MASK_E1].sum())
-        m2 = float(q[MASK_E2].sum())
-        if abs(m1 - u1) <= tolerance and abs(m2 - u2) <= tolerance:
-            deviation = (abs(m1 - u1), abs(m2 - u2))
-            break
-        if iterations >= max_iterations:
-            raise NoConvergenceError(
-                f"marginal fitting did not converge within {max_iterations} cycles "
-                f"(remaining deviation {max(abs(m1 - u1), abs(m2 - u2)):.3e})",
-                deviation=max(abs(m1 - u1), abs(m2 - u2)),
-                iterations=iterations,
-            )
-        for target, mask in ((u1, MASK_E1), (u2, MASK_E2)):
-            if target == 0.0 or target == 1.0:
-                continue  # already imposed by conditioning
-            current = float(q[mask].sum())
-            if current <= 0.0 or current >= 1.0:
-                raise InfeasibleUpdateError(
-                    f"marginal target {target} is unreachable: the event currently "
-                    f"carries probability {current!r} and scaling cannot move mass "
-                    "across a zero"
-                )
-            q[mask] *= target / current
-            q[~mask] *= (1.0 - target) / (1.0 - current)
-        iterations += 1
-
-    projected = JointTable(tuple(float(v) for v in q), kind=table.kind, provenance=None)
-    return UpdatedTable(table=projected, marginal_deviation=deviation, iterations=iterations)
+    u1, u2 = update.as_tuple()
+    cells = table.as_array()
+    if (
+        abs(float(cells[MASK_E1].sum()) - u1) > MATCH_TOL
+        or abs(float(cells[MASK_E2].sum()) - u2) > MATCH_TOL
+    ):
+        pairs = cells[0::2] + cells[1::2]
+        weights = pair_weights(pairs, u1, u2)
+        if np.isnan(weights).any():
+            raise InfeasibleUpdateError(unreachable_message(u1, u2))
+        scale = np.divide(weights, pairs, out=np.zeros(4), where=pairs > 0.0)
+        cells = cells * np.repeat(scale, 2)
+    deviation = (abs(float(cells[MASK_E1].sum()) - u1), abs(float(cells[MASK_E2].sum()) - u2))
+    projected = JointTable(tuple(float(v) for v in cells), kind=table.kind, provenance=None)
+    return UpdatedTable(table=projected, marginal_deviation=deviation, iterations=0)
 
 
-def correct_posterior(
-    table: JointTable,
-    update: EvidenceUpdate,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> float:
+def correct_posterior(table: JointTable, update: EvidenceUpdate) -> float:
     """P'(C) under the minimum cross-entropy update — the reference answer."""
-    result = mce_update(table, update, tolerance=tolerance, max_iterations=max_iterations)
-    return float(result.table.as_array()[MASK_C].sum())
+    u1, u2 = update.as_tuple()
+    posterior = float(posteriors(table.as_array(), u1, u2))
+    if posterior != posterior:
+        raise InfeasibleUpdateError(unreachable_message(u1, u2))
+    return posterior
 
 
 def independent_closed_form(
@@ -148,8 +180,8 @@ def independent_closed_form(
 ) -> float:
     """Closed-form P'(C) for independent-evidence tables.
 
-    When the evidence pair factorizes, the projected evidence weights are
-    just the products of the new marginals, so
+    When the evidence pair factorizes, theta = 1 and the projected evidence
+    weights are just the products of the new marginals, so
 
         P'(C) = sum over (a, b) of P(C | E1=a, E2=b) * w1(a) * w2(b)
 
@@ -169,12 +201,4 @@ def independent_closed_form(
             f"evidence pair deviates from independence by {worst!r}; "
             "the closed form only applies to independent tables"
         )
-    profile = conditional_profile(table)
-    w1 = {True: update.p_new_e1, False: 1.0 - update.p_new_e1}
-    w2 = {True: update.p_new_e2, False: 1.0 - update.p_new_e2}
-    return float(
-        sum(
-            q * w1[a] * w2[b]
-            for (a, b), q in zip(EVIDENCE_STATES, profile.as_tuple())
-        )
-    )
+    return correct_posterior(table, update)

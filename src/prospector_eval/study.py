@@ -22,31 +22,26 @@ it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, Mapping, Sequence
+from functools import cached_property
+from itertools import product
+from typing import Literal, Mapping
 
 import numpy as np
-import scipy.stats
 
 from . import _serialize
-from .engine import Rule, infer
-from .errors import InvalidTableError, ProspectorEvalError
+from .engine import ODDS_CLAMP, Rule
+from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTableError
 from .generate import GenerationConfig, generate_associated, generate_independent
-from .oracle import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
-    EvidenceUpdate,
-    correct_posterior,
-)
+from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
     ConditionalProfile,
     JointTable,
     base_rates,
     cell_index,
     conditional_profile,
-    network_view,
     require_valid,
 )
 
@@ -125,49 +120,105 @@ class EvaluationRecord:
         return abs(self.signed_error[rule])
 
 
+def _propagate(p_c, p_e, p_c_given_e, p_c_given_not_e, u):
+    """The engine's piecewise-linear link, elementwise."""
+    below = p_c_given_not_e + (p_c - p_c_given_not_e) * u / p_e
+    above = p_c + (p_c_given_e - p_c) * (u - p_e) / (1.0 - p_e)
+    return np.minimum(np.maximum(np.where(u <= p_e, below, above), 0.0), 1.0)
+
+
+def _odds(p):
+    p = np.minimum(np.maximum(p, ODDS_CLAMP), 1.0 - ODDS_CLAMP)
+    return p / (1.0 - p)
+
+
+def sweep(
+    cells, grid: Sequence[float], *, ids: Sequence[str] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Answer every update of the grid on every network in one array pass.
+
+    ``cells`` is (N, 8), one table per row in the canonical order, and
+    ``ids`` optionally names the rows in error messages.  Returns
+    the rule answers, shape (N, G, G, 3) with rules in RULE_ORDER, and the
+    minimum cross-entropy posteriors, shape (N, G, G), NaN where an update
+    is unreachable; axis 1 runs over P'(E1) and axis 2 over P'(E2).  The
+    rules use the engine's formulas in the engine's order of operations:
+    piecewise-linear links, MIN/MAX with E1 winning ties, and the odds
+    product with probabilities clamped into [ODDS_CLAMP, 1 - ODDS_CLAMP].
+    Raises DegenerateBaseRateError if some table has P(C), P(E1) or P(E2)
+    at 0 or 1: the links and the odds product are undefined there, and the
+    engine refuses such a table as well.
+    """
+    u = np.asarray(grid, dtype=float)
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError("update grid must be a nonempty sequence of numbers")
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise ValueError(f"grid values must lie in [0, 1], got {tuple(grid)!r}")
+    x = np.asarray(cells, dtype=float).reshape(-1, 8)
+    c = x.T[:, :, None, None]  # c[i] is cell i of every network, shape (N, 1, 1)
+    p_c = c[1] + c[3] + c[5] + c[7]
+    p_e1 = c[4] + c[5] + c[6] + c[7]
+    p_e2 = c[2] + c[3] + c[6] + c[7]
+    for name, rate in (("C", p_c), ("E1", p_e1), ("E2", p_e2)):
+        degenerate = np.flatnonzero(~((rate > 0.0) & (rate < 1.0)))
+        if degenerate.size:
+            row = int(degenerate[0])
+            where = "" if ids is None else f"network {ids[row]}: "
+            raise DegenerateBaseRateError(
+                f"{where}base rate of {name} is {float(rate.ravel()[row])!r}; "
+                f"the rules need 0 < P({name}) < 1"
+            )
+    u1, u2 = u[:, None], u[None, :]
+    post1 = _propagate(p_c, p_e1, (c[5] + c[7]) / p_e1, (c[1] + c[3]) / (1.0 - p_e1), u1)
+    post2 = _propagate(p_c, p_e2, (c[3] + c[7]) / p_e2, (c[1] + c[5]) / (1.0 - p_e2), u2)
+    prior_odds = _odds(p_c)
+    combined = prior_odds * (_odds(post1) / prior_odds) * (_odds(post2) / prior_odds)
+    answers = np.stack(
+        (
+            np.where(u1 <= u2, post1, post2),
+            np.where(u1 >= u2, post1, post2),
+            combined / (1.0 + combined),
+        ),
+        axis=-1,
+    )
+    return answers, posteriors(x[:, None, None, :], u1, u2)
+
+
+def _records(
+    network_id: str, grid: Sequence[float], answers: np.ndarray, oracle: np.ndarray
+) -> tuple[EvaluationRecord, ...]:
+    """One network's sweep as records, row-major in (e1, e2)."""
+    records = []
+    points = zip(product(grid, grid), answers.reshape(-1, 3).tolist(), oracle.ravel().tolist())
+    for (u1, u2), rule_answers, correct in points:
+        records.append(
+            EvaluationRecord(
+                network_id=network_id,
+                update=EvidenceUpdate(u1, u2),
+                answers=dict(zip(RULE_ORDER, rule_answers)),
+                oracle=correct,
+                signed_error={
+                    rule: correct - answer for rule, answer in zip(RULE_ORDER, rule_answers)
+                },
+                note=unreachable_message(u1, u2) if math.isnan(correct) else None,
+            )
+        )
+    return tuple(records)
+
+
 def evaluate_network(
     table: JointTable,
     grid: Sequence[float] = DEFAULT_UPDATE_GRID,
     *,
     network_id: str = "net",
-    oracle_tolerance: float = DEFAULT_TOLERANCE,
-    oracle_max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> tuple[EvaluationRecord, ...]:
     """Sweep the update grid (row-major in (e1, e2)) over one network.
 
-    Oracle failures on a particular update annotate that record's ``note``
-    and leave NaN errors rather than aborting the sweep.
+    Unreachable updates annotate that record's ``note`` and leave NaN
+    errors rather than aborting the sweep.
     """
-    view = network_view(table)
-    records = []
-    for u1 in grid:
-        for u2 in grid:
-            update = EvidenceUpdate(float(u1), float(u2))
-            answers = {rule: infer(view, rule, update.as_tuple())[0] for rule in RULE_ORDER}
-            try:
-                correct = correct_posterior(
-                    table,
-                    update,
-                    tolerance=oracle_tolerance,
-                    max_iterations=oracle_max_iterations,
-                )
-                errors = {rule: correct - answers[rule] for rule in RULE_ORDER}
-                note = None
-            except ProspectorEvalError as exc:
-                correct = math.nan
-                errors = {rule: math.nan for rule in RULE_ORDER}
-                note = str(exc)
-            records.append(
-                EvaluationRecord(
-                    network_id=network_id,
-                    update=update,
-                    answers=answers,
-                    oracle=correct,
-                    signed_error=errors,
-                    note=note,
-                )
-            )
-    return tuple(records)
+    answers, oracle = sweep([table.cells], grid, ids=[network_id])
+    return _records(network_id, [float(v) for v in grid], answers[0], oracle[0])
 
 
 @dataclass(frozen=True)
@@ -187,29 +238,37 @@ class NetworkErrorSummary:
     tie: bool
 
 
+def _summaries(network_ids: Sequence[str], errors: np.ndarray) -> list[NetworkErrorSummary]:
+    """Per-network rule statistics and best rule from signed errors of
+    shape (N, 3, P), rules in RULE_ORDER."""
+    absolute = np.abs(errors)
+    mean_abs = absolute.mean(axis=-1)
+    rows = np.arange(len(network_ids))
+    tie_order = [RULE_ORDER.index(rule) for rule in BEST_RULE_TIE_ORDER]
+    best = np.full(len(network_ids), tie_order[0])
+    for k in tie_order[1:]:
+        best = np.where(mean_abs[:, k] < mean_abs[rows, best], k, best)
+    tie = (mean_abs == mean_abs[rows, best][:, None]).sum(axis=1) > 1
+    columns = zip(
+        errors.mean(axis=-1).tolist(), mean_abs.tolist(), absolute.max(axis=-1).tolist()
+    )
+    return [
+        NetworkErrorSummary(
+            network_id=network_id,
+            stats={rule: RuleStats(*stats) for rule, *stats in zip(RULE_ORDER, *column)},
+            best=RULE_ORDER[k],
+            tie=bool(tied),
+        )
+        for network_id, column, k, tied in zip(network_ids, columns, best.tolist(), tie)
+    ]
+
+
 def summarize(records: Sequence[EvaluationRecord]) -> NetworkErrorSummary:
     """Collapse a sweep into per-rule statistics and pick the best rule set."""
     if not records:
         raise ValueError("cannot summarize an empty record list")
-    stats = {}
-    for rule in RULE_ORDER:
-        errors = np.array([record.signed_error[rule] for record in records])
-        stats[rule] = RuleStats(
-            mean_signed=float(errors.mean()),
-            mean_abs=float(np.abs(errors).mean()),
-            max_abs=float(np.abs(errors).max()),
-        )
-    best = BEST_RULE_TIE_ORDER[0]
-    for rule in BEST_RULE_TIE_ORDER[1:]:
-        if stats[rule].mean_abs < stats[best].mean_abs:
-            best = rule
-    tie = any(
-        rule is not best and stats[rule].mean_abs == stats[best].mean_abs
-        for rule in RULE_ORDER
-    )
-    return NetworkErrorSummary(
-        network_id=records[0].network_id, stats=stats, best=best, tie=tie
-    )
+    errors = np.array([[record.signed_error[rule] for record in records] for rule in RULE_ORDER])
+    return _summaries([records[0].network_id], errors[None])[0]
 
 
 @dataclass(frozen=True)
@@ -255,29 +314,29 @@ def diagnostics(table: JointTable) -> Diagnostics:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkEvaluation:
-    """Everything the study keeps about one evaluated network."""
+    """Everything the study keeps about one evaluated network.
+
+    ``answers`` (G, G, 3, rules in RULE_ORDER) and ``oracle`` (G, G) hold
+    the sweep over ``grid``, row-major in (e1, e2); ``records`` shows them
+    as one EvaluationRecord per update, built on first access.
+    """
 
     network_id: str
     kind: str
     pattern: MonotonicityPattern
     passes_filter: bool
-    records: tuple[EvaluationRecord, ...]
+    grid: tuple[float, ...]
+    answers: np.ndarray
+    oracle: np.ndarray
     summary: NetworkErrorSummary
     diagnostics: Diagnostics
     table: JointTable
 
-
-def _evaluate_task(task) -> tuple[EvaluationRecord, ...]:
-    table, network_id, grid, tolerance, max_iterations = task
-    return evaluate_network(
-        table,
-        grid,
-        network_id=network_id,
-        oracle_tolerance=tolerance,
-        oracle_max_iterations=max_iterations,
-    )
+    @cached_property
+    def records(self) -> tuple[EvaluationRecord, ...]:
+        return _records(self.network_id, self.grid, self.answers, self.oracle)
 
 
 def evaluate_tables(
@@ -287,8 +346,6 @@ def evaluate_tables(
     grid: Sequence[float] = DEFAULT_UPDATE_GRID,
     filter_enabled: bool = True,
     filter_mode: FilterMode = "full",
-    oracle_tolerance: float = DEFAULT_TOLERANCE,
-    oracle_max_iterations: int = DEFAULT_MAX_ITERATIONS,
     workers: int = 1,
 ) -> list[NetworkEvaluation]:
     """Validate, screen, and sweep a collection of networks.
@@ -296,7 +353,8 @@ def evaluate_tables(
     With the filter on, rejected networks are screened out before
     evaluation; with it off, every network is evaluated and its
     ``passes_filter`` flag records what the filter would have done.  Output
-    order follows input order regardless of ``workers``.
+    order follows input order.  The kept networks are swept in one array
+    pass; ``workers`` is accepted for compatibility and has no effect.
     """
     if ids is None:
         ids = [f"net-{i:04d}" for i in range(len(tables))]
@@ -317,32 +375,34 @@ def evaluate_tables(
         if passes or not filter_enabled:
             screened.append((table, network_id, pattern, passes))
 
-    tasks = [
-        (table, network_id, tuple(grid), oracle_tolerance, oracle_max_iterations)
-        for table, network_id, _, _ in screened
-    ]
-    if workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_records = list(pool.map(_evaluate_task, tasks, chunksize=chunk))
-    else:
-        all_records = [_evaluate_task(task) for task in tasks]
-
-    evaluations = []
-    for (table, network_id, pattern, passes), records in zip(screened, all_records):
-        evaluations.append(
-            NetworkEvaluation(
-                network_id=network_id,
-                kind=table.kind,
-                pattern=pattern,
-                passes_filter=passes,
-                records=records,
-                summary=summarize(records),
-                diagnostics=diagnostics(table),
-                table=table,
-            )
+    grid = tuple(float(v) for v in grid)
+    answers, oracle = sweep(
+        [table.cells for table, *_ in screened],
+        grid,
+        ids=[network_id for _, network_id, _, _ in screened],
+    )
+    # Contiguous per (network, rule), so each mean sums in the order
+    # summarize(records) uses.
+    errors = np.ascontiguousarray(np.moveaxis(oracle[..., None] - answers, -1, 1))
+    errors = errors.reshape(len(screened), 3, len(grid) ** 2)
+    summaries = _summaries([network_id for _, network_id, _, _ in screened], errors)
+    return [
+        NetworkEvaluation(
+            network_id=network_id,
+            kind=table.kind,
+            pattern=pattern,
+            passes_filter=passes,
+            grid=grid,
+            answers=answers[i],
+            oracle=oracle[i],
+            summary=summary,
+            diagnostics=diagnostics(table),
+            table=table,
         )
-    return evaluations
+        for i, ((table, network_id, pattern, passes), summary) in enumerate(
+            zip(screened, summaries)
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -366,8 +426,6 @@ class StudyConfig:
     grid: tuple[float, ...] = DEFAULT_UPDATE_GRID
     filter_enabled: bool = True
     filter_mode: FilterMode = "full"
-    oracle_tolerance: float = DEFAULT_TOLERANCE
-    oracle_max_iterations: int = DEFAULT_MAX_ITERATIONS
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -403,15 +461,30 @@ class StudyReport:
     generation: StudyConfig | None = None
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks from 1 in ascending order, tied values sharing their mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman_strength_error(
     pairs: Sequence[tuple[float, float]],
 ) -> float | None:
-    """Spearman rank correlation of (strength, error) pairs; None if undefined."""
+    """Spearman rank correlation of (strength, error) pairs; None if undefined.
+
+    It is the Pearson correlation of the average ranks, as in
+    ``scipy.stats.spearmanr``.
+    """
     if len(pairs) < 2:
         return None
-    strengths = [s for s, _ in pairs]
-    errors = [e for _, e in pairs]
-    statistic = float(scipy.stats.spearmanr(strengths, errors).statistic)
+    strengths, errors = np.array(pairs, dtype=float).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = float(np.corrcoef(_average_ranks(strengths), _average_ranks(errors))[0, 1])
     return None if math.isnan(statistic) else statistic
 
 
@@ -481,8 +554,6 @@ def run_study(config: StudyConfig) -> StudyReport:
         grid=config.grid,
         filter_enabled=config.filter_enabled,
         filter_mode=config.filter_mode,
-        oracle_tolerance=config.oracle_tolerance,
-        oracle_max_iterations=config.oracle_max_iterations,
         workers=config.workers,
     )
     generated_counts = {
@@ -499,18 +570,38 @@ def run_study(config: StudyConfig) -> StudyReport:
     )
 
 
-def error_surface(
-    table: JointTable,
-    rule: Rule,
-    step: float,
-    *,
-    oracle_tolerance: float = DEFAULT_TOLERANCE,
-    oracle_max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> tuple[tuple[float, float, float], ...]:
+@dataclass(frozen=True, eq=False)
+class ErrorSurface(Sequence):
+    """One rule set's signed error on a square update lattice.
+
+    Reads as the sequence of (e1, e2, signed error) rows, row-major in
+    (e1, e2), over the lattice ``values`` of each axis.  ``errors`` is the
+    (G, G) array itself, so a surface holds 8 bytes per point.
+    """
+
+    values: tuple[float, ...]
+    errors: np.ndarray
+
+    def __len__(self) -> int:
+        return self.errors.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        i, j = divmod(range(len(self))[k], len(self.values))
+        return (self.values[i], self.values[j], float(self.errors[i, j]))
+
+    def __iter__(self):
+        points = product(self.values, self.values)
+        return ((u1, u2, e) for (u1, u2), e in zip(points, self.errors.ravel().tolist()))
+
+
+def error_surface(table: JointTable, rule: Rule, step: float) -> ErrorSurface:
     """Signed error of one rule set on a square update lattice.
 
     The lattice runs 0, step, 2*step, … and always ends exactly at 1.0.
-    Rows are (e1, e2, signed error), row-major in (e1, e2).
+    Rows are (e1, e2, signed error), row-major in (e1, e2).  Raises
+    InfeasibleUpdateError if some lattice update is unreachable.
     """
     if not 0.0 < step <= 0.5:
         raise ValueError(f"step must lie in (0, 0.5], got {step!r}")
@@ -524,19 +615,13 @@ def error_surface(
         k += 1
     values.append(1.0)
 
-    view = network_view(table)
-    points = []
-    for u1 in values:
-        for u2 in values:
-            answer = infer(view, rule, (u1, u2))[0]
-            correct = correct_posterior(
-                table,
-                EvidenceUpdate(u1, u2),
-                tolerance=oracle_tolerance,
-                max_iterations=oracle_max_iterations,
-            )
-            points.append((u1, u2, correct - answer))
-    return tuple(points)
+    answers, oracle = sweep([table.cells], values)
+    errors = oracle[0] - answers[0, :, :, RULE_ORDER.index(rule)]
+    unreachable = np.argwhere(np.isnan(errors))
+    if unreachable.size:
+        i, j = unreachable[0]
+        raise InfeasibleUpdateError(unreachable_message(values[i], values[j]))
+    return ErrorSurface(tuple(values), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -565,23 +650,16 @@ def results_csv_text(evaluations: Sequence[NetworkEvaluation]) -> str:
     """Per-update results, one row per (network, grid point)."""
     rows = []
     for ev in evaluations:
-        for record in ev.records:
-            rows.append(
-                (
-                    record.network_id,
-                    ev.kind,
-                    ev.pattern.value,
-                    record.update.p_new_e1,
-                    record.update.p_new_e2,
-                    record.answers[Rule.CONJUNCTIVE],
-                    record.answers[Rule.DISJUNCTIVE],
-                    record.answers[Rule.INDEPENDENT],
-                    record.oracle,
-                    record.signed_error[Rule.CONJUNCTIVE],
-                    record.signed_error[Rule.DISJUNCTIVE],
-                    record.signed_error[Rule.INDEPENDENT],
-                )
-            )
+        values = np.concatenate(
+            (
+                ev.answers.reshape(-1, 3),
+                ev.oracle.reshape(-1, 1),
+                (ev.oracle[..., None] - ev.answers).reshape(-1, 3),
+            ),
+            axis=1,
+        ).tolist()
+        for (u1, u2), row in zip(product(ev.grid, ev.grid), values):
+            rows.append((ev.network_id, ev.kind, ev.pattern.value, u1, u2, *row))
     return _serialize.csv_text(RESULTS_HEADER, rows)
 
 

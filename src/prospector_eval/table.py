@@ -334,17 +334,32 @@ def networks_from_json(text: str) -> list[JointTable]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "cells" not in entry:
             raise InvalidTableError(f'network {i} must be an object with "cells"')
-        kind = entry.get("kind", "unspecified")
-        raw = entry.get("provenance")
-        provenance = None
-        if raw is not None:
-            provenance = Provenance(
-                seed=int(raw["seed"]),
-                index=int(raw["index"]),
-                resamples=int(raw.get("resamples", 0)),
+        cells = entry["cells"]
+        if type(cells) is not list or any(type(v) not in (int, float) for v in cells):
+            raise InvalidTableError(f'network {i}: "cells" must be a list of numbers')
+        provenance = _provenance_from_json(entry.get("provenance"), i)
+        try:
+            table = JointTable(
+                tuple(cells), kind=entry.get("kind", "unspecified"), provenance=provenance
             )
-        tables.append(JointTable(tuple(entry["cells"]), kind=kind, provenance=provenance))
+        except (InvalidTableError, OverflowError) as exc:
+            raise InvalidTableError(f"network {i}: {exc}") from exc
+        tables.append(table)
     return tables
+
+
+def _provenance_from_json(raw, i: int) -> Provenance | None:
+    if raw is None:
+        return None
+    if type(raw) is not dict:
+        raise InvalidTableError(f'network {i}: "provenance" must be an object or null')
+    values = (raw.get("seed"), raw.get("index"), raw.get("resamples", 0))
+    if any(type(v) is not int for v in values):
+        raise InvalidTableError(
+            f'network {i}: provenance needs integer "seed", "index" and "resamples" '
+            f"(0 if absent), got {raw!r}"
+        )
+    return Provenance(*values)
 
 
 def save_networks(tables: Iterable[JointTable], path: str | Path) -> None:

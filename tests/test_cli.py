@@ -10,7 +10,12 @@ import pytest
 
 from prospector_eval import load_networks, save_networks
 from prospector_eval.cli import main
-from prospector_eval.table import JointTable
+from prospector_eval.table import JointTable, compose_table
+
+# Rejected by the monotonicity screen.
+NON_MONOTONE = compose_table((0.25, 0.25, 0.25, 0.25), (0.9, 0.1, 0.1, 0.9))
+# Valid and monotone, but P(C) = 0.
+NEVER_C = compose_table((0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 0.0))
 
 
 def run(*argv):
@@ -74,6 +79,41 @@ class TestEvaluate:
     def test_missing_network_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run("evaluate", "--networks", tmp_path / "nope.json", "--out", tmp_path / "r.csv")
+        assert excinfo.value.code == 2
+
+    def test_malformed_network_file_is_a_one_line_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"networks": [{"cells": "abcdefgh"}]}\n', encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            run("evaluate", "--networks", bad, "--out", tmp_path / "r.csv")
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        messages = [line for line in err.splitlines() if "error:" in line]
+        assert len(messages) == 1
+        assert '"cells" must be a list of numbers' in messages[0]
+
+    def test_file_the_filter_empties(self, tmp_path, capsys):
+        path = tmp_path / "non-monotone.json"
+        save_networks([NON_MONOTONE, NON_MONOTONE], path)
+        out = tmp_path / "r.csv"
+        assert run("evaluate", "--networks", path, "--out", out) == 0
+        assert out.read_text(encoding="utf-8").startswith("network_id,")
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1
+        assert "evaluated 0 of 2 networks" in capsys.readouterr().out
+        report = tmp_path / "report.json"
+        assert run("report", "--networks", path, "--out", report) == 0
+        assert json.loads(report.read_text(encoding="utf-8"))["networks"] == []
+
+    def test_degenerate_prior_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "never-c.json"
+        save_networks([NEVER_C], path)
+        with pytest.raises(SystemExit) as excinfo:
+            run("evaluate", "--networks", path, "--out", tmp_path / "r.csv")
+        assert excinfo.value.code == 2
+        assert "base rate of C" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run("surface", "--networks", path, "--rule", "independent", "--out", tmp_path / "s.csv")
         assert excinfo.value.code == 2
 
 
@@ -156,6 +196,36 @@ class TestOracle:
         save_networks([JointTable(cells)], path)
         assert run("oracle", "--networks", path, "--e1", 1, "--e2", 0.5) == 1
         assert "error:" in capsys.readouterr().err
+
+
+#: Tables the validator rejects: cells summing to 1.2, and a negative cell.
+INVALID_TABLES = [
+    (0.15,) * 8,
+    (0.5, -0.25, 0.25, 0.125, 0.125, 0.125, 0.0625, 0.0625),
+]
+
+
+class TestInvalidTables:
+    @pytest.mark.parametrize("cells", INVALID_TABLES, ids=["sum-1.2", "negative-cell"])
+    def test_oracle_rejects_an_invalid_table(self, tmp_path, capsys, cells):
+        path = tmp_path / "invalid.json"
+        save_networks([JointTable(cells)], path)
+        with pytest.raises(SystemExit) as excinfo:
+            run("oracle", "--networks", path, "--e1", 0.3, "--e2", 0.6)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid table" in captured.err
+
+    @pytest.mark.parametrize("cells", INVALID_TABLES, ids=["sum-1.2", "negative-cell"])
+    def test_surface_rejects_an_invalid_table(self, tmp_path, cells):
+        path = tmp_path / "invalid.json"
+        save_networks([JointTable(cells)], path)
+        out = tmp_path / "surface.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run("surface", "--networks", path, "--rule", "independent", "--out", out)
+        assert excinfo.value.code == 2
+        assert not out.exists()
 
 
 class TestSurface:

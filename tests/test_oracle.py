@@ -1,5 +1,10 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from prospector_eval import (
@@ -7,9 +12,9 @@ from prospector_eval import (
     GenerationConfig,
     InfeasibleUpdateError,
     JointTable,
-    NoConvergenceError,
     NotIndependentError,
     base_rates,
+    compose_table,
     conditional_profile,
     correct_posterior,
     generate_associated,
@@ -17,7 +22,7 @@ from prospector_eval import (
     independent_closed_form,
     mce_update,
 )
-from prospector_eval.table import MASK_E1, MASK_E2, cell_index
+from prospector_eval.table import MARGINAL_FLOOR, MASK_E1, MASK_E2, cell_index
 
 
 def random_table(rng) -> JointTable:
@@ -190,9 +195,121 @@ class TestInfeasibleAndNonConvergent:
             0.5, abs=1e-10
         )
 
-    def test_iteration_cap_reports_deviation(self, rng):
-        table = random_table(rng)
-        with pytest.raises(NoConvergenceError) as excinfo:
-            mce_update(table, EvidenceUpdate(0.9, 0.1), max_iterations=0)
-        assert excinfo.value.deviation > 0.0
-        assert excinfo.value.iterations == 0
+
+interior_targets = st.floats(min_value=0.02, max_value=0.98)
+targets = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+profiles = st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4)
+
+
+def log_odds_ratio(pairs) -> float:
+    return math.log(pairs[0]) + math.log(pairs[3]) - math.log(pairs[1]) - math.log(pairs[2])
+
+
+@st.composite
+def skewed_tables(draw) -> JointTable:
+    """Positive tables whose evidence-pair weights reach down to the
+    validation floor, with |log theta| up to 10."""
+    logs = draw(st.lists(st.floats(math.log(MARGINAL_FLOOR), 0.0), min_size=4, max_size=4))
+    pairs = np.exp(logs) / np.exp(logs).sum()
+    assume(pairs.min() >= MARGINAL_FLOOR and abs(log_odds_ratio(pairs)) <= 10.0)
+    return compose_table(tuple(pairs), tuple(draw(profiles)))
+
+
+# Pair weights at the floor, and |log theta| = 10 with theta above and below 1.
+FLOOR_ROW = compose_table((2e-9, 0.3, 1e-9, 0.7 - 3e-9), (0.2, 0.5, 0.6, 0.9))
+STRONG = compose_table((0.49, 0.0033, 0.0033, 0.5034), (0.1, 0.3, 0.6, 0.8))
+STRONG_NEGATIVE = compose_table((0.0033, 0.49, 0.5034, 0.0033), (0.1, 0.3, 0.6, 0.8))
+
+
+class TestClosedFormProperties:
+    @given(table=skewed_tables(), u1=interior_targets, u2=interior_targets)
+    @example(table=FLOOR_ROW, u1=0.5, u2=0.5)
+    @example(table=STRONG, u1=0.9, u2=0.1)
+    @example(table=STRONG_NEGATIVE, u1=0.9, u2=0.9)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_on_skewed_tables(self, table, u1, u2):
+        ours = mce_update(table, EvidenceUpdate(u1, u2)).table.as_array()
+        reference = bf.brute_mce(table.as_array(), u1, u2)
+        assert float(np.max(np.abs(ours - reference))) <= 1e-6
+
+    @given(
+        zero=st.integers(0, 3),
+        weights=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+        profile=profiles,
+        u1=targets,
+        u2=targets,
+    )
+    @example(zero=3, weights=[1.0, 1.0, 1.0], profile=[0.5] * 4, u1=0.6, u2=0.7)
+    @settings(max_examples=300, deadline=None)
+    def test_single_zero_pair_weight(self, zero, weights, profile, u1, u2):
+        """With one pair weight at zero (theta = 0 or infinity) the margins
+        alone fix the update: reachable targets are hit and the zero stays,
+        unreachable ones raise.  FF = 0 needs u1 + u2 >= 1, FT = 0 needs
+        u1 >= u2, TF = 0 needs u2 >= u1, TT = 0 needs u1 + u2 <= 1."""
+        pairs = list(np.array(weights) / sum(weights))
+        pairs.insert(zero, 0.0)
+        table = compose_table(tuple(pairs), tuple(profile))
+        slack = (u1 + u2 - 1.0, u1 - u2, u2 - u1, 1.0 - u1 - u2)[zero]
+        assume(slack >= 0.0 or slack < -1e-9)
+        update = EvidenceUpdate(u1, u2)
+        if slack < 0.0:
+            with pytest.raises(InfeasibleUpdateError):
+                mce_update(table, update)
+            with pytest.raises(InfeasibleUpdateError):
+                correct_posterior(table, update)
+            return
+        updated = mce_update(table, update).table
+        cells = updated.as_array()
+        assert abs(float(cells[MASK_E1].sum()) - u1) <= 1e-10
+        assert abs(float(cells[MASK_E2].sum()) - u2) <= 1e-10
+        assert updated.pair_marginals()[zero] == 0.0
+        assert correct_posterior(table, update) == pytest.approx(
+            float(cells[1::2].sum()), abs=1e-12
+        )
+
+
+def bisected_posterior(cells, u1: float, u2: float) -> float:
+    """P'(C) with n'_TT found by bisection in 60-digit decimals on the
+    odds-ratio equation x (1 - u1 - u2 + x) = theta (u1 - x)(u2 - x), whose
+    left side minus right side increases across the Frechet bounds."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c = [Decimal(v) for v in cells]
+        n = [c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7]]
+        theta = n[0] * n[3] / (n[1] * n[2])
+        a, b = Decimal(u1), Decimal(u2)
+        lo, hi = max(Decimal(0), a + b - 1), min(a, b)
+        for _ in range(200):
+            x = (lo + hi) / 2
+            if x * (1 - a - b + x) < theta * (a - x) * (b - x):
+                lo = x
+            else:
+                hi = x
+        weights = (1 - a - b + lo, b - lo, a - lo, lo)
+        return float(sum(w * c[2 * k + 1] / n[k] for k, w in enumerate(weights)))
+
+
+#: Evidence-pair weights (FF, FT, TF, TT) with |log theta| of several hundred:
+#: one weight of 1e-160 on either diagonal, and pairs of 1e-170 whose product
+#: underflows to zero in double precision.
+EXTREME_PAIRS = [
+    (0.3, 0.3, 0.4, 1e-160),
+    (0.3, 1e-160, 0.3, 0.4),
+    (0.5, 1e-170, 1e-170, 0.5),
+    (1e-170, 0.5, 0.5, 1e-170),
+]
+
+
+class TestExtremeOddsRatios:
+    @pytest.mark.parametrize("pairs", EXTREME_PAIRS)
+    @pytest.mark.parametrize("u1, u2", [(0.3, 0.6), (0.7, 0.7), (0.5, 0.5), (0.9, 0.2)])
+    def test_matches_bisection(self, pairs, u1, u2):
+        # Not additive in E1 and E2, so P'(C) depends on n'_TT, not only on the margins.
+        table = compose_table(pairs, (0.1, 0.3, 0.6, 0.2))
+        update = EvidenceUpdate(u1, u2)
+        expected = bisected_posterior(table.cells, u1, u2)
+        assert correct_posterior(table, update) == pytest.approx(expected, abs=1e-12)
+        cells = mce_update(table, update).table.as_array()
+        assert float(cells[1::2].sum()) == pytest.approx(expected, abs=1e-12)
+        assert abs(float(cells[MASK_E1].sum()) - u1) <= 1e-12
+        assert abs(float(cells[MASK_E2].sum()) - u2) <= 1e-12

@@ -1,8 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from prospector_eval import (
     ConditionalProfile,
@@ -12,11 +16,14 @@ from prospector_eval import (
     MonotonicityPattern,
     Rule,
     StudyConfig,
+    base_rates,
     compose_table,
     diagnostics,
     error_surface,
     evaluate_network,
+    infer,
     monotonicity_pattern,
+    network_view,
     run_study,
     summarize,
 )
@@ -24,6 +31,8 @@ from prospector_eval.study import (
     DEFAULT_UPDATE_GRID,
     GRID_FIFTH_VALUES,
     GRID_QUARTERS,
+    RESULTS_HEADER,
+    RULE_ORDER,
     EvaluationRecord,
     build_report,
     evaluate_tables,
@@ -31,8 +40,12 @@ from prospector_eval.study import (
     report_json_text,
     report_to_dict,
     results_csv_text,
+    spearman_strength_error,
     surface_csv_text,
+    sweep,
 )
+from prospector_eval.errors import DegenerateBaseRateError
+from prospector_eval.table import MARGINAL_FLOOR
 
 
 def profile(q_ff, q_ft, q_tf, q_tt) -> ConditionalProfile:
@@ -211,6 +224,15 @@ class TestErrorSurface:
             mirrored = by_update[(1.0 - u1, 1.0 - u2)]
             assert err + mirrored == pytest.approx(0.0, abs=1e-9)
 
+    def test_reads_as_a_sequence_of_rows(self, case1):
+        points = error_surface(case1, Rule.INDEPENDENT, 0.5)
+        rows = tuple(points)
+        assert [points[k] for k in range(-len(rows), len(rows))] == list(rows + rows)
+        assert points[2:7:2] == rows[2:7:2]
+        assert rows[1][:2] == (0.0, 0.5)
+        with pytest.raises(IndexError):
+            points[len(rows)]
+
     def test_step_validation(self, case1):
         with pytest.raises(ValueError):
             error_surface(case1, Rule.INDEPENDENT, 0.0)
@@ -374,3 +396,112 @@ class TestEvaluationNotes:
         assert noted
         for record in noted:
             assert math.isnan(record.oracle)
+
+
+conditionals = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def networks_and_grids(draw):
+    """A valid network, and a grid holding both of its evidence base rates
+    (the links' knees) and both certain values."""
+    raw = np.array(draw(st.lists(st.floats(0.001, 1.0), min_size=4, max_size=4)))
+    pairs = raw / raw.sum()
+    assume(pairs.min() >= MARGINAL_FLOOR)
+    table = compose_table(tuple(pairs), tuple(draw(st.lists(conditionals, min_size=4, max_size=4))))
+    p_e1, p_e2, p_c = base_rates(table)
+    assume(0.0 < p_c < 1.0)  # the engine's independent rule needs an interior prior
+    grid = draw(st.lists(st.floats(0.0, 1.0), max_size=4)) + [p_e1, p_e2, 0.0, 1.0]
+    return table, grid
+
+
+# P(C | E1) = 1, so the update u1 = 1 fires the odds clamp.
+CLAMPED = compose_table((0.3, 0.2, 0.25, 0.25), (0.0, 0.5, 1.0, 1.0))
+
+
+class TestSweepKernel:
+    @given(case=networks_and_grids())
+    @example(case=(CLAMPED, [0.0, 0.3, 0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_engine_point_by_point(self, case):
+        """Every kernel answer equals the audited single query within 1e-12,
+        ties (u1 = u2 on the diagonal), knees and clamped odds included."""
+        table, grid = case
+        answers, _ = sweep([table.cells], grid)
+        view = network_view(table)
+        for i, u1 in enumerate(grid):
+            for j, u2 in enumerate(grid):
+                for k, rule in enumerate(RULE_ORDER):
+                    expected = infer(view, rule, (u1, u2))[0]
+                    assert abs(answers[0, i, j, k] - expected) <= 1e-12
+
+    def test_clamp_example_fires_the_clamp(self):
+        _, trace = infer(network_view(CLAMPED), Rule.INDEPENDENT, (1.0, 0.0))
+        assert any(item.clamped for item in trace.evidence)
+
+    def test_shapes_and_oracle_agree_with_single_queries(self, case1, case2):
+        answers, oracle = sweep([case1.cells, case2.cells], GRID_FIFTH_VALUES)
+        assert answers.shape == (2, 5, 5, 3)
+        assert oracle.shape == (2, 5, 5)
+        for n, table in enumerate((case1, case2)):
+            records = evaluate_network(table, GRID_FIFTH_VALUES)
+            assert [r.oracle for r in records] == oracle[n].ravel().tolist()
+
+    def test_rejects_bad_grids(self, case1):
+        with pytest.raises(ValueError):
+            sweep([case1.cells], [])
+        with pytest.raises(ValueError):
+            sweep([case1.cells], [0.5, 1.5])
+
+
+class TestSpearman:
+    @given(
+        pairs=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy(self, pairs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on constant input
+            expected = float(scipy.stats.spearmanr(*zip(*pairs)).statistic)
+        got = spearman_strength_error(pairs)
+        if math.isnan(expected):
+            assert got is None
+        else:
+            assert got == pytest.approx(expected, abs=1e-12)
+
+
+# Rejected by the monotonicity screen in both modes.
+NON_MONOTONE = compose_table((0.25, 0.25, 0.25, 0.25), (0.9, 0.1, 0.1, 0.9))
+# Valid, monotone (flat), and with P(C) = 0: the odds product is undefined.
+NEVER_C = compose_table((0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 0.0))
+
+
+class TestEdgeSamples:
+    def test_sample_the_filter_empties(self):
+        evaluations = evaluate_tables([NON_MONOTONE, NON_MONOTONE])
+        assert evaluations == []
+        assert results_csv_text(evaluations).splitlines() == [",".join(RESULTS_HEADER)]
+        report = build_report(
+            evaluations,
+            {"associated": 2},
+            grid=DEFAULT_UPDATE_GRID,
+            filter_enabled=True,
+            filter_mode="full",
+        )
+        assert report.classes["associated"].filtered_in == 0
+        assert report.classes["associated"].overall_average_error is None
+        assert report.spearman_strength_error is None
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_degenerate_prior_is_refused(self, rate):
+        table = compose_table((0.25, 0.25, 0.25, 0.25), (rate,) * 4)
+        with pytest.raises(DegenerateBaseRateError, match="network net-0001: base rate of C"):
+            evaluate_tables([NON_MONOTONE, table], filter_enabled=False)
+        with pytest.raises(DegenerateBaseRateError):
+            evaluate_network(table)
+        with pytest.raises(DegenerateBaseRateError):
+            error_surface(table, Rule.CONJUNCTIVE, 0.5)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -276,6 +277,23 @@ class TestNetworkFiles:
             networks_from_json('{"something": []}')
         with pytest.raises(InvalidTableError):
             networks_from_json('{"networks": [{"kind": "associated"}]}')
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"cells": "abcdefgh"}',
+            '{"cells": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, "x"]}',
+            '{"cells": CELLS, "provenance": {"seed": 1}}',
+            '{"cells": CELLS, "provenance": 5}',
+            '{"cells": CELLS, "provenance": {"seed": 1, "index": 2.5}}',
+        ],
+        ids=["string-cells", "non-numeric-cell", "provenance-without-index",
+             "provenance-not-an-object", "non-integer-provenance"],
+    )
+    def test_rejects_malformed_entries(self, entry):
+        entry = entry.replace("CELLS", json.dumps([0.125] * 8))
+        with pytest.raises(InvalidTableError, match="network 0"):
+            networks_from_json('{"networks": [%s]}' % entry)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -16,9 +16,12 @@ Two samplers, one per evidence-relation class:
 
 Determinism: network ``i`` of a batch draws all of its randomness from a
 dedicated stream keyed by (seed, i, attempt), so batches are reproducible
-and order-independent — evaluating or generating in parallel cannot change
-the output.  Failed proportional fits are resampled with the attempt
-counter bumped (bounded; the table records how many resamples it took).
+and order-independent.  Draws are per network; the arithmetic after them
+is batched: one array pass builds every independent network, and one
+``fit_margins`` call fits every associated network, row by row exactly as
+a one-table fit would.  Failed proportional fits are resampled with the
+attempt counter bumped (bounded; the table records how many resamples it
+took), and only the resampled networks are refitted.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import GenerationError, InvalidTableError, NoConvergenceError
-from .table import MASK_C, MASK_E1, MASK_E2, JointTable, Provenance, compose_table
+from .table import MASK_C, MASK_E1, MASK_E2, JointTable, Provenance
 
 DEFAULT_BASE_RATE_MARGIN = 1e-3
 DEFAULT_IPF_TOLERANCE = 1e-10
@@ -88,6 +91,69 @@ def _network_rng(seed: int, index: int, attempt: int) -> np.random.Generator:
     )
 
 
+#: (true-cell, false-cell) flat indices of E1, E2 and C, in fitting order.
+_MARGIN_CELLS = tuple(
+    (np.flatnonzero(mask), np.flatnonzero(~mask)) for mask in (MASK_E1, MASK_E2, MASK_C)
+)
+
+
+def _margin_sum(q: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Row sums of four cells, added left to right as a 1-D numpy sum does."""
+    return q[:, cells[0]] + q[:, cells[1]] + q[:, cells[2]] + q[:, cells[3]]
+
+
+def _deviation(q: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Largest absolute margin error of each row."""
+    errors = [
+        np.abs(_margin_sum(q, true_cells) - targets[:, k])
+        for k, (true_cells, _) in enumerate(_MARGIN_CELLS)
+    ]
+    return np.maximum(np.maximum(errors[0], errors[1]), errors[2])
+
+
+def fit_margins(
+    cells: np.ndarray,
+    targets: np.ndarray,
+    *,
+    tolerance: float,
+    max_iterations: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit the E1, E2 and C margins of every row of ``cells`` to ``targets``.
+
+    ``cells`` is (N, 8) with strictly positive entries and ``targets`` is
+    (N, 3).  Each row is fitted on its own: its deviation is checked before
+    each cycle, at most ``max_iterations`` times, and a cycle scales E1, E2
+    and C in that order by t/cur on the true cells and (1 - t)/(1 - cur) on
+    the others.  A converged row leaves the active set and is normalised.
+    Returns (fitted, converged, deviation): converged rows are normalised,
+    the others hold their cells after the last cycle; ``deviation`` is each
+    row's margin deviation at its last check, or after the last cycle.
+    """
+    q = np.array(cells, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    fitted = np.empty_like(q)
+    converged = np.zeros(len(q), dtype=bool)
+    deviation = np.empty(len(q))
+    rows = np.arange(len(q))
+    for _ in range(max_iterations):
+        if not len(rows):
+            break
+        deviation[rows] = _deviation(q, targets)
+        done = deviation[rows] <= tolerance
+        if done.any():
+            fitted[rows[done]] = q[done] / q[done].sum(axis=1)[:, None]
+            converged[rows[done]] = True
+            rows, q, targets = rows[~done], q[~done], targets[~done]
+        for k, (true_cells, false_cells) in enumerate(_MARGIN_CELLS):
+            target = targets[:, k]
+            current = _margin_sum(q, true_cells)
+            q[:, true_cells] *= (target / current)[:, None]
+            q[:, false_cells] *= ((1.0 - target) / (1.0 - current))[:, None]
+    fitted[rows] = q
+    deviation[rows] = _deviation(q, targets)
+    return fitted, converged, deviation
+
+
 def ipf_fit(
     table: JointTable,
     targets: MarginTargets,
@@ -97,99 +163,114 @@ def ipf_fit(
 ) -> JointTable:
     """Iteratively rescale cells until all three margins match the targets.
 
-    Cycles E1, E2, C in a fixed order; convergence is checked before each
-    cycle, so a table that already matches comes back (numerically)
-    unchanged.  Requires strictly positive cells — proportional scaling can
-    never move mass onto or off a zero.  Raises NoConvergenceError with the
-    remaining deviation if the cap runs out.
+    The one-table case of ``fit_margins``.  Cycles E1, E2, C in a fixed
+    order; convergence is checked before each cycle, so a table that already
+    matches comes back (numerically) unchanged.  Requires strictly positive
+    cells — proportional scaling can never move mass onto or off a zero.
+    Raises NoConvergenceError with the remaining deviation if the cap runs
+    out.
     """
     q = table.as_array()
     if np.any(q <= 0.0):
         raise InvalidTableError(
             "proportional fitting requires strictly positive cells"
         )
-    plan = tuple(zip(targets.as_tuple(), (MASK_E1, MASK_E2, MASK_C)))
-    for _ in range(max_iterations):
-        deviation = max(abs(float(q[mask].sum()) - t) for t, mask in plan)
-        if deviation <= tolerance:
-            q = q / q.sum()
-            return JointTable(tuple(float(v) for v in q), kind=table.kind, provenance=table.provenance)
-        for target, mask in plan:
-            current = float(q[mask].sum())
-            q[mask] *= target / current
-            q[~mask] *= (1.0 - target) / (1.0 - current)
-    deviation = max(abs(float(q[mask].sum()) - t) for t, mask in plan)
-    raise NoConvergenceError(
-        f"margins still off by {deviation:.3e} after {max_iterations} cycles",
-        deviation=deviation,
-        iterations=max_iterations,
+    fitted, converged, deviation = fit_margins(
+        q[None, :],
+        np.array([targets.as_tuple()]),
+        tolerance=tolerance,
+        max_iterations=max_iterations,
     )
+    if not converged[0]:
+        raise NoConvergenceError(
+            f"margins still off by {deviation[0]:.3e} after {max_iterations} cycles",
+            deviation=float(deviation[0]),
+            iterations=max_iterations,
+        )
+    return JointTable(tuple(fitted[0].tolist()), kind=table.kind, provenance=table.provenance)
 
 
 def generate_associated(config: GenerationConfig) -> list[JointTable]:
-    """Generate ``config.count`` associated-evidence networks."""
+    """Generate ``config.count`` associated-evidence networks.
+
+    Every pending network draws its targets and raw cells from its own
+    stream; one ``fit_margins`` call then fits them all.  Networks whose draw
+    has a zero cell or whose fit hits the cap are redrawn with the next
+    attempt number, and only those are refitted.
+    """
     if config.kind != "associated":
         raise ValueError(f"config.kind is {config.kind!r}, expected 'associated'")
     eps = config.base_rate_margin
-    tables = []
-    for index in range(config.count):
-        fitted = None
-        for attempt in range(config.max_resamples):
+    tables: list[JointTable | None] = [None] * config.count
+    pending = np.arange(config.count)
+    for attempt in range(config.max_resamples):
+        if not len(pending):
+            break
+        targets = np.empty((len(pending), 3))
+        raw = np.empty((len(pending), 8))
+        for row, index in enumerate(pending.tolist()):
             rng = _network_rng(config.seed, index, attempt)
-            targets = rng.uniform(eps, 1.0 - eps, 3)
-            raw = rng.uniform(0.0, 1.0, 8)
-            total = raw.sum()
-            if total <= 0.0 or np.any(raw <= 0.0):
-                continue  # un-normalizable draw; try a fresh stream
-            seed_table = JointTable(
-                tuple(float(v) for v in raw / total),
+            targets[row] = rng.uniform(eps, 1.0 - eps, 3)
+            raw[row] = rng.uniform(0.0, 1.0, 8)
+        drawable = np.all(raw > 0.0, axis=1)  # else un-normalizable: redraw
+        fitted, converged, _ = fit_margins(
+            raw[drawable] / raw[drawable].sum(axis=1)[:, None],
+            targets[drawable],
+            tolerance=config.ipf_tolerance,
+            max_iterations=config.ipf_max_iterations,
+        )
+        done = np.zeros(len(pending), dtype=bool)
+        done[np.flatnonzero(drawable)[converged]] = True
+        for index, cells in zip(pending[done].tolist(), fitted[converged].tolist()):
+            tables[index] = JointTable(
+                tuple(cells),
                 kind="associated",
                 provenance=Provenance(seed=config.seed, index=index, resamples=attempt),
             )
-            try:
-                fitted = ipf_fit(
-                    seed_table,
-                    MarginTargets(*targets),
-                    tolerance=config.ipf_tolerance,
-                    max_iterations=config.ipf_max_iterations,
-                )
-            except NoConvergenceError:
-                continue
-            break
-        if fitted is None:
-            raise GenerationError(
-                f"network {index} (seed {config.seed}): no converged fit "
-                f"within {config.max_resamples} attempts"
-            )
-        tables.append(fitted)
+        pending = pending[~done]
+    if len(pending):
+        raise GenerationError(
+            f"network {pending[0]} (seed {config.seed}): no converged fit "
+            f"within {config.max_resamples} attempts"
+        )
     return tables
 
 
 def generate_independent(config: GenerationConfig) -> list[JointTable]:
-    """Generate ``config.count`` independent-evidence networks."""
+    """Generate ``config.count`` independent-evidence networks.
+
+    Each network draws two evidence base rates and four conclusion fractions
+    from its own stream; one array pass then builds all the tables' cells.
+    """
     if config.kind != "independent":
         raise ValueError(f"config.kind is {config.kind!r}, expected 'independent'")
     eps = config.base_rate_margin
-    tables = []
+    draws = np.empty((config.count, 6))
     for index in range(config.count):
         rng = _network_rng(config.seed, index, 0)
-        p_e1, p_e2 = rng.uniform(eps, 1.0 - eps, 2)
-        fractions = rng.uniform(0.0, 1.0, 4)
-        marginals = (
+        draws[index, :2] = rng.uniform(eps, 1.0 - eps, 2)
+        draws[index, 2:] = rng.uniform(0.0, 1.0, 4)
+    p_e1, p_e2, fractions = draws[:, 0], draws[:, 1], draws[:, 2:]
+    masses = np.stack(
+        (
             (1.0 - p_e1) * (1.0 - p_e2),
             (1.0 - p_e1) * p_e2,
             p_e1 * (1.0 - p_e2),
             p_e1 * p_e2,
+        ),
+        axis=1,
+    )
+    cells = np.empty((config.count, 8))
+    cells[:, 1::2] = masses * fractions
+    cells[:, 0::2] = masses * (1.0 - fractions)
+    return [
+        JointTable(
+            tuple(row),
+            kind="independent",
+            provenance=Provenance(seed=config.seed, index=index, resamples=0),
         )
-        tables.append(
-            compose_table(
-                marginals,
-                tuple(float(f) for f in fractions),
-                kind="independent",
-                provenance=Provenance(seed=config.seed, index=index, resamples=0),
-            )
-        )
-    return tables
+        for index, row in enumerate(cells.tolist())
+    ]
 
 
 def generate(config: GenerationConfig) -> list[JointTable]:

@@ -37,10 +37,10 @@ from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTable
 from .generate import GenerationConfig, generate_associated, generate_independent
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
+    PAIR_CELLS,
     ConditionalProfile,
     JointTable,
     base_rates,
-    cell_index,
     conditional_profile,
     require_valid,
 )
@@ -295,10 +295,7 @@ class Diagnostics:
 def diagnostics(table: JointTable) -> Diagnostics:
     profile = conditional_profile(table)
     p_e1, p_e2, _ = base_rates(table)
-    x_ff = table.cells[cell_index(False, False, True)]
-    x_ft = table.cells[cell_index(False, True, True)]
-    x_tf = table.cells[cell_index(True, False, True)]
-    x_tt = table.cells[cell_index(True, True, True)]
+    x_ff, x_ft, x_tf, x_tt = (table.cells[true_cell] for _, true_cell in PAIR_CELLS)
 
     conjunctive_rows = (profile.q_ff, profile.q_ft, profile.q_tf)
     disjunctive_rows = (profile.q_ft, profile.q_tf, profile.q_tt)
@@ -647,20 +644,35 @@ SURFACE_HEADER = ("e1", "e2", "signed_error")
 
 
 def results_csv_text(evaluations: Sequence[NetworkEvaluation]) -> str:
-    """Per-update results, one row per (network, grid point)."""
-    rows = []
+    """Per-update results, one row per (network, grid point).
+
+    Byte-identical to ``_serialize.csv_text`` on the same rows: each network
+    formats its rows with one ``%.17g`` pattern (``"%.17g" % v`` equals
+    ``format(v, ".17g")`` for every float) behind its text fields, after one
+    finiteness check of its block.
+    """
+    lines = [",".join(RESULTS_HEADER)]
     for ev in evaluations:
+        grid = np.array(ev.grid, dtype=float)
+        e1, e2 = np.meshgrid(grid, grid, indexing="ij")
         values = np.concatenate(
             (
+                e1.reshape(-1, 1),
+                e2.reshape(-1, 1),
                 ev.answers.reshape(-1, 3),
                 ev.oracle.reshape(-1, 1),
                 (ev.oracle[..., None] - ev.answers).reshape(-1, 3),
             ),
             axis=1,
-        ).tolist()
-        for (u1, u2), row in zip(product(ev.grid, ev.grid), values):
-            rows.append((ev.network_id, ev.kind, ev.pattern.value, u1, u2, *row))
-    return _serialize.csv_text(RESULTS_HEADER, rows)
+        )
+        finite = np.isfinite(values)
+        if not finite.all():
+            _serialize.format_float(values[~finite][0])  # raises the writer's ValueError
+        fields = (ev.network_id, ev.kind, ev.pattern.value)
+        prefix = ",".join(_serialize.format_cell(field) for field in fields)
+        row_format = prefix.replace("%", "%%") + ",%.17g" * values.shape[1]
+        lines.extend(row_format % row for row in map(tuple, values.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def surface_csv_text(points: Sequence[tuple[float, float, float]]) -> str:

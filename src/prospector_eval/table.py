@@ -53,6 +53,12 @@ MASK_E1 = np.array([i >= 4 for i in range(8)])
 MASK_E2 = np.array([(i >> 1) & 1 == 1 for i in range(8)])
 MASK_C = np.array([i & 1 == 1 for i in range(8)])
 
+#: (conclusion-false, conclusion-true) cell indices of each evidence state,
+#: in FF, FT, TF, TT order.
+PAIR_CELLS: tuple[tuple[int, int], ...] = tuple(
+    (cell_index(a, b, False), cell_index(a, b, True)) for a, b in EVIDENCE_STATES
+)
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -94,10 +100,8 @@ class JointTable:
 
     def pair_marginals(self) -> tuple[float, float, float, float]:
         """P(E1=a, E2=b) for the four evidence states in FF, FT, TF, TT order."""
-        return tuple(
-            self.cells[cell_index(a, b, False)] + self.cells[cell_index(a, b, True)]
-            for a, b in EVIDENCE_STATES
-        )
+        cells = self.cells
+        return tuple(cells[f] + cells[t] for f, t in PAIR_CELLS)
 
 
 @dataclass(frozen=True)
@@ -144,15 +148,16 @@ def conditional_profile(table: JointTable) -> ConditionalProfile:
     Raises ZeroMarginalError if some evidence-state pair has no probability
     mass, since the conditional is undefined there.
     """
+    cells = table.cells
     values = []
-    for a, b in EVIDENCE_STATES:
-        mass = table.cells[cell_index(a, b, False)] + table.cells[cell_index(a, b, True)]
+    for (a, b), (f, t) in zip(EVIDENCE_STATES, PAIR_CELLS):
+        mass = cells[f] + cells[t]
         if mass <= 0.0:
             raise ZeroMarginalError(
                 f"evidence state (E1={a}, E2={b}) has zero probability; "
                 "conditional profile is undefined"
             )
-        values.append(table.cells[cell_index(a, b, True)] / mass)
+        values.append(cells[t] / mass)
     return ConditionalProfile(*values)
 
 

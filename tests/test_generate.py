@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -18,8 +20,9 @@ from prospector_eval import (
     ipf_fit,
     validate,
 )
+from prospector_eval.generate import fit_margins
 from prospector_eval.study import DEFAULT_SEED
-from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, networks_to_json
+from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, Provenance, networks_to_json
 
 # One-sided Kolmogorov-Smirnov critical value at the 1% level for n = 400.
 KS_CRITICAL_1PCT_400 = 1.62762 / np.sqrt(400)
@@ -32,6 +35,52 @@ def margins(table: JointTable) -> tuple[float, float, float]:
         float(cells[MASK_E2].sum()),
         float(cells[MASK_C].sum()),
     )
+
+
+def scalar_fit(cells, targets, tolerance, max_iterations):
+    """Reference three-margin fit: one table at a time, 4-element numpy sums.
+
+    Returns (cells, cycles) on convergence and (None, deviation) at the cap.
+    """
+    q = np.array(cells, dtype=float)
+    plan = tuple(zip(targets, (MASK_E1, MASK_E2, MASK_C)))
+    for cycle in range(max_iterations):
+        deviation = max(abs(float(q[mask].sum()) - t) for t, mask in plan)
+        if deviation <= tolerance:
+            return tuple(float(v) for v in q / q.sum()), cycle
+        for target, mask in plan:
+            current = float(q[mask].sum())
+            q[mask] *= target / current
+            q[~mask] *= (1.0 - target) / (1.0 - current)
+    return None, max(abs(float(q[mask].sum()) - t) for t, mask in plan)
+
+
+def scalar_associated(config: GenerationConfig) -> list[JointTable]:
+    """Reference sampler: draw, fit and resample each network in turn."""
+    eps = config.base_rate_margin
+    tables = []
+    for index in range(config.count):
+        for attempt in range(config.max_resamples):
+            stream = np.random.default_rng(
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(index, attempt))
+            )
+            targets = stream.uniform(eps, 1.0 - eps, 3)
+            raw = stream.uniform(0.0, 1.0, 8)
+            if raw.sum() <= 0.0 or np.any(raw <= 0.0):
+                continue
+            cells, _ = scalar_fit(
+                raw / raw.sum(), targets, config.ipf_tolerance, config.ipf_max_iterations
+            )
+            if cells is not None:
+                provenance = Provenance(seed=config.seed, index=index, resamples=attempt)
+                tables.append(JointTable(cells, kind="associated", provenance=provenance))
+                break
+        else:
+            raise GenerationError(
+                f"network {index} (seed {config.seed}): no converged fit "
+                f"within {config.max_resamples} attempts"
+            )
+    return tables
 
 
 class TestMarginTargets:
@@ -117,6 +166,83 @@ class TestIpfFit:
         with pytest.raises(NoConvergenceError) as excinfo:
             ipf_fit(table, MarginTargets(0.9, 0.1, 0.5), max_iterations=1)
         assert excinfo.value.deviation > 0.0
+
+
+class TestBatchedFit:
+    """The batched fit must reproduce the one-table-at-a-time loop exactly."""
+
+    def test_default_config_matches_scalar_loop(self):
+        config = GenerationConfig(count=200, seed=DEFAULT_SEED, kind="associated")
+        batched = generate_associated(config)
+        reference = scalar_associated(config)
+        assert [t.cells for t in batched] == [t.cells for t in reference]
+        assert [t.provenance for t in batched] == [t.provenance for t in reference]
+
+    def test_small_cap_resamples_match_scalar_loop(self):
+        config = GenerationConfig(
+            count=200,
+            seed=DEFAULT_SEED,
+            kind="associated",
+            ipf_max_iterations=10,
+            max_resamples=8,
+        )
+        batched = generate_associated(config)
+        reference = scalar_associated(config)
+        assert [t.cells for t in batched] == [t.cells for t in reference]
+        resamples = [t.provenance.resamples for t in batched]
+        assert resamples == [t.provenance.resamples for t in reference]
+        # Some fit at once, some after resampling, one on the last attempt.
+        assert 0 in resamples and 1 in resamples
+        assert max(resamples) == config.max_resamples - 1
+
+    def test_exhausted_budget_names_the_same_network(self):
+        config = GenerationConfig(
+            count=200, seed=DEFAULT_SEED, kind="associated", ipf_max_iterations=8
+        )
+        with pytest.raises(GenerationError) as expected:
+            scalar_associated(config)
+        with pytest.raises(GenerationError) as batched:
+            generate_associated(config)
+        assert str(batched.value) == str(expected.value)
+
+    def test_rows_converging_on_different_cycles(self, rng, case1):
+        raw = rng.uniform(0.01, 1.0, (6, 8))
+        cells = np.vstack((case1.as_array(), raw / raw.sum(axis=1)[:, None]))
+        targets = np.vstack(
+            (base_rates(case1), rng.uniform(0.05, 0.95, (6, 3)))
+        )
+        cap = 12  # below what the slowest of these rows needs
+        fitted, converged, deviation = fit_margins(
+            cells, targets, tolerance=1e-10, max_iterations=cap
+        )
+        cycles = set()
+        for row in range(len(cells)):
+            expected, detail = scalar_fit(cells[row], targets[row], 1e-10, cap)
+            if expected is None:
+                assert not converged[row]
+                assert deviation[row] == detail
+            else:
+                assert converged[row]
+                assert tuple(fitted[row].tolist()) == expected
+                cycles.add(detail)
+        assert not converged.all()
+        assert 0 in cycles and len(cycles) >= 3
+
+
+class TestPinnedBytes:
+    """Network files are the study's inputs: their bytes must not drift."""
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("independent", "ead4f3b77459664289d76be59c9436d61f2a432f73dd38851a29311c16eed05a"),
+            ("associated", "38def252353c935b86af0e74d8aa2c3567921754213650d53e67c8122fa2bebf"),
+        ],
+    )
+    def test_sha256_at_default_seed(self, kind, digest):
+        tables = generate(GenerationConfig(count=400, seed=DEFAULT_SEED, kind=kind))
+        text = networks_to_json(tables)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestAssociatedGeneration:

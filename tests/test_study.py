@@ -14,6 +14,7 @@ from prospector_eval import (
     GenerationConfig,
     JointTable,
     MonotonicityPattern,
+    NetworkEvaluation,
     Rule,
     StudyConfig,
     base_rates,
@@ -44,6 +45,7 @@ from prospector_eval.study import (
     surface_csv_text,
     sweep,
 )
+from prospector_eval import _serialize
 from prospector_eval.errors import DegenerateBaseRateError
 from prospector_eval.table import MARGINAL_FLOOR
 
@@ -345,6 +347,45 @@ class TestReportOutputs:
         # Every numeric field parses back to a float.
         for field in first[3:]:
             float(field)
+
+    def test_results_csv_matches_the_generic_writer(self):
+        """The row-pattern writer is byte-identical to formatting field by
+        field, signed zeros, subnormals and 17-digit values included."""
+        evaluations = list(run_study(small_study_config()).networks[:3])
+        special = evaluations[0]
+        answers = special.answers.copy()
+        answers.flat[:4] = (-0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2)
+        evaluations.append(
+            NetworkEvaluation(**{**vars(special), "network_id": "odd%id", "answers": answers})
+        )
+        rows = []
+        for ev in evaluations:
+            for record in ev.records:
+                rows.append(
+                    (
+                        ev.network_id,
+                        ev.kind,
+                        ev.pattern.value,
+                        record.update.p_new_e1,
+                        record.update.p_new_e2,
+                        *(record.answers[rule] for rule in RULE_ORDER),
+                        record.oracle,
+                        *(record.signed_error[rule] for rule in RULE_ORDER),
+                    )
+                )
+        expected = _serialize.csv_text(RESULTS_HEADER, rows)
+        assert results_csv_text(evaluations) == expected
+        assert ",-0," in expected and ",4.9406564584124654e-324," in expected
+
+    def test_results_csv_refuses_non_finite_and_quoting(self):
+        ev = run_study(small_study_config()).networks[0]
+        oracle = ev.oracle.copy()
+        oracle.flat[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite value cannot be serialized: nan"):
+            results_csv_text([NetworkEvaluation(**{**vars(ev), "oracle": oracle})])
+        for text in ("a,b", 'say "x"', "two\nlines"):
+            with pytest.raises(ValueError, match="CSV field would need quoting"):
+                results_csv_text([NetworkEvaluation(**{**vars(ev), "network_id": text})])
 
     def test_surface_csv_layout(self, case1):
         points = error_surface(case1, Rule.INDEPENDENT, 0.5)

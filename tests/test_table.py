@@ -24,6 +24,7 @@ from prospector_eval.table import (
     MASK_C,
     MASK_E1,
     MASK_E2,
+    PAIR_CELLS,
     cell_index,
     load_networks,
     networks_from_json,
@@ -59,6 +60,10 @@ class TestCellOrder:
             assert MASK_E1[i] == (i >= 4)
             assert MASK_E2[i] == bool((i >> 1) & 1)
             assert MASK_C[i] == bool(i & 1)
+
+    def test_pair_cells(self):
+        """(conclusion-false, conclusion-true) cells of FF, FT, TF, TT."""
+        assert PAIR_CELLS == ((0, 1), (2, 3), (4, 5), (6, 7))
 
     def test_cell_accessor(self, case1):
         assert case1.cell(False, False, False) == case1.cells[0]

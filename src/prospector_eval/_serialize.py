@@ -8,8 +8,8 @@ exactly one serialized form on every platform.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 from typing import Any, Iterable
 
 _SCALARS = (type(None), bool, int, float, str)
@@ -41,7 +41,7 @@ def _write(obj: Any, out: list[str], level: int, indent: int) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         _write_dict(obj, out, level, indent)
     elif isinstance(obj, (list, tuple)):
@@ -60,7 +60,7 @@ def _write_dict(obj: dict, out: list[str], level: int, indent: int) -> None:
         if not isinstance(key, str):
             raise TypeError(f"JSON object keys must be strings, got {key!r}")
         out.append(inner)
-        out.append(json.dumps(key, ensure_ascii=False))
+        out.append(encode_basestring(key))
         out.append(": ")
         _write(value, out, level + 1, indent)
         out.append(",\n" if i < len(obj) - 1 else "\n")

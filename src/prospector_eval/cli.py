@@ -255,7 +255,10 @@ def _cmd_case_study(args, parser) -> int:
     view = network_view(table)
     profile = conditional_profile(table)
     summary = summarize(evaluate_network(table, grid, network_id=f"case-{args.id}"))
-    points = error_surface(table, Rule.INDEPENDENT, args.step)
+    try:
+        points = error_surface(table, Rule.INDEPENDENT, args.step)
+    except ValueError as exc:
+        parser.error(f"--step: {exc}")
     Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")
 
     q = profile.as_tuple()
@@ -295,6 +298,8 @@ def _cmd_surface(args, parser) -> int:
     table = _select_network(args, parser)
     try:
         points = error_surface(table, Rule(args.rule), args.step)
+    except ValueError as exc:
+        parser.error(f"--step: {exc}")
     except DegenerateBaseRateError as exc:
         parser.error(f"unusable network: {exc}")
     Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")

@@ -15,13 +15,19 @@ Two samplers, one per evidence-relation class:
   the fractions imply.
 
 Determinism: network ``i`` of a batch draws all of its randomness from a
-dedicated stream keyed by (seed, i, attempt), so batches are reproducible
-and order-independent.  Draws are per network; the arithmetic after them
-is batched: one array pass builds every independent network, and one
-``fit_margins`` call fits every associated network, row by row exactly as
-a one-table fit would.  Failed proportional fits are resampled with the
-attempt counter bumped (bounded; the table records how many resamples it
-took), and only the resampled networks are refitted.
+dedicated stream keyed by (seed, i, attempt): a PCG64 generator seeded by
+``SeedSequence(entropy=seed, spawn_key=(i, attempt))``, whose raw outputs
+become doubles as ``Generator.random`` makes them and are scaled as
+``Generator.uniform`` scales them.  Batches are therefore reproducible and
+order-independent, and the files rest only on ``SeedSequence`` and PCG64
+raw output, which NumPy keeps stable across releases.  The seed hash runs
+for every pending network in one array pass (``_stream_words``), and so
+does the arithmetic after the draws: one array pass builds every
+independent network, and one ``fit_margins`` call fits every associated
+network, row by row exactly as a one-table fit would.  Failed proportional
+fits are resampled with the attempt counter bumped (bounded; the table
+records how many resamples it took), and only the resampled networks are
+redrawn and refitted.
 """
 
 from __future__ import annotations
@@ -72,6 +78,8 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
+        if self.count > 2**32:
+            raise ValueError("count must not exceed 2**32 (one stream-key word per index)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.kind not in ("independent", "associated"):
@@ -84,11 +92,97 @@ class GenerationConfig:
             raise ValueError("iteration and resample caps must be at least 1")
 
 
-def _network_rng(seed: int, index: int, attempt: int) -> np.random.Generator:
-    """The dedicated random stream for one network (one resample attempt)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index, attempt))
-    )
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), as uint32
+# so that every product wraps the way its C code does.
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+
+
+def _stream_words(seed: int, indices: np.ndarray, attempt: int) -> np.ndarray:
+    """PCG64 seed words of every network's stream, as an (N, 4) uint64 array.
+
+    Row ``r`` equals ``SeedSequence(entropy=seed, spawn_key=(indices[r],
+    attempt)).generate_state(4, np.uint64)``: the seed's 32-bit words, zero
+    padded to the pool size, then the index and the attempt are mixed into a
+    pool of four words, which are then hashed into eight output words.  Every
+    step is the same for all rows, so the rows are computed together.
+    Indices and attempts must be below 2**32 (one word each).
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    entropy = [np.uint32(seed & 0xFFFFFFFF), np.uint32(seed >> 32), np.uint32(0), np.uint32(0)]
+    spawn_key = [indices.astype(np.uint32), np.full(len(indices), attempt, dtype=np.uint32)]
+    with np.errstate(over="ignore"):
+        pool = [hashmix(word) for word in entropy]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in spawn_key:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const = _INIT_B
+        state = np.empty((len(indices), 2 * _POOL_SIZE), dtype=np.uint64)
+        for k in range(2 * _POOL_SIZE):
+            value = pool[k % _POOL_SIZE] ^ hash_const
+            hash_const = hash_const * _MULT_B
+            value = value * hash_const
+            state[:, k] = value ^ (value >> _XSHIFT)
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+class _StreamSeed:
+    """Hands PCG64 the seed words that ``_stream_words`` computed for one
+    stream; registered as numpy's ISeedSequence on first use."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a stream seed holds exactly PCG64's four uint64 words")
+        return self.words
+
+
+def _draw_doubles(seed: int, indices: np.ndarray, attempt: int, count: int) -> np.ndarray:
+    """The first ``count`` doubles in [0, 1) of every listed network's stream.
+
+    Shape (N, count); the same values ``Generator.random`` would return.
+    """
+    # Imported here so that commands which never generate skip numpy.random.
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StreamSeed)
+    raw = np.array(
+        [
+            np.random.PCG64(_StreamSeed(words)).random_raw(count)
+            for words in _stream_words(seed, indices, attempt)
+        ],
+        dtype=np.uint64,
+    ).reshape(len(indices), count)
+    return (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Scale doubles in [0, 1) into [low, high) as ``Generator.uniform`` does."""
+    return low + (high - low) * u
 
 
 #: (true-cell, false-cell) flat indices of E1, E2 and C, in fitting order.
@@ -206,12 +300,9 @@ def generate_associated(config: GenerationConfig) -> list[JointTable]:
     for attempt in range(config.max_resamples):
         if not len(pending):
             break
-        targets = np.empty((len(pending), 3))
-        raw = np.empty((len(pending), 8))
-        for row, index in enumerate(pending.tolist()):
-            rng = _network_rng(config.seed, index, attempt)
-            targets[row] = rng.uniform(eps, 1.0 - eps, 3)
-            raw[row] = rng.uniform(0.0, 1.0, 8)
+        u = _draw_doubles(config.seed, pending, attempt, 11)
+        targets = _uniform(u[:, :3], eps, 1.0 - eps)
+        raw = u[:, 3:]
         drawable = np.all(raw > 0.0, axis=1)  # else un-normalizable: redraw
         fitted, converged, _ = fit_margins(
             raw[drawable] / raw[drawable].sum(axis=1)[:, None],
@@ -245,11 +336,8 @@ def generate_independent(config: GenerationConfig) -> list[JointTable]:
     if config.kind != "independent":
         raise ValueError(f"config.kind is {config.kind!r}, expected 'independent'")
     eps = config.base_rate_margin
-    draws = np.empty((config.count, 6))
-    for index in range(config.count):
-        rng = _network_rng(config.seed, index, 0)
-        draws[index, :2] = rng.uniform(eps, 1.0 - eps, 2)
-        draws[index, 2:] = rng.uniform(0.0, 1.0, 4)
+    u = _draw_doubles(config.seed, np.arange(config.count), 0, 6)
+    draws = np.concatenate((_uniform(u[:, :2], eps, 1.0 - eps), u[:, 2:]), axis=1)
     p_e1, p_e2, fractions = draws[:, 0], draws[:, 1], draws[:, 2:]
     masses = np.stack(
         (

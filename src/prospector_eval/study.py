@@ -40,8 +40,9 @@ from .table import (
     PAIR_CELLS,
     ConditionalProfile,
     JointTable,
-    base_rates,
+    check_cells,
     conditional_profile,
+    evidence_rates,
     require_valid,
 )
 
@@ -80,6 +81,24 @@ class MonotonicityPattern(Enum):
 FilterMode = Literal["full", "e2-only"]
 
 
+#: Pattern of each code that ``_pattern_code`` returns.
+_PATTERNS: tuple[MonotonicityPattern, ...] = tuple(MonotonicityPattern)
+
+
+def _pattern_code(q_ff, q_ft, q_tf, q_tt, mode: FilterMode):
+    """Index into ``_PATTERNS`` of one profile's pattern (floats in) or of
+    every profile's (arrays in): 0 nondecreasing (checked first), 1
+    nonincreasing, 2 rejected."""
+    nondecreasing = (q_ff <= q_ft) & (q_tf <= q_tt)
+    nonincreasing = (q_ff >= q_ft) & (q_tf >= q_tt)
+    if mode == "full":
+        nondecreasing = nondecreasing & (q_ff <= q_tf) & (q_ft <= q_tt)
+        nonincreasing = nonincreasing & (q_ff >= q_tf) & (q_ft >= q_tt)
+    elif mode != "e2-only":
+        raise ValueError(f"unknown filter mode: {mode!r}")
+    return 2 - nondecreasing - (nondecreasing | nonincreasing)
+
+
 def monotonicity_pattern(
     profile: ConditionalProfile, *, mode: FilterMode = "full"
 ) -> MonotonicityPattern:
@@ -88,21 +107,10 @@ def monotonicity_pattern(
     ``"full"`` (default) demands monotonicity in each evidence variable with
     the other held fixed — four comparisons per direction.  ``"e2-only"``
     checks only the two comparisons along E2.  A flat profile satisfies both
-    directions; it is reported as NONDECREASING (checked first).
+    directions; it is reported as NONDECREASING (checked first).  The
+    one-profile case of the screen ``evaluate_tables`` runs.
     """
-    q = profile
-    nondecreasing = q.q_ff <= q.q_ft and q.q_tf <= q.q_tt
-    nonincreasing = q.q_ff >= q.q_ft and q.q_tf >= q.q_tt
-    if mode == "full":
-        nondecreasing = nondecreasing and q.q_ff <= q.q_tf and q.q_ft <= q.q_tt
-        nonincreasing = nonincreasing and q.q_ff >= q.q_tf and q.q_ft >= q.q_tt
-    elif mode != "e2-only":
-        raise ValueError(f"unknown filter mode: {mode!r}")
-    if nondecreasing:
-        return MonotonicityPattern.NONDECREASING
-    if nonincreasing:
-        return MonotonicityPattern.NONINCREASING
-    return MonotonicityPattern.REJECTED
+    return _PATTERNS[_pattern_code(*profile.as_tuple(), mode)]
 
 
 @dataclass(frozen=True)
@@ -292,23 +300,43 @@ class Diagnostics:
     associative_strength: float
 
 
-def diagnostics(table: JointTable) -> Diagnostics:
-    profile = conditional_profile(table)
-    p_e1, p_e2, _ = base_rates(table)
-    x_ff, x_ft, x_tf, x_tt = (table.cells[true_cell] for _, true_cell in PAIR_CELLS)
+#: Conclusion-true cell of each evidence state, FF, FT, TF, TT.
+_TRUE_CELLS = [true_cell for _, true_cell in PAIR_CELLS]
 
-    conjunctive_rows = (profile.q_ff, profile.q_ft, profile.q_tf)
-    disjunctive_rows = (profile.q_ft, profile.q_tf, profile.q_tt)
-    return Diagnostics(
-        conjunctive_approximation=(x_ff + x_ft + x_tf) / (1.0 - p_e1 * p_e2),
-        conjunctive_spread=max(conjunctive_rows) - min(conjunctive_rows),
-        conjunctive_fourth_gap=abs(profile.q_tt - sum(conjunctive_rows) / 3.0),
-        disjunctive_approximation=(x_ft + x_tf + x_tt)
-        / (1.0 - (1.0 - p_e1) * (1.0 - p_e2)),
-        disjunctive_spread=max(disjunctive_rows) - min(disjunctive_rows),
-        disjunctive_fourth_gap=abs(profile.q_ff - sum(disjunctive_rows) / 3.0),
-        associative_strength=abs(profile.q_tf - profile.q_tt),
+
+def _spread(a, b, c):
+    """Elementwise max(a, b, c) - min(a, b, c), each picked as Python's
+    ``max`` and ``min`` pick it: the first largest and the first smallest."""
+    high = np.where(b > a, b, a)
+    low = np.where(b < a, b, a)
+    return np.where(c > high, c, high) - np.where(c < low, c, low)
+
+
+def _diagnostics(cells: np.ndarray, profiles: np.ndarray) -> list[Diagnostics]:
+    """Diagnostics of every row of an (N, 8) cell array, given its (N, 4)
+    conditional profiles."""
+    q_ff, q_ft, q_tf, q_tt = profiles.T
+    x_ff, x_ft, x_tf, x_tt = cells[:, _TRUE_CELLS].T
+    p_e1, p_e2 = evidence_rates(cells)
+    columns = (
+        (x_ff + x_ft + x_tf) / (1.0 - p_e1 * p_e2),
+        _spread(q_ff, q_ft, q_tf),
+        np.abs(q_tt - (q_ff + q_ft + q_tf) / 3.0),
+        (x_ft + x_tf + x_tt) / (1.0 - (1.0 - p_e1) * (1.0 - p_e2)),
+        _spread(q_ft, q_tf, q_tt),
+        np.abs(q_ff - (q_ft + q_tf + q_tt) / 3.0),
+        np.abs(q_tf - q_tt),
     )
+    return [Diagnostics(*row) for row in np.stack(columns, axis=1).tolist()]
+
+
+def diagnostics(table: JointTable) -> Diagnostics:
+    """The one-table case of the diagnostics ``evaluate_tables`` computes.
+
+    Raises ZeroMarginalError if some evidence state has no mass.
+    """
+    profile = conditional_profile(table)
+    return _diagnostics(table.as_array()[None], np.array([profile.as_tuple()]))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,16 +378,21 @@ def evaluate_tables(
     With the filter on, rejected networks are screened out before
     evaluation; with it off, every network is evaluated and its
     ``passes_filter`` flag records what the filter would have done.  Output
-    order follows input order.  The kept networks are swept in one array
-    pass; ``workers`` is accepted for compatibility and has no effect.
+    order follows input order.  Validation, the screen, the sweep and the
+    diagnostics each run as one array pass over all (kept) networks; the
+    first invalid network in input order raises InvalidTableError naming it.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if ids is None:
         ids = [f"net-{i:04d}" for i in range(len(tables))]
     if len(ids) != len(tables):
         raise ValueError("need exactly one id per table")
 
-    screened = []
-    for table, network_id in zip(tables, ids):
+    cells = np.array([table.cells for table in tables], dtype=float).reshape(-1, 8)
+    checks = check_cells(cells, np.array([table.kind == "independent" for table in tables]))
+    invalid = np.flatnonzero(~checks.ok)
+    if invalid.size:
+        table, network_id = tables[int(invalid[0])], ids[int(invalid[0])]
         try:
             require_valid(table)
         except InvalidTableError as exc:
@@ -367,38 +400,39 @@ def evaluate_tables(
                 f"network {network_id} (provenance {table.provenance}): {exc}",
                 issues=exc.issues,
             ) from exc
-        pattern = monotonicity_pattern(conditional_profile(table), mode=filter_mode)
-        passes = pattern is not MonotonicityPattern.REJECTED
-        if passes or not filter_enabled:
-            screened.append((table, network_id, pattern, passes))
+    # Validation put every evidence-state mass at or above MARGINAL_FLOOR.
+    profiles = cells[:, _TRUE_CELLS] / checks.masses
+    codes = _pattern_code(*profiles.T, filter_mode)
+    passes = codes != _PATTERNS.index(MonotonicityPattern.REJECTED)
+    kept = np.flatnonzero(passes) if filter_enabled else np.arange(len(tables))
+    kept_ids = [ids[i] for i in kept.tolist()]
 
     grid = tuple(float(v) for v in grid)
-    answers, oracle = sweep(
-        [table.cells for table, *_ in screened],
-        grid,
-        ids=[network_id for _, network_id, _, _ in screened],
-    )
+    answers, oracle = sweep(cells[kept], grid, ids=kept_ids)
     # Contiguous per (network, rule), so each mean sums in the order
     # summarize(records) uses.
     errors = np.ascontiguousarray(np.moveaxis(oracle[..., None] - answers, -1, 1))
-    errors = errors.reshape(len(screened), 3, len(grid) ** 2)
-    summaries = _summaries([network_id for _, network_id, _, _ in screened], errors)
+    errors = errors.reshape(len(kept), 3, len(grid) ** 2)
+    rows = zip(
+        kept.tolist(),
+        kept_ids,
+        _summaries(kept_ids, errors),
+        _diagnostics(cells[kept], profiles[kept]),
+    )
     return [
         NetworkEvaluation(
             network_id=network_id,
-            kind=table.kind,
-            pattern=pattern,
-            passes_filter=passes,
+            kind=tables[i].kind,
+            pattern=_PATTERNS[codes[i]],
+            passes_filter=bool(passes[i]),
             grid=grid,
-            answers=answers[i],
-            oracle=oracle[i],
+            answers=answers[k],
+            oracle=oracle[k],
             summary=summary,
-            diagnostics=diagnostics(table),
-            table=table,
+            diagnostics=diagnostic,
+            table=tables[i],
         )
-        for i, ((table, network_id, pattern, passes), summary) in enumerate(
-            zip(screened, summaries)
-        )
+        for k, (i, network_id, summary, diagnostic) in enumerate(rows)
     ]
 
 
@@ -593,25 +627,43 @@ class ErrorSurface(Sequence):
         return ((u1, u2, e) for (u1, u2), e in zip(points, self.errors.ravel().tolist()))
 
 
+#: Largest number of lattice values per axis ``error_surface`` accepts.
+MAX_SURFACE_VALUES = 1001
+
+
+def _lattice(step: float) -> list[float]:
+    """0, step, 2*step, … below 1 - 1e-9, then 1.0.
+
+    Refused before anything is built if ``step`` is outside (0, 0.5] or the
+    axis would have more than MAX_SURFACE_VALUES values, that is, if the
+    value at index MAX_SURFACE_VALUES - 1 would still lie below the end.
+    """
+    if not 0.0 < step <= 0.5:
+        raise ValueError(f"step must lie in (0, 0.5], got {step!r}")
+    end = 1.0 - 1e-9
+    if (MAX_SURFACE_VALUES - 1) * step < end:
+        raise ValueError(
+            f"step {step!r} gives more than {MAX_SURFACE_VALUES} lattice values per axis"
+        )
+    values = []
+    k = 0
+    while k * step < end:
+        values.append(k * step)
+        k += 1
+    values.append(1.0)
+    return values
+
+
 def error_surface(table: JointTable, rule: Rule, step: float) -> ErrorSurface:
     """Signed error of one rule set on a square update lattice.
 
     The lattice runs 0, step, 2*step, … and always ends exactly at 1.0.
     Rows are (e1, e2, signed error), row-major in (e1, e2).  Raises
-    InfeasibleUpdateError if some lattice update is unreachable.
+    ValueError unless 0 < step <= 0.5 and the lattice has at most
+    MAX_SURFACE_VALUES values per axis, and InfeasibleUpdateError if some
+    lattice update is unreachable.
     """
-    if not 0.0 < step <= 0.5:
-        raise ValueError(f"step must lie in (0, 0.5], got {step!r}")
-    values = []
-    k = 0
-    while True:
-        v = k * step
-        if v >= 1.0 - 1e-9:
-            break
-        values.append(v)
-        k += 1
-    values.append(1.0)
-
+    values = _lattice(step)
     answers, oracle = sweep([table.cells], values)
     errors = oracle[0] - answers[0, :, :, RULE_ORDER.index(rule)]
     unreachable = np.argwhere(np.isnan(errors))

@@ -16,6 +16,7 @@ order FF, FT, TF, TT.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
@@ -84,7 +85,7 @@ class JointTable:
     provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
-        cells = tuple(float(c) for c in self.cells)
+        cells = tuple(map(float, self.cells))
         if len(cells) != 8:
             raise InvalidTableError(f"expected 8 cells, got {len(cells)}")
         if self.kind not in KINDS:
@@ -226,6 +227,81 @@ class ValidationReport:
         return not self.issues
 
 
+def _pair_masses(cells: np.ndarray) -> np.ndarray:
+    """P(E1=a, E2=b) of every row of an (N, 8) cell array, shape (N, 4)."""
+    return cells[:, [f for f, _ in PAIR_CELLS]] + cells[:, [t for _, t in PAIR_CELLS]]
+
+
+def evidence_rates(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(E1), P(E2)) of every row of an (N, 8) cell array.
+
+    Each is its four cells added left to right from 0.0, as ``base_rates``
+    adds them, so the two agree bit for bit.
+    """
+    c = cells.T
+    return 0.0 + c[4] + c[5] + c[6] + c[7], 0.0 + c[2] + c[3] + c[6] + c[7]
+
+
+@dataclass(frozen=True)
+class CellChecks:
+    """Every quantity ``validate`` checks, for a batch of tables (one row each).
+
+    ``negative``, ``not_normalized``, ``mismatch`` and ``degenerate`` flag
+    the violations; they are meaningful only on rows whose cells are all
+    ``finite``.  ``ok`` marks the rows with no violation at all.
+    """
+
+    finite: np.ndarray  # (N,)
+    negative: np.ndarray  # (N, 8)
+    total: np.ndarray  # (N,)
+    not_normalized: np.ndarray  # (N,)
+    masses: np.ndarray  # (N, 4), FF, FT, TF, TT
+    deviation: np.ndarray  # (N, 4): |mass - product of the evidence base rates|
+    mismatch: np.ndarray  # (N, 4)
+    degenerate: np.ndarray  # (N, 4)
+    ok: np.ndarray  # (N,)
+
+
+def check_cells(
+    cells: np.ndarray,
+    independent: np.ndarray,
+    *,
+    normalization_tol: float = NORMALIZATION_TOL,
+    independence_tol: float = INDEPENDENCE_TOL,
+    marginal_floor: float = MARGINAL_FLOOR,
+) -> CellChecks:
+    """Check the structural invariants of every row of an (N, 8) cell array.
+
+    ``independent`` (N,) marks the rows whose table claims
+    ``kind="independent"``.  The quantities are computed with one-table
+    arithmetic: the total is numpy's sum of eight cells,
+    ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)), the base rates are
+    four-cell sums added left to right, and a pair mass is cells[f] + cells[t].
+    """
+    cells = np.asarray(cells, dtype=float).reshape(-1, 8)
+    c = cells.T
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(cells).all(axis=1)
+        total = 0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
+        not_normalized = np.abs(total - 1.0) > normalization_tol
+        masses = _pair_masses(cells)
+        p_e1, p_e2 = evidence_rates(cells)
+        products = np.stack(
+            ((1.0 - p_e1) * (1.0 - p_e2), (1.0 - p_e1) * p_e2, p_e1 * (1.0 - p_e2), p_e1 * p_e2),
+            axis=1,
+        )
+        deviation = np.abs(masses - products)
+        negative = cells < 0.0
+        mismatch = np.asarray(independent, dtype=bool)[:, None] & (deviation > independence_tol)
+        degenerate = masses < marginal_floor
+    ok = finite & ~(
+        negative.any(axis=1) | not_normalized | mismatch.any(axis=1) | degenerate.any(axis=1)
+    )
+    return CellChecks(
+        finite, negative, total, not_normalized, masses, deviation, mismatch, degenerate, ok
+    )
+
+
 def validate(
     table: JointTable,
     *,
@@ -239,58 +315,53 @@ def validate(
     ``normalization_tol`` of 1), the product identity on evidence pairs when
     the table claims ``kind="independent"`` (within ``independence_tol``),
     and evidence-state marginals at or above ``marginal_floor`` (smaller is
-    degenerate: conditionals on that row are numerically meaningless).
+    degenerate: conditionals on that row are numerically meaningless).  The
+    one-table case of ``check_cells``.
     """
-    issues: list[ValidationIssue] = []
-    cells = table.as_array()
+    checks = check_cells(
+        table.as_array(),
+        np.array([table.kind == "independent"]),
+        normalization_tol=normalization_tol,
+        independence_tol=independence_tol,
+        marginal_floor=marginal_floor,
+    )
+    cells = table.cells
+    if not checks.finite[0]:
+        bad = next(i for i, value in enumerate(cells) if not math.isfinite(value))
+        message = f"cell {bad} is not finite: {cells[bad]!r}"
+        return ValidationReport((ValidationIssue("non-finite", message),))
 
-    if not np.all(np.isfinite(cells)):
-        bad = int(np.flatnonzero(~np.isfinite(cells))[0])
-        issues.append(
-            ValidationIssue("non-finite", f"cell {bad} is not finite: {cells[bad]!r}")
-        )
-        return ValidationReport(tuple(issues))
-
-    for i, value in enumerate(cells):
-        if value < 0.0:
-            issues.append(
-                ValidationIssue("negative-cell", f"cell {i} is negative: {value!r}")
-            )
-
-    total = float(cells.sum())
-    if abs(total - 1.0) > normalization_tol:
+    issues = [
+        ValidationIssue("negative-cell", f"cell {i} is negative: {cells[i]!r}")
+        for i in np.flatnonzero(checks.negative[0]).tolist()
+    ]
+    if checks.not_normalized[0]:
         issues.append(
             ValidationIssue(
                 "not-normalized",
-                f"cells sum to {total!r}, expected 1 within {normalization_tol}",
+                f"cells sum to {float(checks.total[0])!r}, expected 1 within {normalization_tol}",
             )
         )
-
-    if table.kind == "independent":
-        p_e1 = float(cells[MASK_E1].sum())
-        p_e2 = float(cells[MASK_E2].sum())
-        rate = {True: p_e1, False: 1.0 - p_e1}, {True: p_e2, False: 1.0 - p_e2}
-        for (a, b), mass in zip(EVIDENCE_STATES, table.pair_marginals()):
-            deviation = abs(mass - rate[0][a] * rate[1][b])
-            if deviation > independence_tol:
-                issues.append(
-                    ValidationIssue(
-                        "independence-mismatch",
-                        f"kind=independent but P(E1={a}, E2={b}) deviates from "
-                        f"the product of base rates by {deviation!r}",
-                    )
-                )
-
-    for (a, b), mass in zip(EVIDENCE_STATES, table.pair_marginals()):
-        if mass < marginal_floor:
-            issues.append(
-                ValidationIssue(
-                    "degenerate-marginal",
-                    f"evidence state (E1={a}, E2={b}) has probability {mass!r}, "
-                    f"below {marginal_floor}",
-                )
+    deviations = checks.deviation[0].tolist()
+    for k in np.flatnonzero(checks.mismatch[0]).tolist():
+        a, b = EVIDENCE_STATES[k]
+        issues.append(
+            ValidationIssue(
+                "independence-mismatch",
+                f"kind=independent but P(E1={a}, E2={b}) deviates from "
+                f"the product of base rates by {deviations[k]!r}",
             )
-
+        )
+    masses = checks.masses[0].tolist()
+    for k in np.flatnonzero(checks.degenerate[0]).tolist():
+        a, b = EVIDENCE_STATES[k]
+        issues.append(
+            ValidationIssue(
+                "degenerate-marginal",
+                f"evidence state (E1={a}, E2={b}) has probability {masses[k]!r}, "
+                f"below {marginal_floor}",
+            )
+        )
     return ValidationReport(tuple(issues))
 
 

@@ -243,6 +243,24 @@ class TestSurface:
         assert corner[0] == "1" and corner[1] == "1"
         assert float(corner[2]) == pytest.approx(8 / 145, abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["surface", "case-study"])
+    @pytest.mark.parametrize("step", ["0.7", "0", "nan", "1e-12"])
+    def test_bad_step_is_a_one_line_usage_error(self, tmp_path, capsys, command, step):
+        out = tmp_path / "s.csv"
+        if command == "surface":
+            argv = ("surface", "--case", 1, "--rule", "independent")
+        else:
+            argv = ("case-study", "--id", 1)
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv, "--step", step, "--out", out)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        messages = [line for line in err.splitlines() if "error:" in line]
+        assert len(messages) == 1
+        assert "--step" in messages[0]
+        assert not out.exists()
+
     def test_rule_names_are_validated(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run("surface", "--case", 1, "--rule", "bayes", "--out", tmp_path / "s.csv")

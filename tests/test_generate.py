@@ -20,7 +20,7 @@ from prospector_eval import (
     ipf_fit,
     validate,
 )
-from prospector_eval.generate import fit_margins
+from prospector_eval.generate import _stream_words, fit_margins
 from prospector_eval.study import DEFAULT_SEED
 from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, Provenance, networks_to_json
 
@@ -97,6 +97,8 @@ class TestGenerationConfig:
             GenerationConfig(count=0, seed=1, kind="associated")
         with pytest.raises(ValueError):
             GenerationConfig(count=1, seed=-1, kind="associated")
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            GenerationConfig(count=2**32 + 1, seed=1, kind="associated")
         with pytest.raises(ValueError):
             GenerationConfig(count=1, seed=1, kind="both")
         with pytest.raises(ValueError):
@@ -227,6 +229,61 @@ class TestBatchedFit:
                 cycles.add(detail)
         assert not converged.all()
         assert 0 in cycles and len(cycles) >= 3
+
+
+def scalar_independent(config: GenerationConfig) -> list[tuple[float, ...]]:
+    """Reference independent sampler: each network's draws from its own
+    Generator, its cells built one table at a time."""
+    eps = config.base_rate_margin
+    tables = []
+    for index in range(config.count):
+        stream = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(index, 0))
+        )
+        p_e1, p_e2 = stream.uniform(eps, 1.0 - eps, 2)
+        fractions = stream.uniform(0.0, 1.0, 4)
+        masses = (
+            (1.0 - p_e1) * (1.0 - p_e2),
+            (1.0 - p_e1) * p_e2,
+            p_e1 * (1.0 - p_e2),
+            p_e1 * p_e2,
+        )
+        cells = []
+        for mass, fraction in zip(masses, fractions):
+            cells += [float(mass * (1.0 - fraction)), float(mass * fraction)]
+        tables.append(tuple(cells))
+    return tables
+
+
+class TestBatchedSeeding:
+    """Every stream is seeded exactly as SeedSequence(seed, (index, attempt))."""
+
+    @pytest.mark.parametrize("seed", [0, 30, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("attempt", [0, 9])
+    def test_stream_words_equal_seed_sequence_state(self, seed, attempt):
+        indices = np.array([0, 1, 2, 399, 4000, 65537, 2**31, 2**32 - 1])
+        expected = [
+            np.random.SeedSequence(entropy=seed, spawn_key=(int(i), attempt)).generate_state(
+                4, np.uint64
+            )
+            for i in indices
+        ]
+        words = _stream_words(seed, indices, attempt)
+        assert words.dtype == np.uint64
+        assert words.shape == (len(indices), 4)
+        np.testing.assert_array_equal(words, np.array(expected))
+
+    @pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
+    def test_independent_matches_scalar_loop(self, seed):
+        config = GenerationConfig(count=300, seed=seed, kind="independent", base_rate_margin=0.02)
+        batched = generate_independent(config)
+        assert [t.cells for t in batched] == scalar_independent(config)
+
+    def test_associated_at_large_seed_matches_scalar_loop(self):
+        config = GenerationConfig(count=50, seed=2**64 - 1, kind="associated")
+        assert [t.cells for t in generate_associated(config)] == [
+            t.cells for t in scalar_associated(config)
+        ]
 
 
 class TestPinnedBytes:

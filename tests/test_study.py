@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -19,7 +21,9 @@ from prospector_eval import (
     StudyConfig,
     base_rates,
     compose_table,
+    conditional_profile,
     diagnostics,
+    generate,
     error_surface,
     evaluate_network,
     infer,
@@ -27,8 +31,11 @@ from prospector_eval import (
     network_view,
     run_study,
     summarize,
+    validate,
 )
+from prospector_eval import study
 from prospector_eval.study import (
+    DEFAULT_SEED,
     DEFAULT_UPDATE_GRID,
     GRID_FIFTH_VALUES,
     GRID_QUARTERS,
@@ -46,8 +53,8 @@ from prospector_eval.study import (
     sweep,
 )
 from prospector_eval import _serialize
-from prospector_eval.errors import DegenerateBaseRateError
-from prospector_eval.table import MARGINAL_FLOOR
+from prospector_eval.errors import DegenerateBaseRateError, InvalidTableError
+from prospector_eval.table import MARGINAL_FLOOR, require_valid
 
 
 def profile(q_ff, q_ft, q_tf, q_tt) -> ConditionalProfile:
@@ -241,6 +248,25 @@ class TestErrorSurface:
         with pytest.raises(ValueError):
             error_surface(case1, Rule.INDEPENDENT, 0.6)
 
+    @pytest.mark.parametrize("step", [0.7, 0.0, math.nan, 1e-12, -0.1, math.inf])
+    def test_bad_steps_are_refused_before_building(self, case1, step):
+        with pytest.raises(ValueError, match="step"):
+            error_surface(case1, Rule.INDEPENDENT, step)
+
+    def test_lattice_size_bound(self, monkeypatch):
+        # The bound is computed from the step, so a small cap shows it
+        # without building a large lattice.
+        monkeypatch.setattr(study, "MAX_SURFACE_VALUES", 5)
+        assert study._lattice(0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert len(study._lattice(0.3)) == 5
+        with pytest.raises(ValueError, match="more than 5 lattice values"):
+            study._lattice(0.2)
+
+    def test_bound_at_the_shipped_cap(self):
+        assert len(study._lattice(1.0 / (study.MAX_SURFACE_VALUES - 1))) == study.MAX_SURFACE_VALUES
+        with pytest.raises(ValueError, match="lattice values"):
+            study._lattice(0.999 / (study.MAX_SURFACE_VALUES - 1))
+
 
 def small_study_config(**overrides) -> StudyConfig:
     return StudyConfig.default(count=12, **overrides)
@@ -300,6 +326,95 @@ class TestRunStudy:
                 independent=GenerationConfig(count=1, seed=1, kind="associated"),
                 associated=GenerationConfig(count=1, seed=1, kind="associated"),
             )
+
+
+def reference_pattern(profile: ConditionalProfile, mode: str) -> MonotonicityPattern:
+    """The one-profile screen the array pass replaced."""
+    q = profile
+    nondecreasing = q.q_ff <= q.q_ft and q.q_tf <= q.q_tt
+    nonincreasing = q.q_ff >= q.q_ft and q.q_tf >= q.q_tt
+    if mode == "full":
+        nondecreasing = nondecreasing and q.q_ff <= q.q_tf and q.q_ft <= q.q_tt
+        nonincreasing = nonincreasing and q.q_ff >= q.q_tf and q.q_ft >= q.q_tt
+    if nondecreasing:
+        return MonotonicityPattern.NONDECREASING
+    if nonincreasing:
+        return MonotonicityPattern.NONINCREASING
+    return MonotonicityPattern.REJECTED
+
+
+def reference_diagnostics(table: JointTable) -> tuple[float, ...]:
+    """The one-table diagnostics the array pass replaced, as a tuple."""
+    q = conditional_profile(table)
+    p_e1, p_e2, _ = base_rates(table)
+    x_ff, x_ft, x_tf, x_tt = (table.cells[t] for t in (1, 3, 5, 7))
+    conjunctive_rows = (q.q_ff, q.q_ft, q.q_tf)
+    disjunctive_rows = (q.q_ft, q.q_tf, q.q_tt)
+    return (
+        (x_ff + x_ft + x_tf) / (1.0 - p_e1 * p_e2),
+        max(conjunctive_rows) - min(conjunctive_rows),
+        abs(q.q_tt - sum(conjunctive_rows) / 3.0),
+        (x_ft + x_tf + x_tt) / (1.0 - (1.0 - p_e1) * (1.0 - p_e2)),
+        max(disjunctive_rows) - min(disjunctive_rows),
+        abs(q.q_ff - sum(disjunctive_rows) / 3.0),
+        abs(q.q_tf - q.q_tt),
+    )
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestArrayScreenAndDiagnostics:
+    """evaluate_tables screens and measures all networks in one array pass."""
+
+    @pytest.mark.parametrize("mode", ["full", "e2-only"])
+    def test_generated_sample_matches_one_table_calls(self, mode):
+        tables = generate(GenerationConfig(count=150, seed=11, kind="independent"))
+        tables += generate(GenerationConfig(count=150, seed=11, kind="associated"))
+        tables += [NON_MONOTONE, compose_table((0.25,) * 4, (0.5,) * 4)]
+        everything = evaluate_tables(tables, filter_enabled=False, filter_mode=mode)
+        assert [ev.table for ev in everything] == tables
+        for ev in everything:
+            pattern = monotonicity_pattern(conditional_profile(ev.table), mode=mode)
+            assert ev.pattern == pattern == reference_pattern(conditional_profile(ev.table), mode)
+            assert ev.passes_filter == (pattern is not MonotonicityPattern.REJECTED)
+            assert ev.diagnostics == diagnostics(ev.table)
+            assert bits(dataclasses.astuple(ev.diagnostics)) == bits(reference_diagnostics(ev.table))
+        kept = evaluate_tables(tables, filter_mode=mode)
+        assert [ev.network_id for ev in kept] == [
+            ev.network_id for ev in everything if ev.passes_filter
+        ]
+        assert {ev.pattern for ev in everything} == set(MonotonicityPattern)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0), min_size=4, max_size=4),
+        st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+    )
+    def test_ties_and_signed_zeros_match_the_reference(self, profile_values, weights):
+        masses = [w / sum(weights) for w in weights]
+        table = compose_table(masses, profile_values)
+        assume(validate(table).ok and 0.0 < base_rates(table)[2] < 1.0)
+        for mode in ("full", "e2-only"):
+            (ev,) = evaluate_tables([table], filter_enabled=False, filter_mode=mode)
+            assert ev.pattern == reference_pattern(conditional_profile(table), mode)
+            assert bits(dataclasses.astuple(ev.diagnostics)) == bits(reference_diagnostics(table))
+
+
+class TestPinnedStudyBytes:
+    """The study's output files: a refactor must not move their bytes."""
+
+    def test_sha256_of_default_study(self):
+        report = run_study(StudyConfig.default(seed=DEFAULT_SEED, count=400))
+        digests = [
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in (report_json_text(report), results_csv_text(report.networks))
+        ]
+        assert digests == [
+            "f658d498155055312c99cb38ed335e13e87532231bdc6781757ccb39e0305ff0",
+            "f9d8577b5c3996f6deeeafdcc85d0f5b4fe069e2de296c67a2a6fb3ffd90b58d",
+        ]
 
 
 class TestReportOutputs:
@@ -411,6 +526,21 @@ class TestReportOutputs:
         assert report.spearman_strength_error is None
         assert report_to_dict(report)["spearman_strength_error"] is None
 
+    def test_invalid_network_inside_a_batch_is_named(self):
+        tables = generate(GenerationConfig(count=6, seed=4, kind="associated"))
+        bad = JointTable((0.2,) * 8)  # sums to 1.6
+        also_bad = JointTable((-0.1,) + (0.1625,) * 7)
+        batch = tables[:3] + [bad] + tables[3:] + [also_bad]
+        with pytest.raises(InvalidTableError) as excinfo:
+            evaluate_tables(batch)
+        assert str(excinfo.value) == (
+            "network net-0003 (provenance None): invalid table: "
+            "cells sum to 1.6, expected 1 within 1e-12"
+        )
+        with pytest.raises(InvalidTableError) as direct:
+            require_valid(bad)
+        assert excinfo.value.issues == direct.value.issues
+
     def test_evaluate_tables_rejects_invalid_networks(self):
         bad = JointTable((0.2,) * 8)  # sums to 1.6
         with pytest.raises(Exception) as excinfo:
@@ -493,6 +623,15 @@ class TestSweepKernel:
             sweep([case1.cells], [])
         with pytest.raises(ValueError):
             sweep([case1.cells], [0.5, 1.5])
+
+
+class TestJsonStrings:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_strings_and_keys_render_as_json_dumps_does(self, text):
+        quoted = json.dumps(text, ensure_ascii=False)
+        assert _serialize.dumps(text) == quoted + "\n"
+        assert _serialize.dumps({text: [text]}) == "{\n  " + quoted + ": [" + quoted + "]\n}\n"
 
 
 class TestSpearman:

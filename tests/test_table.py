@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ from prospector_eval import (
 from prospector_eval.errors import DegenerateBaseRateError
 from prospector_eval.table import (
     EVIDENCE_STATES,
+    INDEPENDENCE_TOL,
+    KINDS,
+    MARGINAL_FLOOR,
+    NORMALIZATION_TOL,
+    ValidationIssue,
+    check_cells,
     MASK_C,
     MASK_E1,
     MASK_E2,
@@ -249,6 +256,150 @@ class TestValidate:
         with pytest.raises(InvalidTableError) as excinfo:
             require_valid(JointTable((0.1125,) * 8))
         assert excinfo.value.issues
+
+
+def scalar_validate(table: JointTable) -> list[ValidationIssue]:
+    """Reference validator: the one-table loop the array checks replaced."""
+    issues = []
+    cells = table.as_array()
+    if not np.all(np.isfinite(cells)):
+        bad = int(np.flatnonzero(~np.isfinite(cells))[0])
+        return [ValidationIssue("non-finite", f"cell {bad} is not finite: {cells[bad]!r}")]
+    for i, value in enumerate(cells):
+        if value < 0.0:
+            issues.append(ValidationIssue("negative-cell", f"cell {i} is negative: {value!r}"))
+    total = float(cells.sum())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        issues.append(
+            ValidationIssue(
+                "not-normalized",
+                f"cells sum to {total!r}, expected 1 within {NORMALIZATION_TOL}",
+            )
+        )
+    if table.kind == "independent":
+        p_e1 = float(cells[MASK_E1].sum())
+        p_e2 = float(cells[MASK_E2].sum())
+        rate = {True: p_e1, False: 1.0 - p_e1}, {True: p_e2, False: 1.0 - p_e2}
+        for (a, b), mass in zip(EVIDENCE_STATES, table.pair_marginals()):
+            deviation = abs(mass - rate[0][a] * rate[1][b])
+            if deviation > INDEPENDENCE_TOL:
+                issues.append(
+                    ValidationIssue(
+                        "independence-mismatch",
+                        f"kind=independent but P(E1={a}, E2={b}) deviates from "
+                        f"the product of base rates by {deviation!r}",
+                    )
+                )
+    for (a, b), mass in zip(EVIDENCE_STATES, table.pair_marginals()):
+        if mass < MARGINAL_FLOOR:
+            issues.append(
+                ValidationIssue(
+                    "degenerate-marginal",
+                    f"evidence state (E1={a}, E2={b}) has probability {mass!r}, "
+                    f"below {MARGINAL_FLOOR}",
+                )
+            )
+    return issues
+
+
+def plain_reprs(issues: list[ValidationIssue]) -> list[ValidationIssue]:
+    """The reference's issues with numpy scalar reprs printed as plain floats."""
+    return [
+        ValidationIssue(issue.code, re.sub(r"np\.float64\((.*?)\)", r"\1", issue.message))
+        for issue in issues
+    ]
+
+
+@st.composite
+def edge_tables(draw) -> JointTable:
+    """Independent-looking tables pushed onto one of validate's tolerance edges."""
+    p_e1, p_e2 = draw(st.floats(0.001, 0.999)), draw(st.floats(0.001, 0.999))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    masses = ((1 - p_e1) * (1 - p_e2), (1 - p_e1) * p_e2, p_e1 * (1 - p_e2), p_e1 * p_e2)
+    cells = list(compose_table(masses, fractions).cells)
+    edge = draw(st.sampled_from(("total", "independence", "floor", "negative", "non-finite")))
+    if edge == "total":
+        # Land the eight-cell sum on 1 - 1e-12, 1 or 1 + 1e-12, give or take ulps.
+        target = 1.0 + draw(st.sampled_from((-NORMALIZATION_TOL, 0.0, NORMALIZATION_TOL)))
+        k = cells.index(max(cells))
+        cells[k] += target - float(np.array(cells).sum())
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            cells[k] = math.nextafter(cells[k], math.copysign(math.inf, ulps))
+    elif edge == "independence":
+        # Move mass between two cells of different evidence states.
+        i, j = draw(st.sampled_from([(i, j) for i in range(8) for j in range(8) if i // 2 != j // 2]))
+        delta = INDEPENDENCE_TOL * draw(st.floats(0.25, 4.0))
+        cells[i] += delta
+        cells[j] -= delta
+    elif edge == "floor":
+        # One evidence state with mass near the floor, the rest rescaled.
+        state = draw(st.integers(0, 3))
+        mass = MARGINAL_FLOOR * draw(st.sampled_from((1.0, 0.5, 2.0)) | st.floats(0.9, 1.1))
+        q = draw(st.floats(0.0, 1.0))
+        f, t = PAIR_CELLS[state]
+        rest = sum(cells) - cells[f] - cells[t]
+        cells = [v * (1.0 - mass) / rest for v in cells]
+        cells[f], cells[t] = mass * (1.0 - q), mass * q
+    elif edge == "negative":
+        cells[draw(st.integers(0, 7))] = -draw(st.floats(0.0, 0.1))
+    else:
+        cells[draw(st.integers(0, 7))] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    return JointTable(tuple(cells), kind=draw(st.sampled_from(KINDS)))
+
+
+class TestArrayValidation:
+    """validate and check_cells against the one-table reference loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_tables())
+    def test_validate_matches_the_reference(self, table):
+        report = validate(table)
+        expected = plain_reprs(scalar_validate(table))
+        assert list(report.issues) == expected
+        assert report.ok == (not expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(edge_tables(), min_size=1, max_size=12))
+    def test_batch_decisions_match_the_reference(self, tables):
+        checks = check_cells(
+            np.array([t.cells for t in tables]),
+            np.array([t.kind == "independent" for t in tables]),
+        )
+        assert checks.ok.tolist() == [not scalar_validate(t) for t in tables]
+
+    def test_edge_cases_are_drawn_on_both_sides(self):
+        # The strategy must reach every issue code, valid tables included.
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(edge_tables())
+        def collect(table):
+            issues = scalar_validate(table)
+            seen.update(issue.code for issue in issues)
+            if not issues:
+                seen.add("ok")
+
+        collect()
+        assert seen == {
+            "ok",
+            "non-finite",
+            "negative-cell",
+            "not-normalized",
+            "independence-mismatch",
+            "degenerate-marginal",
+        }
+
+    def test_messages_print_plain_floats(self):
+        cells = [0.125] * 8
+        cells[1] = -0.1
+        assert validate(JointTable(tuple(cells))).issues[0].message == (
+            "cell 1 is negative: -0.1"
+        )
+        cells[1] = math.nan
+        assert [issue.message for issue in validate(JointTable(tuple(cells))).issues] == [
+            "cell 1 is not finite: nan"
+        ]
 
 
 class TestNetworkFiles:

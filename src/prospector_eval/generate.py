@@ -86,8 +86,12 @@ class GenerationConfig:
             raise ValueError(f"kind must be 'independent' or 'associated', got {self.kind!r}")
         if not 0.0 < self.base_rate_margin < 0.5:
             raise ValueError("base_rate_margin must lie strictly between 0 and 0.5")
-        if self.ipf_tolerance <= 0.0:
-            raise ValueError("ipf_tolerance must be positive")
+        # A margin deviation is at most 1, so a tolerance of 1 or more (or
+        # NaN, or inf) would make every fit converge before it starts.
+        if not 0.0 < self.ipf_tolerance < 1.0:
+            raise ValueError(
+                f"ipf_tolerance must lie strictly between 0 and 1, got {self.ipf_tolerance!r}"
+            )
         if self.ipf_max_iterations < 1 or self.max_resamples < 1:
             raise ValueError("iteration and resample caps must be at least 1")
 

@@ -22,11 +22,14 @@ it.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Literal, Mapping
 
 import numpy as np
@@ -40,6 +43,7 @@ from .table import (
     PAIR_CELLS,
     ConditionalProfile,
     JointTable,
+    Provenance,
     check_cells,
     conditional_profile,
     evidence_rates,
@@ -695,36 +699,68 @@ RESULTS_HEADER = (
 SURFACE_HEADER = ("e1", "e2", "signed_error")
 
 
+#: Networks per formatting call of ``results_csv_text``.  The per-call cost
+#: is negligible at this size, and the chunk's object table stays small: one
+#: table for the whole file raised a 4000+4000 study's peak RSS by ~10 %.
+_CSV_CHUNK = 128
+
+#: One results row behind its text fields: the network's three text fields,
+#: the update's "e1,e2", then the seven float columns.
+_CSV_ROW = "%s,%s" + ",%.17g" * 7 + "\n"
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """Raise the writers' ValueError for the first non-finite value of
+    ``values`` in row-major order, that is, in document order."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        _serialize.format_float(values[~finite][0])
+
+
+def _grid_columns(grid: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The update of every grid point, row-major in (e1, e2): as floats,
+    shape (G * G, 2), and as "e1,e2" text."""
+    points = np.array(list(product(grid, grid)), dtype=float).reshape(-1, 2)
+    text = ["%.17g,%.17g" % tuple(point) for point in points.tolist()]
+    return points, np.array(text, dtype=object)
+
+
 def results_csv_text(evaluations: Sequence[NetworkEvaluation]) -> str:
     """Per-update results, one row per (network, grid point).
 
-    Byte-identical to ``_serialize.csv_text`` on the same rows: each network
-    formats its rows with one ``%.17g`` pattern (``"%.17g" % v`` equals
-    ``format(v, ".17g")`` for every float) behind its text fields, after one
-    finiteness check of its block.
+    Byte-identical to ``_serialize.csv_text`` on the same rows (pinned by
+    the tests).  The networks are written in chunks of ``_CSV_CHUNK``:
+    their answers and oracle arrays are concatenated, checked for
+    non-finite values in document order once, and formatted by one
+    ``%``-call over an object table of the text fields, the "e1,e2" text
+    (formatted once per distinct grid) and the seven float columns.
+    ``"%.17g" % v`` equals ``format(v, ".17g")`` for every float.  Text
+    fields that would need quoting are refused as the generic writer
+    refuses them.
     """
-    lines = [",".join(RESULTS_HEADER)]
-    for ev in evaluations:
-        grid = np.array(ev.grid, dtype=float)
-        e1, e2 = np.meshgrid(grid, grid, indexing="ij")
-        values = np.concatenate(
-            (
-                e1.reshape(-1, 1),
-                e2.reshape(-1, 1),
-                ev.answers.reshape(-1, 3),
-                ev.oracle.reshape(-1, 1),
-                (ev.oracle[..., None] - ev.answers).reshape(-1, 3),
-            ),
-            axis=1,
-        )
-        finite = np.isfinite(values)
-        if not finite.all():
-            _serialize.format_float(values[~finite][0])  # raises the writer's ValueError
-        fields = (ev.network_id, ev.kind, ev.pattern.value)
-        prefix = ",".join(_serialize.format_cell(field) for field in fields)
-        row_format = prefix.replace("%", "%%") + ",%.17g" * values.shape[1]
-        lines.extend(row_format % row for row in map(tuple, values.tolist()))
-    return "\n".join(lines) + "\n"
+    evaluations = list(evaluations)
+    grids: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
+    pieces = [",".join(RESULTS_HEADER) + "\n"]
+    for start in range(0, len(evaluations), _CSV_CHUNK):
+        chunk = evaluations[start : start + _CSV_CHUNK]
+        for ev in chunk:
+            if ev.grid not in grids:
+                grids[ev.grid] = _grid_columns(ev.grid)
+        answers = np.concatenate([ev.answers.reshape(-1, 3) for ev in chunk])
+        oracle = np.concatenate([ev.oracle.reshape(-1, 1) for ev in chunk])
+        points = np.concatenate([grids[ev.grid][0] for ev in chunk])
+        values = np.concatenate((points, answers, oracle, oracle - answers), axis=1)
+        _require_finite(values)
+        prefixes = [
+            ",".join(map(_serialize.format_cell, (ev.network_id, ev.kind, ev.pattern.value)))
+            for ev in chunk
+        ]
+        table = np.empty((len(values), 9), dtype=object)
+        table[:, 0] = np.repeat(np.array(prefixes, dtype=object), [ev.oracle.size for ev in chunk])
+        table[:, 1] = np.concatenate([grids[ev.grid][1] for ev in chunk])
+        table[:, 2:] = values[:, 2:]
+        pieces.append((_CSV_ROW * len(table)) % tuple(table.ravel().tolist()))
+    return "".join(pieces)
 
 
 def surface_csv_text(points: Sequence[tuple[float, float, float]]) -> str:
@@ -739,8 +775,43 @@ def _rule_stats_dict(stats: RuleStats) -> dict:
     }
 
 
-def report_to_dict(report: StudyReport) -> dict:
-    """The report as a JSON-ready dict (deterministic key order)."""
+def _network_dict(ev: NetworkEvaluation) -> dict:
+    """One element of the report's ``networks`` list."""
+    provenance = None
+    if ev.table.provenance is not None:
+        provenance = {
+            "seed": ev.table.provenance.seed,
+            "index": ev.table.provenance.index,
+            "resamples": ev.table.provenance.resamples,
+        }
+    return {
+        "id": ev.network_id,
+        "kind": ev.kind,
+        "pattern": ev.pattern.value,
+        "passes_filter": ev.passes_filter,
+        "provenance": provenance,
+        "summary": {
+            "best": ev.summary.best.value,
+            "tie": ev.summary.tie,
+            "rules": {
+                rule.value: _rule_stats_dict(ev.summary.stats[rule]) for rule in RULE_ORDER
+            },
+        },
+        "diagnostics": {
+            "conjunctive_approximation": ev.diagnostics.conjunctive_approximation,
+            "conjunctive_spread": ev.diagnostics.conjunctive_spread,
+            "conjunctive_fourth_gap": ev.diagnostics.conjunctive_fourth_gap,
+            "disjunctive_approximation": ev.diagnostics.disjunctive_approximation,
+            "disjunctive_spread": ev.diagnostics.disjunctive_spread,
+            "disjunctive_fourth_gap": ev.diagnostics.disjunctive_fourth_gap,
+            "associative_strength": ev.diagnostics.associative_strength,
+        },
+    }
+
+
+def _report_dict(report: StudyReport, pairs: list, networks: list) -> dict:
+    """The report document around the given ``strength_error_pairs`` and
+    ``networks`` lists."""
     generation = None
     if report.generation is not None:
         generation = {}
@@ -765,41 +836,6 @@ def report_to_dict(report: StudyReport) -> dict:
             "overall_average_error": cls.overall_average_error,
             "overall_maximum_error": cls.overall_maximum_error,
         }
-    networks = []
-    for ev in report.networks:
-        provenance = None
-        if ev.table.provenance is not None:
-            provenance = {
-                "seed": ev.table.provenance.seed,
-                "index": ev.table.provenance.index,
-                "resamples": ev.table.provenance.resamples,
-            }
-        networks.append(
-            {
-                "id": ev.network_id,
-                "kind": ev.kind,
-                "pattern": ev.pattern.value,
-                "passes_filter": ev.passes_filter,
-                "provenance": provenance,
-                "summary": {
-                    "best": ev.summary.best.value,
-                    "tie": ev.summary.tie,
-                    "rules": {
-                        rule.value: _rule_stats_dict(ev.summary.stats[rule])
-                        for rule in RULE_ORDER
-                    },
-                },
-                "diagnostics": {
-                    "conjunctive_approximation": ev.diagnostics.conjunctive_approximation,
-                    "conjunctive_spread": ev.diagnostics.conjunctive_spread,
-                    "conjunctive_fourth_gap": ev.diagnostics.conjunctive_fourth_gap,
-                    "disjunctive_approximation": ev.diagnostics.disjunctive_approximation,
-                    "disjunctive_spread": ev.diagnostics.disjunctive_spread,
-                    "disjunctive_fourth_gap": ev.diagnostics.disjunctive_fourth_gap,
-                    "associative_strength": ev.diagnostics.associative_strength,
-                },
-            }
-        )
     return {
         "config": {
             "grid": list(report.grid),
@@ -809,13 +845,146 @@ def report_to_dict(report: StudyReport) -> dict:
         },
         "classes": classes,
         "spearman_strength_error": report.spearman_strength_error,
-        "strength_error_pairs": [list(pair) for pair in report.strength_error_pairs],
+        "strength_error_pairs": pairs,
         "networks": networks,
     }
 
 
+def report_to_dict(report: StudyReport) -> dict:
+    """The report as a JSON-ready dict (deterministic key order)."""
+    return _report_dict(
+        report,
+        [list(pair) for pair in report.strength_error_pairs],
+        [_network_dict(ev) for ev in report.networks],
+    )
+
+
+def _slot(conversion: str) -> str:
+    """A template slot: ``_serialize`` renders it as the JSON string
+    "\\u0000<conversion>", which ``_template`` turns into ``%<conversion>``."""
+    return "\x00" + conversion
+
+
+_SLOT = re.compile(r'"\\u0000([^"]*)"')
+
+#: A list element that ``_serialize`` renders as the text ``_MARK_TEXT``.
+_MARK = [_slot("")]
+_MARK_TEXT = _serialize.dumps(_MARK).rstrip("\n")
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _template(text: str) -> str:
+    """Rendered JSON holding slots, as a %-template."""
+    return _SLOT.sub(r"%\1", text.replace("%", "%%"))
+
+
+def _placeholder(with_provenance: bool) -> SimpleNamespace:
+    """An evaluation whose every value ``_network_dict`` reads is a slot:
+    JSON text (strings, booleans) ``%s``, provenance integers ``%d`` and
+    floats ``%.17g``."""
+    text, integer, real = _slot("s"), _slot("d"), _slot(".17g")
+    return SimpleNamespace(
+        network_id=text,
+        kind=text,
+        pattern=SimpleNamespace(value=text),
+        passes_filter=text,
+        table=SimpleNamespace(
+            provenance=Provenance(integer, integer, integer) if with_provenance else None
+        ),
+        summary=NetworkErrorSummary(
+            text,
+            {rule: RuleStats(real, real, real) for rule in RULE_ORDER},
+            SimpleNamespace(value=text),
+            text,
+        ),
+        diagnostics=Diagnostics(*[real] * len(fields(Diagnostics))),
+    )
+
+
+def _marked(forms: list, items: Sequence) -> list:
+    """A long list of the skeleton document: empty if ``items`` is,
+    otherwise the element ``forms``, each behind a marker, then two more
+    markers."""
+    if not items:
+        return []
+    return [element for form in forms for element in (_MARK, form)] + [_MARK, _MARK]
+
+
+def _cut(parts, count: int) -> tuple[str, list[str]]:
+    """The separator and the ``count`` element templates of a marked list
+    from the skeleton split at its markers."""
+    forms = [next(parts) for _ in range(count)]
+    separator = next(parts)
+    return separator, [_template(form[len(separator) : -len(separator)]) for form in forms]
+
+
+def _network_values(networks: Sequence[NetworkEvaluation]) -> list:
+    """The slot values of all ``networks`` elements in document order, after
+    one finiteness check of their floats."""
+    stats = attrgetter(*(field.name for field in fields(RuleStats)))
+    diagnostics = attrgetter(*(field.name for field in fields(Diagnostics)))
+    floats = np.array(
+        [
+            sum((stats(ev.summary.stats[rule]) for rule in RULE_ORDER), ())
+            + diagnostics(ev.diagnostics)
+            for ev in networks
+        ],
+        dtype=float,
+    )
+    _require_finite(floats)
+    encode = _serialize.encode_basestring
+    values: list = []
+    for ev, row in zip(networks, floats.tolist()):
+        values += (encode(ev.network_id), encode(ev.kind), encode(ev.pattern.value))
+        values.append(_JSON_BOOL[ev.passes_filter])
+        provenance = ev.table.provenance
+        if provenance is not None:
+            values += (provenance.seed, provenance.index, provenance.resamples)
+        values += (encode(ev.summary.best.value), _JSON_BOOL[ev.summary.tie])
+        values += row
+    return values
+
+
 def report_json_text(report: StudyReport) -> str:
-    return _serialize.dumps(report_to_dict(report))
+    """The report as JSON, byte-identical to
+    ``_serialize.dumps(report_to_dict(report))`` (pinned by the tests).
+
+    The head (config, classes, Spearman) goes through ``_serialize.dumps``;
+    ``strength_error_pairs`` and ``networks`` are each rendered by one
+    ``%``-call over all their values, after one finiteness check of their
+    floats, so the first non-finite value in document order raises the
+    writer's ValueError.  The element templates come from ``_serialize``
+    itself: it renders a skeleton of the document in which each long list
+    holds a marker, placeholder elements built by ``_network_dict`` (a
+    network without and with provenance) or as a pair, and two more
+    markers, and the text between the markers is the list's opening, each
+    element, the separator and the closing.
+    """
+    pairs = report.strength_error_pairs
+    networks = report.networks
+    network_forms = [_network_dict(_placeholder(flag)) for flag in (False, True)]
+    skeleton = _serialize.dumps(
+        _report_dict(
+            report,
+            _marked([[_slot(".17g")] * 2], pairs),
+            _marked(network_forms, networks),
+        )
+    )
+    parts = iter(skeleton.split(_MARK_TEXT))
+    out = [next(parts)]
+    if pairs:
+        separator, (template,) = _cut(parts, 1)
+        values = np.array(pairs, dtype=float)
+        _require_finite(values)
+        out.append(separator.join([template] * len(pairs)) % tuple(values.ravel().tolist()))
+        out.append(next(parts))
+    if networks:
+        separator, templates = _cut(parts, 2)
+        entries = separator.join([templates[ev.table.provenance is not None] for ev in networks])
+        out.append(entries % tuple(_network_values(networks)))
+        out.append(next(parts))
+    return "".join(out)
 
 
 def format_class_table(report: StudyReport) -> str:

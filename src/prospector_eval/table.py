@@ -399,7 +399,9 @@ def networks_from_json(text: str) -> list[JointTable]:
     """Parse a network file, preserving cell values exactly."""
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON, or an integer too long to convert;
+    # RecursionError: nesting deeper than the parser's stack.
+    except (ValueError, RecursionError) as exc:
         raise InvalidTableError(f"network file is not valid JSON: {exc}") from exc
     if not isinstance(document, dict) or "networks" not in document:
         raise InvalidTableError('network file must be an object with a "networks" list')
@@ -443,4 +445,10 @@ def save_networks(tables: Iterable[JointTable], path: str | Path) -> None:
 
 
 def load_networks(path: str | Path) -> list[JointTable]:
-    return networks_from_json(Path(path).read_text(encoding="utf-8"))
+    """Read a network file; InvalidTableError unless it is UTF-8 JSON in the
+    network file format."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidTableError(f"network file is not UTF-8 text: {exc}") from exc
+    return networks_from_json(text)

@@ -265,3 +265,60 @@ class TestSurface:
         with pytest.raises(SystemExit) as excinfo:
             run("surface", "--case", 1, "--rule", "bayes", "--out", tmp_path / "s.csv")
         assert excinfo.value.code == 2
+
+
+def network_reader_argv(command, path, tmp_path):
+    """Arguments of each command that reads a network file."""
+    return {
+        "evaluate": ("evaluate", "--networks", path, "--out", tmp_path / "r.csv"),
+        "report": ("report", "--networks", path, "--out", tmp_path / "r.json"),
+        "oracle": ("oracle", "--networks", path, "--index", 0, "--e1", 0.5, "--e2", 0.5),
+        "surface": ("surface", "--networks", path, "--rule", "independent",
+                    "--out", tmp_path / "s.csv"),
+    }[command]
+
+
+NETWORK_READERS = ["evaluate", "report", "oracle", "surface"]
+
+
+class TestUnreadableNetworkFiles:
+    """A network file the JSON reader cannot take is a one-line usage error."""
+
+    def assert_one_line_usage_error(self, tmp_path, capsys, command, content, expected):
+        path = tmp_path / "networks.json"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as excinfo:
+            run(*network_reader_argv(command, path, tmp_path))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        messages = [line for line in err.splitlines() if "error:" in line]
+        assert len(messages) == 1
+        assert expected in messages[0]
+
+    @pytest.mark.parametrize("command", NETWORK_READERS)
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        content = b"\xff\xfe" + '{"networks": []}'.encode("utf-16-le")
+        self.assert_one_line_usage_error(
+            tmp_path, capsys, command, content, "network file is not UTF-8 text"
+        )
+
+    @pytest.mark.parametrize("command", NETWORK_READERS)
+    def test_deeply_nested_file(self, tmp_path, capsys, command):
+        self.assert_one_line_usage_error(
+            tmp_path, capsys, command, b"[" * 200000, "network file is not valid JSON"
+        )
+
+
+class TestGenerateTolerance:
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "1"])
+    def test_unusable_ipf_tolerance_is_a_one_line_usage_error(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "nets.json"
+        with pytest.raises(SystemExit) as excinfo:
+            run("generate", "--kind", "associated", "--count", 3, "--ipf-tolerance", tolerance,
+                "--out", out)
+        assert excinfo.value.code == 2
+        messages = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(messages) == 1
+        assert "ipf_tolerance must lie strictly between 0 and 1" in messages[0]
+        assert not out.exists()

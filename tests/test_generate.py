@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -103,8 +104,9 @@ class TestGenerationConfig:
             GenerationConfig(count=1, seed=1, kind="both")
         with pytest.raises(ValueError):
             GenerationConfig(count=1, seed=1, kind="associated", base_rate_margin=0.7)
-        with pytest.raises(ValueError):
-            GenerationConfig(count=1, seed=1, kind="associated", ipf_tolerance=0.0)
+        for tolerance in (0.0, 1.0, 2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="ipf_tolerance"):
+                GenerationConfig(count=1, seed=1, kind="associated", ipf_tolerance=tolerance)
 
 
 class TestIpfFit:

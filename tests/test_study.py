@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from prospector_eval import (
     ConditionalProfile,
+    Diagnostics,
     EvidenceUpdate,
     GenerationConfig,
     JointTable,
@@ -416,6 +417,174 @@ class TestPinnedStudyBytes:
             "f9d8577b5c3996f6deeeafdcc85d0f5b4fe069e2de296c67a2a6fb3ffd90b58d",
         ]
 
+    def test_sha256_of_large_study(self):
+        """4000+4000 at seed 30, pinned before the writers were rebuilt on
+        arrays."""
+        report = run_study(StudyConfig.default(seed=30, count=4000))
+        digests = [
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in (report_json_text(report), results_csv_text(report.networks))
+        ]
+        assert digests == [
+            "e481f195e117d657bee999ac3d654dfae8abfb4ec2d29461d0f86cc0a4e90945",
+            "fb1aa68c1fa3413ad8c85b6790106f6cdf1b03de62a35f8b63da840aa6550c43",
+        ]
+
+
+def generic_results_csv(evaluations) -> str:
+    """The results CSV written field by field from the records."""
+    rows = []
+    for ev in evaluations:
+        for record in ev.records:
+            rows.append(
+                (
+                    ev.network_id,
+                    ev.kind,
+                    ev.pattern.value,
+                    record.update.p_new_e1,
+                    record.update.p_new_e2,
+                    *(record.answers[rule] for rule in RULE_ORDER),
+                    record.oracle,
+                    *(record.signed_error[rule] for rule in RULE_ORDER),
+                )
+            )
+    return _serialize.csv_text(RESULTS_HEADER, rows)
+
+
+def generic_report_json(report) -> str:
+    return _serialize.dumps(report_to_dict(report))
+
+
+def value_error(write, *args) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        write(*args)
+    return str(excinfo.value)
+
+
+#: Ids that need JSON escapes or care in a %-template: a backslash,
+#: non-ASCII text, control characters and percent signs.  (A quote is
+#: refused by the CSV writer, so only the report test adds one.)
+ODD_IDS = ("back\\slash", "n\u00e9t-\u03b1\u2603", "tab\tbell\x07", "50%-odd%s")
+
+
+class TestArrayWriters:
+    """The array writers against the generic writers they replace."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        """More than one CSV chunk of networks: both grids, odd ids, networks
+        with and without provenance, and a flagged tie."""
+        quarters = run_study(StudyConfig.default(count=80, filter_enabled=False))
+        tables = [ev.table for ev in quarters.networks[:40]]
+        fifths = evaluate_tables(
+            [JointTable(t.cells, kind=t.kind) for t in tables],
+            ids=[f"fifth-{i}" for i in range(len(tables))],
+            grid=GRID_FIFTH_VALUES,
+            filter_enabled=False,
+        )
+        evaluations = list(quarters.networks)
+        evaluations[5:5] = fifths
+        for k, network_id in enumerate(ODD_IDS):
+            evaluations[3 * k] = dataclasses.replace(evaluations[3 * k], network_id=network_id)
+        evaluations[7] = dataclasses.replace(
+            evaluations[7], summary=dataclasses.replace(evaluations[7].summary, tie=True)
+        )
+        assert len(evaluations) > study._CSV_CHUNK
+        assert {ev.grid for ev in evaluations} == {GRID_QUARTERS, GRID_FIFTH_VALUES}
+        return dataclasses.replace(
+            quarters,
+            networks=tuple(evaluations),
+            strength_error_pairs=tuple(
+                (ev.diagnostics.associative_strength, ev.summary.stats[ev.summary.best].mean_abs)
+                for ev in evaluations
+            ),
+        )
+
+    def test_results_csv_matches_the_generic_writer(self, mixed):
+        assert results_csv_text(mixed.networks) == generic_results_csv(mixed.networks)
+        assert results_csv_text([]) == generic_results_csv([])
+
+    def test_report_json_matches_the_generic_writer(self, mixed):
+        networks = list(mixed.networks)
+        networks[1] = dataclasses.replace(networks[1], network_id='say "hi"')
+        report = dataclasses.replace(mixed, networks=tuple(networks))
+        text = report_json_text(report)
+        assert text == generic_report_json(report)
+        document = json.loads(text)
+        assert [n["id"] for n in document["networks"][: 3 * len(ODD_IDS) : 3]] == list(ODD_IDS)
+        assert document["networks"][1]["id"] == 'say "hi"'
+        assert {n["provenance"] is None for n in document["networks"]} == {True, False}
+        assert document["networks"][7]["summary"]["tie"] is True
+
+    def test_empty_reports_match_the_generic_writer(self):
+        emptied = run_study(small_study_config(filter_mode="full", grid=(0.5,)))
+        emptied = dataclasses.replace(emptied, networks=(), strength_error_pairs=())
+        bare = build_report([], {}, grid=(0.5,), filter_enabled=True, filter_mode="full")
+        for report in (emptied, bare):
+            assert report_json_text(report) == generic_report_json(report)
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            # (network, array, flat index, value) for each poisoned value
+            [(2, "answers", -1, math.inf), (3, "oracle", 0, math.nan)],
+            [(3, "oracle", 0, math.nan), (3, "answers", 1, -math.inf)],
+            [(3, "answers", 5, math.nan), (3, "oracle", 0, math.inf)],
+            [(150, "oracle", 4, -math.inf), (170, "answers", 0, math.nan)],
+        ],
+        ids=["inf-then-nan", "answer-before-oracle", "earlier-row-first", "later-chunk"],
+    )
+    def test_results_csv_raises_at_the_first_non_finite_value(self, mixed, poison):
+        evaluations = list(mixed.networks)
+        for k, name, flat, value in poison:
+            array = getattr(evaluations[k], name).copy()
+            array.flat[flat] = value
+            evaluations[k] = dataclasses.replace(evaluations[k], **{name: array})
+        expected = value_error(generic_results_csv, evaluations)
+        assert expected.startswith("non-finite value cannot be serialized")
+        assert value_error(results_csv_text, evaluations) == expected
+
+    @pytest.mark.parametrize(
+        "networks, pairs, spearman",
+        [
+            ([(4, "associative_strength", math.nan), (2, "max_abs", math.inf)], [], 0.5),
+            ([(2, "mean_signed", -math.inf), (2, "conjunctive_spread", math.nan)], [], 0.5),
+            ([(1, "mean_abs", math.inf)], [(9, 1, math.nan)], 0.5),
+            ([], [(0, 0, math.nan)], math.inf),
+        ],
+        ids=["networks-in-order", "stats-before-diagnostics", "pairs-before-networks",
+             "head-first"],
+    )
+    def test_report_json_raises_at_the_first_non_finite_value(
+        self, mixed, networks, pairs, spearman
+    ):
+        """``networks`` poisons a diagnostic, or else a disjunctive rule
+        statistic, of a network; ``pairs`` poisons one value of a pair."""
+        evaluations = list(mixed.networks)
+        for k, field, value in networks:
+            ev = evaluations[k]
+            if field in Diagnostics.__dataclass_fields__:
+                diagnostics = dataclasses.replace(ev.diagnostics, **{field: value})
+                evaluations[k] = dataclasses.replace(ev, diagnostics=diagnostics)
+            else:
+                stats = dict(ev.summary.stats)
+                disjunctive = stats[Rule.DISJUNCTIVE]
+                stats[Rule.DISJUNCTIVE] = dataclasses.replace(disjunctive, **{field: value})
+                summary = dataclasses.replace(ev.summary, stats=stats)
+                evaluations[k] = dataclasses.replace(ev, summary=summary)
+        strength_error_pairs = [list(pair) for pair in mixed.strength_error_pairs]
+        for k, column, value in pairs:
+            strength_error_pairs[k][column] = value
+        report = dataclasses.replace(
+            mixed,
+            networks=tuple(evaluations),
+            strength_error_pairs=tuple(map(tuple, strength_error_pairs)),
+            spearman_strength_error=spearman,
+        )
+        expected = value_error(generic_report_json, report)
+        assert expected.startswith("non-finite value cannot be serialized")
+        assert value_error(report_json_text, report) == expected
+
 
 class TestReportOutputs:
     def test_report_document_structure(self):
@@ -473,22 +642,7 @@ class TestReportOutputs:
         evaluations.append(
             NetworkEvaluation(**{**vars(special), "network_id": "odd%id", "answers": answers})
         )
-        rows = []
-        for ev in evaluations:
-            for record in ev.records:
-                rows.append(
-                    (
-                        ev.network_id,
-                        ev.kind,
-                        ev.pattern.value,
-                        record.update.p_new_e1,
-                        record.update.p_new_e2,
-                        *(record.answers[rule] for rule in RULE_ORDER),
-                        record.oracle,
-                        *(record.signed_error[rule] for rule in RULE_ORDER),
-                    )
-                )
-        expected = _serialize.csv_text(RESULTS_HEADER, rows)
+        expected = generic_results_csv(evaluations)
         assert results_csv_text(evaluations) == expected
         assert ",-0," in expected and ",4.9406564584124654e-324," in expected
 

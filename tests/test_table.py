@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from prospector_eval import (
     ConditionalProfile,
+    GenerationConfig,
     InvalidTableError,
     JointTable,
     Provenance,
@@ -16,6 +17,7 @@ from prospector_eval import (
     base_rates,
     compose_table,
     conditional_profile,
+    generate,
     network_view,
     validate,
 )
@@ -433,6 +435,8 @@ class TestNetworkFiles:
             networks_from_json('{"something": []}')
         with pytest.raises(InvalidTableError):
             networks_from_json('{"networks": [{"kind": "associated"}]}')
+        with pytest.raises(InvalidTableError, match="not valid JSON"):
+            networks_from_json('{"networks": [' + "1" * 5000 + "]}")  # past int's digit limit
 
     @pytest.mark.parametrize(
         "entry",
@@ -454,3 +458,73 @@ class TestNetworkFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_networks(tmp_path / "absent.json")
+
+
+#: Any JSON value, NaN and infinities included (Python's json writes and
+#: reads them).
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+#: Network-file-shaped documents, so the checks past the top level are reached.
+network_entries = st.fixed_dictionaries(
+    {"cells": st.lists(st.floats() | st.integers(), min_size=7, max_size=9) | json_values},
+    optional={
+        "kind": st.sampled_from(KINDS) | json_values,
+        "provenance": st.fixed_dictionaries(
+            {"seed": st.integers(), "index": st.integers()},
+            optional={"resamples": st.integers() | json_values},
+        )
+        | json_values,
+    },
+)
+network_documents = st.fixed_dictionaries(
+    {"networks": st.lists(network_entries | json_values, max_size=3) | json_values}
+)
+
+
+def tables_or_invalid(text: str) -> None:
+    """The loader either returns tables or raises InvalidTableError."""
+    try:
+        tables = networks_from_json(text)
+    except InvalidTableError:
+        return
+    assert all(isinstance(table, JointTable) for table in tables)
+
+
+class TestLoaderFuzzing:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        tables_or_invalid(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values | network_documents)
+    def test_arbitrary_documents(self, document):
+        tables_or_invalid(json.dumps(document))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(("independent", "associated")),
+        st.integers(1, 4),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_generated_tables_round_trip(self, kind, count, seed):
+        tables = generate(GenerationConfig(count=count, seed=seed, kind=kind))
+        assert networks_from_json(networks_to_json(tables)) == tables
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8),
+                st.sampled_from(KINDS),
+            ),
+            max_size=4,
+        )
+    )
+    def test_tables_without_provenance_round_trip(self, drawn):
+        tables = [JointTable(tuple(cells), kind=kind) for cells, kind in drawn]
+        assert networks_from_json(networks_to_json(tables)) == tables

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .cases import CASE_STUDY_IDS, case_study_table
-from .engine import Rule, infer
+from .engine import Rule
 from .errors import DegenerateBaseRateError, InvalidTableError, ProspectorEvalError
 from .generate import (
     DEFAULT_BASE_RATE_MARGIN,

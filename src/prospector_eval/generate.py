@@ -15,19 +15,21 @@ Two samplers, one per evidence-relation class:
   the fractions imply.
 
 Determinism: network ``i`` of a batch draws all of its randomness from a
-dedicated stream keyed by (seed, i, attempt): a PCG64 generator seeded by
-``SeedSequence(entropy=seed, spawn_key=(i, attempt))``, whose raw outputs
-become doubles as ``Generator.random`` makes them and are scaled as
+dedicated stream keyed by (seed, i, attempt): the PCG64 stream numpy seeds
+from ``SeedSequence(entropy=seed, spawn_key=(i, attempt))``, whose raw
+outputs become doubles as ``Generator.random`` makes them and are scaled as
 ``Generator.uniform`` scales them.  Batches are therefore reproducible and
 order-independent, and the files rest only on ``SeedSequence`` and PCG64
-raw output, which NumPy keeps stable across releases.  The seed hash runs
-for every pending network in one array pass (``_stream_words``), and so
-does the arithmetic after the draws: one array pass builds every
-independent network, and one ``fit_margins`` call fits every associated
-network, row by row exactly as a one-table fit would.  Failed proportional
-fits are resampled with the attempt counter bumped (bounded; the table
-records how many resamples it took), and only the resampled networks are
-redrawn and refitted.
+raw output, which NumPy keeps stable across releases.  Both run here for
+every pending network in one array pass (``_stream_words``, and the array
+PCG64 ``_draw_doubles``, checked bit for bit against ``numpy.random`` by
+the tests), and so does the arithmetic after the draws: one array pass
+builds every independent network, and one ``fit_margins`` call fits every
+associated network, row by row exactly as a one-table fit would.  Failed
+proportional fits are resampled with the attempt counter bumped (bounded;
+the table records how many resamples it took), and only the resampled
+networks are redrawn and refitted.  The samplers ``independent_cells`` and
+``associated_cells`` return arrays; ``generate*`` wrap them in tables.
 """
 
 from __future__ import annotations
@@ -150,37 +152,49 @@ def _stream_words(seed: int, indices: np.ndarray, attempt: int) -> np.ndarray:
     return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
 
 
-class _StreamSeed:
-    """Hands PCG64 the seed words that ``_stream_words`` computed for one
-    stream; registered as numpy's ISeedSequence on first use."""
+#: PCG64's 128-bit multiplier (PCG_DEFAULT_MULTIPLIER_128) as 64-bit halves,
+#: and the 32-bit limbs of its low half.
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LOW32, _BITS32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PCG_MULT_LO_0, _PCG_MULT_LO_1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _BITS32
 
-    __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a stream seed holds exactly PCG64's four uint64 words")
-        return self.words
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One step of the 128-bit LCG, state * multiplier + inc mod 2**128, on
+    states held as (hi, lo) uint64 arrays.  uint64 products wrap mod 2**64;
+    the high word of lo * multiplier is built from 32-bit limbs."""
+    lo_0, lo_1 = lo & _LOW32, lo >> _BITS32
+    partial = lo_1 * _PCG_MULT_LO_0 + ((lo_0 * _PCG_MULT_LO_0) >> _BITS32)
+    middle = (partial & _LOW32) + lo_0 * _PCG_MULT_LO_1
+    carry = lo_1 * _PCG_MULT_LO_1 + (partial >> _BITS32) + (middle >> _BITS32)
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    return carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo), new_lo
 
 
 def _draw_doubles(seed: int, indices: np.ndarray, attempt: int, count: int) -> np.ndarray:
     """The first ``count`` doubles in [0, 1) of every listed network's stream.
 
-    Shape (N, count); the same values ``Generator.random`` would return.
+    Shape (N, count); row ``r`` holds the values ``Generator.random(count)``
+    returns for ``PCG64(SeedSequence(entropy=seed, spawn_key=(indices[r],
+    attempt)))``.  PCG64 (O'Neill 2014) runs on all the streams at once:
+    each 128-bit state is seeded from ``_stream_words`` as numpy's
+    ``pcg64_set_seed`` seeds it (words 0:1 are the initial state, words 2:3
+    the stream, and inc = (stream << 1) | 1; then state = 0, a step,
+    state += initial state, a step), and each draw is one step followed by
+    the XSL-RR output, rotr64(hi ^ lo, hi >> 58), whose top 53 bits make
+    the double.
     """
-    # Imported here so that commands which never generate skip numpy.random.
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_StreamSeed)
-    raw = np.array(
-        [
-            np.random.PCG64(_StreamSeed(words)).random_raw(count)
-            for words in _stream_words(seed, indices, attempt)
-        ],
-        dtype=np.uint64,
-    ).reshape(len(indices), count)
+    words = _stream_words(seed, indices, attempt)
+    inc_hi = (words[:, 2] << np.uint64(1)) | (words[:, 3] >> np.uint64(63))
+    inc_lo = (words[:, 3] << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + words[:, 1]  # the first step from state 0 leaves inc
+    hi = inc_hi + words[:, 0] + (lo < inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    raw = np.empty((len(words), count), dtype=np.uint64)
+    for k in range(count):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        xored, rotation = hi ^ lo, hi >> np.uint64(58)
+        raw[:, k] = (xored >> rotation) | (xored << ((64 - rotation) & np.uint64(63)))
     return (raw >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
@@ -226,7 +240,12 @@ def fit_margins(
     Returns (fitted, converged, deviation): converged rows are normalised,
     the others hold their cells after the last cycle; ``deviation`` is each
     row's margin deviation at its last check, or after the last cycle.
+    Raises ValueError unless 0 < ``tolerance`` < 1: a margin deviation is at
+    most 1, so a larger tolerance (or inf) would accept any table, and none
+    would ever meet a NaN or nonpositive one.
     """
+    if not 0.0 < tolerance < 1.0:
+        raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tolerance!r}")
     q = np.array(cells, dtype=float)
     targets = np.asarray(targets, dtype=float)
     fitted = np.empty_like(q)
@@ -265,8 +284,9 @@ def ipf_fit(
     order; convergence is checked before each cycle, so a table that already
     matches comes back (numerically) unchanged.  Requires strictly positive
     cells — proportional scaling can never move mass onto or off a zero.
-    Raises NoConvergenceError with the remaining deviation if the cap runs
-    out.
+    Raises ValueError for a tolerance outside (0, 1), as ``fit_margins``
+    does, and NoConvergenceError with the remaining deviation if the cap
+    runs out.
     """
     q = table.as_array()
     if np.any(q <= 0.0):
@@ -288,8 +308,9 @@ def ipf_fit(
     return JointTable(tuple(fitted[0].tolist()), kind=table.kind, provenance=table.provenance)
 
 
-def generate_associated(config: GenerationConfig) -> list[JointTable]:
-    """Generate ``config.count`` associated-evidence networks.
+def associated_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (N, 8) and resample counts (N,) of ``config.count`` associated
+    networks.
 
     Every pending network draws its targets and raw cells from its own
     stream; one ``fit_margins`` call then fits them all.  Networks whose draw
@@ -299,7 +320,8 @@ def generate_associated(config: GenerationConfig) -> list[JointTable]:
     if config.kind != "associated":
         raise ValueError(f"config.kind is {config.kind!r}, expected 'associated'")
     eps = config.base_rate_margin
-    tables: list[JointTable | None] = [None] * config.count
+    cells = np.empty((config.count, 8))
+    resamples = np.zeros(config.count, dtype=np.int64)
     pending = np.arange(config.count)
     for attempt in range(config.max_resamples):
         if not len(pending):
@@ -316,23 +338,20 @@ def generate_associated(config: GenerationConfig) -> list[JointTable]:
         )
         done = np.zeros(len(pending), dtype=bool)
         done[np.flatnonzero(drawable)[converged]] = True
-        for index, cells in zip(pending[done].tolist(), fitted[converged].tolist()):
-            tables[index] = JointTable(
-                tuple(cells),
-                kind="associated",
-                provenance=Provenance(seed=config.seed, index=index, resamples=attempt),
-            )
+        cells[pending[done]] = fitted[converged]
+        resamples[pending[done]] = attempt
         pending = pending[~done]
     if len(pending):
         raise GenerationError(
             f"network {pending[0]} (seed {config.seed}): no converged fit "
             f"within {config.max_resamples} attempts"
         )
-    return tables
+    return cells, resamples
 
 
-def generate_independent(config: GenerationConfig) -> list[JointTable]:
-    """Generate ``config.count`` independent-evidence networks.
+def independent_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (N, 8) and resample counts (N,), all 0, of ``config.count``
+    independent networks.
 
     Each network draws two evidence base rates and four conclusion fractions
     from its own stream; one array pass then builds all the tables' cells.
@@ -355,14 +374,32 @@ def generate_independent(config: GenerationConfig) -> list[JointTable]:
     cells = np.empty((config.count, 8))
     cells[:, 1::2] = masses * fractions
     cells[:, 0::2] = masses * (1.0 - fractions)
-    return [
-        JointTable(
-            tuple(row),
-            kind="independent",
-            provenance=Provenance(seed=config.seed, index=index, resamples=0),
-        )
-        for index, row in enumerate(cells.tolist())
-    ]
+    return cells, np.zeros(config.count, dtype=np.int64)
+
+
+def network_table(
+    config: GenerationConfig, index: int, cells: list[float], resamples: int
+) -> JointTable:
+    """Network ``index`` of the batch that ``config`` describes."""
+    provenance = Provenance(seed=config.seed, index=index, resamples=resamples)
+    return JointTable(tuple(cells), kind=config.kind, provenance=provenance)
+
+
+def _tables(config: GenerationConfig, cells: np.ndarray, resamples: np.ndarray) -> list:
+    rows = enumerate(zip(cells.tolist(), resamples.tolist()))
+    return [network_table(config, index, row, count) for index, (row, count) in rows]
+
+
+def generate_associated(config: GenerationConfig) -> list[JointTable]:
+    """Generate ``config.count`` associated-evidence networks
+    (``associated_cells`` as tables)."""
+    return _tables(config, *associated_cells(config))
+
+
+def generate_independent(config: GenerationConfig) -> list[JointTable]:
+    """Generate ``config.count`` independent-evidence networks
+    (``independent_cells`` as tables)."""
+    return _tables(config, *independent_cells(config))
 
 
 def generate(config: GenerationConfig) -> list[JointTable]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -37,7 +37,7 @@ import numpy as np
 from . import _serialize
 from .engine import ODDS_CLAMP, Rule
 from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTableError
-from .generate import GenerationConfig, generate_associated, generate_independent
+from .generate import GenerationConfig, associated_cells, independent_cells, network_table
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
     PAIR_CELLS,
@@ -276,10 +276,19 @@ def _summaries(network_ids: Sequence[str], errors: np.ndarray) -> list[NetworkEr
 
 
 def summarize(records: Sequence[EvaluationRecord]) -> NetworkErrorSummary:
-    """Collapse a sweep into per-rule statistics and pick the best rule set."""
+    """Collapse a sweep into per-rule statistics and pick the best rule set.
+
+    Raises ValueError if some error is not finite (an unreachable update's
+    NaN): no rule can be ranked through it.
+    """
     if not records:
         raise ValueError("cannot summarize an empty record list")
     errors = np.array([[record.signed_error[rule] for record in records] for rule in RULE_ORDER])
+    if not np.isfinite(errors).all():
+        raise ValueError(
+            f"network {records[0].network_id}: cannot summarize a sweep with "
+            "non-finite errors (unreachable updates)"
+        )
     return _summaries([records[0].network_id], errors[None])[0]
 
 
@@ -368,6 +377,72 @@ class NetworkEvaluation:
         return _records(self.network_id, self.grid, self.answers, self.oracle)
 
 
+def _evaluate(
+    cells: np.ndarray,
+    independent: np.ndarray,
+    network: Callable[[int], tuple[str, JointTable]],
+    *,
+    grid: Sequence[float],
+    filter_enabled: bool,
+    filter_mode: FilterMode,
+) -> list[NetworkEvaluation]:
+    """The array evaluation behind ``evaluate_tables`` and ``run_study``.
+
+    ``cells`` is (N, 8) and ``independent`` (N,) marks the rows whose table
+    claims ``kind="independent"``.  ``network(i)`` gives row ``i``'s id and
+    table; it is called only for the kept rows and for the first invalid
+    one.  Validation, the screen, the sweep, the summaries and the
+    diagnostics each run as one array pass over all (kept) rows.
+    """
+    checks = check_cells(cells, independent)
+    invalid = np.flatnonzero(~checks.ok)
+    if invalid.size:
+        network_id, table = network(int(invalid[0]))
+        try:
+            require_valid(table)
+        except InvalidTableError as exc:
+            raise InvalidTableError(
+                f"network {network_id} (provenance {table.provenance}): {exc}",
+                issues=exc.issues,
+            ) from exc
+    # Validation put every evidence-state mass at or above MARGINAL_FLOOR.
+    profiles = cells[:, _TRUE_CELLS] / checks.masses
+    codes = _pattern_code(*profiles.T, filter_mode)
+    passes = codes != _PATTERNS.index(MonotonicityPattern.REJECTED)
+    kept = np.flatnonzero(passes) if filter_enabled else np.arange(len(cells))
+    networks = [network(i) for i in kept.tolist()]
+    kept_ids = [network_id for network_id, _ in networks]
+
+    grid = tuple(float(v) for v in grid)
+    answers, oracle = sweep(cells[kept], grid, ids=kept_ids)
+    # Contiguous per (network, rule), so each mean sums in the order
+    # summarize(records) uses.
+    errors = np.ascontiguousarray(np.moveaxis(oracle[..., None] - answers, -1, 1))
+    errors = errors.reshape(len(kept), 3, len(grid) ** 2)
+    rows = zip(
+        networks,
+        codes[kept].tolist(),
+        passes[kept].tolist(),
+        _summaries(kept_ids, errors),
+        _diagnostics(cells[kept], profiles[kept]),
+    )
+    return [
+        NetworkEvaluation(
+            network_id=network_id,
+            kind=table.kind,
+            pattern=_PATTERNS[code],
+            passes_filter=passed,
+            grid=grid,
+            answers=answers[k],
+            oracle=oracle[k],
+            summary=summary,
+            diagnostics=diagnostic,
+            table=table,
+        )
+        for k, ((network_id, table), code, passed, summary, diagnostic) in enumerate(rows)
+    ]
+
+
 def evaluate_tables(
     tables: Sequence[JointTable],
     *,
@@ -382,62 +457,23 @@ def evaluate_tables(
     With the filter on, rejected networks are screened out before
     evaluation; with it off, every network is evaluated and its
     ``passes_filter`` flag records what the filter would have done.  Output
-    order follows input order.  Validation, the screen, the sweep and the
-    diagnostics each run as one array pass over all (kept) networks; the
-    first invalid network in input order raises InvalidTableError naming it.
-    ``workers`` is accepted for compatibility and has no effect.
+    order follows input order, and the first invalid network in input order
+    raises InvalidTableError naming it.  The tables are stacked into one
+    array for the batch evaluation ``run_study`` uses too.  ``workers`` is
+    accepted for compatibility and has no effect.
     """
     if ids is None:
         ids = [f"net-{i:04d}" for i in range(len(tables))]
     if len(ids) != len(tables):
         raise ValueError("need exactly one id per table")
-
-    cells = np.array([table.cells for table in tables], dtype=float).reshape(-1, 8)
-    checks = check_cells(cells, np.array([table.kind == "independent" for table in tables]))
-    invalid = np.flatnonzero(~checks.ok)
-    if invalid.size:
-        table, network_id = tables[int(invalid[0])], ids[int(invalid[0])]
-        try:
-            require_valid(table)
-        except InvalidTableError as exc:
-            raise InvalidTableError(
-                f"network {network_id} (provenance {table.provenance}): {exc}",
-                issues=exc.issues,
-            ) from exc
-    # Validation put every evidence-state mass at or above MARGINAL_FLOOR.
-    profiles = cells[:, _TRUE_CELLS] / checks.masses
-    codes = _pattern_code(*profiles.T, filter_mode)
-    passes = codes != _PATTERNS.index(MonotonicityPattern.REJECTED)
-    kept = np.flatnonzero(passes) if filter_enabled else np.arange(len(tables))
-    kept_ids = [ids[i] for i in kept.tolist()]
-
-    grid = tuple(float(v) for v in grid)
-    answers, oracle = sweep(cells[kept], grid, ids=kept_ids)
-    # Contiguous per (network, rule), so each mean sums in the order
-    # summarize(records) uses.
-    errors = np.ascontiguousarray(np.moveaxis(oracle[..., None] - answers, -1, 1))
-    errors = errors.reshape(len(kept), 3, len(grid) ** 2)
-    rows = zip(
-        kept.tolist(),
-        kept_ids,
-        _summaries(kept_ids, errors),
-        _diagnostics(cells[kept], profiles[kept]),
+    return _evaluate(
+        np.array([table.cells for table in tables], dtype=float).reshape(-1, 8),
+        np.array([table.kind == "independent" for table in tables], dtype=bool),
+        lambda i: (ids[i], tables[i]),
+        grid=grid,
+        filter_enabled=filter_enabled,
+        filter_mode=filter_mode,
     )
-    return [
-        NetworkEvaluation(
-            network_id=network_id,
-            kind=tables[i].kind,
-            pattern=_PATTERNS[codes[i]],
-            passes_filter=bool(passes[i]),
-            grid=grid,
-            answers=answers[k],
-            oracle=oracle[k],
-            summary=summary,
-            diagnostics=diagnostic,
-            table=tables[i],
-        )
-        for k, (i, network_id, summary, diagnostic) in enumerate(rows)
-    ]
 
 
 @dataclass(frozen=True)
@@ -576,20 +612,25 @@ def run_study(config: StudyConfig) -> StudyReport:
 
     Networks are identified as ``independent-0000`` … / ``associated-0000``
     …; the independent class comes first everywhere, including the pooled
-    (strength, error) list.
+    (strength, error) list.  Both classes stay one cell array from the
+    samplers to the sweep; a table is built only for each kept network.
     """
-    tables = list(generate_independent(config.independent))
-    ids = [f"independent-{i:04d}" for i in range(config.independent.count)]
-    tables += generate_associated(config.associated)
-    ids += [f"associated-{i:04d}" for i in range(config.associated.count)]
+    samples = independent_cells(config.independent), associated_cells(config.associated)
+    cells, resamples = map(np.concatenate, zip(*samples))
+    first = config.independent.count  # row of associated-0000
 
-    evaluations = evaluate_tables(
-        tables,
-        ids=ids,
+    def network(i: int) -> tuple[str, JointTable]:
+        batch, index = (config.associated, i - first) if i >= first else (config.independent, i)
+        table = network_table(batch, index, cells[i].tolist(), int(resamples[i]))
+        return f"{batch.kind}-{index:04d}", table
+
+    evaluations = _evaluate(
+        cells,
+        np.arange(len(cells)) < first,
+        network,
         grid=config.grid,
         filter_enabled=config.filter_enabled,
         filter_mode=config.filter_mode,
-        workers=config.workers,
     )
     generated_counts = {
         "independent": config.independent.count,

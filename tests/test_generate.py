@@ -21,7 +21,7 @@ from prospector_eval import (
     ipf_fit,
     validate,
 )
-from prospector_eval.generate import _stream_words, fit_margins
+from prospector_eval.generate import _draw_doubles, _stream_words, fit_margins
 from prospector_eval.study import DEFAULT_SEED
 from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, Provenance, networks_to_json
 
@@ -171,6 +171,13 @@ class TestIpfFit:
             ipf_fit(table, MarginTargets(0.9, 0.1, 0.5), max_iterations=1)
         assert excinfo.value.deviation > 0.0
 
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, 1.0, -1.0])
+    def test_refuses_a_tolerance_outside_the_unit_interval(self, rng, tolerance):
+        raw = rng.uniform(0.01, 1.0, 8)
+        table = JointTable(tuple(raw / raw.sum()))
+        with pytest.raises(ValueError, match="tolerance"):
+            ipf_fit(table, MarginTargets(0.3, 0.6, 0.5), tolerance=tolerance)
+
 
 class TestBatchedFit:
     """The batched fit must reproduce the one-table-at-a-time loop exactly."""
@@ -232,6 +239,17 @@ class TestBatchedFit:
         assert not converged.all()
         assert 0 in cycles and len(cycles) >= 3
 
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, 1.0, -1.0])
+    def test_refuses_a_tolerance_outside_the_unit_interval(self, rng, tolerance):
+        raw = rng.uniform(0.01, 1.0, (3, 8))
+        with pytest.raises(ValueError, match="tolerance"):
+            fit_margins(
+                raw / raw.sum(axis=1)[:, None],
+                np.full((3, 3), 0.5),
+                tolerance=tolerance,
+                max_iterations=10,
+            )
+
 
 def scalar_independent(config: GenerationConfig) -> list[tuple[float, ...]]:
     """Reference independent sampler: each network's draws from its own
@@ -288,6 +306,25 @@ class TestBatchedSeeding:
         ]
 
 
+class TestArrayPcg64:
+    """The in-package PCG64 reproduces numpy's generator bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("attempt", [0, 9])
+    @pytest.mark.parametrize("count", [1, 11])
+    def test_draw_doubles_equal_numpy_generator(self, seed, attempt, count):
+        indices = np.array([0, 1, 2**31, 2**32 - 1])
+        expected = [
+            np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(int(i), attempt)))
+            ).random(count)
+            for i in indices
+        ]
+        doubles = _draw_doubles(seed, indices, attempt, count)
+        assert doubles.shape == (len(indices), count)
+        np.testing.assert_array_equal(doubles, np.array(expected))
+
+
 class TestPinnedBytes:
     """Network files are the study's inputs: their bytes must not drift."""
 
@@ -300,6 +337,20 @@ class TestPinnedBytes:
     )
     def test_sha256_at_default_seed(self, kind, digest):
         tables = generate(GenerationConfig(count=400, seed=DEFAULT_SEED, kind=kind))
+        text = networks_to_json(tables)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("independent", "afff10bd07d7d321678deba99b600bc322fa84794693dea1b27da645e70359a8"),
+            ("associated", "5489d49f24a7c9c517bd25ae76516eaab54345b337bf4def7726e4c0732bfc25"),
+        ],
+    )
+    def test_sha256_at_the_largest_seed(self, kind, digest):
+        """Seed 2**64 - 1 fills both 32-bit entropy words, pinned while the
+        draws still came from numpy.random."""
+        tables = generate(GenerationConfig(count=400, seed=2**64 - 1, kind=kind))
         text = networks_to_json(tables)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 

@@ -177,6 +177,15 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_non_finite_errors_raise_naming_the_network(self):
+        """An unreachable update leaves NaN errors; no best rule is picked
+        through them."""
+        cells = [0.489, 0.001, 0.25, 0.25, 0.0, 0.0, 0.005, 0.005]
+        table = JointTable(tuple(cells))
+        records = evaluate_network(table, grid=(0.0, 0.5, 1.0), network_id="x-7")
+        with pytest.raises(ValueError, match="network x-7: .*non-finite"):
+            summarize(records)
+
 
 class TestDiagnostics:
     def test_case_study_1_values(self, case1):
@@ -299,6 +308,30 @@ class TestRunStudy:
         assert rejected  # with 24 random networks some profile is non-monotone
         for ev in rejected:
             assert ev.pattern is MonotonicityPattern.REJECTED
+
+    @pytest.mark.parametrize("filter_enabled", [True, False])
+    def test_tables_are_the_generated_networks(self, filter_enabled):
+        # A low iteration cap makes some associated networks resample.
+        config = StudyConfig(
+            independent=GenerationConfig(count=200, seed=DEFAULT_SEED, kind="independent"),
+            associated=GenerationConfig(
+                count=200, seed=DEFAULT_SEED, kind="associated", ipf_max_iterations=10
+            ),
+            filter_enabled=filter_enabled,
+        )
+        generated = {
+            "independent": generate(config.independent),
+            "associated": generate(config.associated),
+        }
+        report = run_study(config)
+        assert filter_enabled or len(report.networks) == 400
+        assert any(ev.table.provenance.resamples for ev in report.networks)
+        for ev in report.networks:
+            kind, index = ev.network_id.split("-")
+            expected = generated[kind][int(index)]
+            assert ev.table.cells == expected.cells
+            assert ev.table.kind == expected.kind == ev.kind
+            assert ev.table.provenance == expected.provenance
 
     def test_deterministic_bytes(self):
         config = small_study_config()

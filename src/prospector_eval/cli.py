@@ -215,7 +215,6 @@ def _run_sweep(args, parser):
             grid=grid,
             filter_enabled=args.filter,
             filter_mode=args.filter_mode,
-            workers=args.workers,
         )
     except (InvalidTableError, DegenerateBaseRateError) as exc:
         parser.error(f"unusable network file {args.networks}: {exc}")

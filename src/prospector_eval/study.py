@@ -22,14 +22,11 @@ it.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from operator import attrgetter
-from types import SimpleNamespace
 from typing import Literal, Mapping
 
 import numpy as np
@@ -43,7 +40,6 @@ from .table import (
     PAIR_CELLS,
     ConditionalProfile,
     JointTable,
-    Provenance,
     check_cells,
     conditional_profile,
     evidence_rates,
@@ -67,6 +63,9 @@ DEFAULT_SEED = 30
 
 #: Column order for per-rule output.
 RULE_ORDER: tuple[Rule, ...] = (Rule.CONJUNCTIVE, Rule.DISJUNCTIVE, Rule.INDEPENDENT)
+
+#: Each rule with its name in the output files, in RULE_ORDER.
+_RULE_NAMES: tuple[tuple[Rule, str], ...] = tuple((rule, rule.value) for rule in RULE_ORDER)
 
 #: Tie-break preference when two rule sets have equal average error.
 BEST_RULE_TIE_ORDER: tuple[Rule, ...] = (Rule.INDEPENDENT, Rule.CONJUNCTIVE, Rule.DISJUNCTIVE)
@@ -126,7 +125,6 @@ class EvaluationRecord:
     answers: dict[Rule, float]
     oracle: float
     signed_error: dict[Rule, float]
-    note: str | None = None
 
     def absolute_error(self, rule: Rule) -> float:
         return abs(self.signed_error[rule])
@@ -212,7 +210,6 @@ def _records(
                 signed_error={
                     rule: correct - answer for rule, answer in zip(RULE_ORDER, rule_answers)
                 },
-                note=unreachable_message(u1, u2) if math.isnan(correct) else None,
             )
         )
     return tuple(records)
@@ -226,11 +223,22 @@ def evaluate_network(
 ) -> tuple[EvaluationRecord, ...]:
     """Sweep the update grid (row-major in (e1, e2)) over one network.
 
-    Unreachable updates annotate that record's ``note`` and leave NaN
-    errors rather than aborting the sweep.
+    Raises InfeasibleUpdateError for the first unreachable update in
+    row-major order.
     """
     answers, oracle = sweep([table.cells], grid, ids=[network_id])
-    return _records(network_id, [float(v) for v in grid], answers[0], oracle[0])
+    grid = [float(v) for v in grid]
+    _require_reachable(grid, oracle[0])
+    return _records(network_id, grid, answers[0], oracle[0])
+
+
+def _require_reachable(grid: Sequence[float], values: np.ndarray) -> None:
+    """Raise InfeasibleUpdateError for the first NaN of a (G, G) sweep over
+    ``grid``, row-major in (e1, e2): its update is unreachable."""
+    unreachable = np.argwhere(np.isnan(values))
+    if unreachable.size:
+        i, j = unreachable[0]
+        raise InfeasibleUpdateError(unreachable_message(grid[i], grid[j]))
 
 
 @dataclass(frozen=True)
@@ -459,8 +467,9 @@ def evaluate_tables(
     ``passes_filter`` flag records what the filter would have done.  Output
     order follows input order, and the first invalid network in input order
     raises InvalidTableError naming it.  The tables are stacked into one
-    array for the batch evaluation ``run_study`` uses too.  ``workers`` is
-    accepted for compatibility and has no effect.
+    array for the batch evaluation ``run_study`` uses too.  ``workers`` has
+    no effect; it stays only because the benchmark script ``bench/run.py``
+    passes it.
     """
     if ids is None:
         ids = [f"net-{i:04d}" for i in range(len(tables))]
@@ -497,7 +506,6 @@ class StudyConfig:
     grid: tuple[float, ...] = DEFAULT_UPDATE_GRID
     filter_enabled: bool = True
     filter_mode: FilterMode = "full"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if len(self.grid) == 0:
@@ -507,8 +515,6 @@ class StudyConfig:
                 raise ValueError(f"grid values must lie in [0, 1], got {value!r}")
         if self.independent.kind != "independent" or self.associated.kind != "associated":
             raise ValueError("generation configs must match their class slots")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
     @classmethod
     def default(cls, *, seed: int = DEFAULT_SEED, count: int = 400, **overrides) -> "StudyConfig":
@@ -711,10 +717,7 @@ def error_surface(table: JointTable, rule: Rule, step: float) -> ErrorSurface:
     values = _lattice(step)
     answers, oracle = sweep([table.cells], values)
     errors = oracle[0] - answers[0, :, :, RULE_ORDER.index(rule)]
-    unreachable = np.argwhere(np.isnan(errors))
-    if unreachable.size:
-        i, j = unreachable[0]
-        raise InfeasibleUpdateError(unreachable_message(values[i], values[j]))
+    _require_reachable(values, errors)
     return ErrorSurface(tuple(values), errors)
 
 
@@ -808,51 +811,29 @@ def surface_csv_text(points: Sequence[tuple[float, float, float]]) -> str:
     return _serialize.csv_text(SURFACE_HEADER, points)
 
 
-def _rule_stats_dict(stats: RuleStats) -> dict:
-    return {
-        "mean_signed": stats.mean_signed,
-        "mean_abs": stats.mean_abs,
-        "max_abs": stats.max_abs,
-    }
-
-
 def _network_dict(ev: NetworkEvaluation) -> dict:
-    """One element of the report's ``networks`` list."""
-    provenance = None
-    if ev.table.provenance is not None:
-        provenance = {
-            "seed": ev.table.provenance.seed,
-            "index": ev.table.provenance.index,
-            "resamples": ev.table.provenance.resamples,
-        }
+    """One element of the report's ``networks`` list.  The provenance, rule
+    statistics and diagnostics blocks hold their dataclass's fields in
+    field order."""
+    provenance = ev.table.provenance
+    summary = ev.summary
     return {
         "id": ev.network_id,
         "kind": ev.kind,
         "pattern": ev.pattern.value,
         "passes_filter": ev.passes_filter,
-        "provenance": provenance,
+        "provenance": None if provenance is None else vars(provenance).copy(),
         "summary": {
-            "best": ev.summary.best.value,
-            "tie": ev.summary.tie,
-            "rules": {
-                rule.value: _rule_stats_dict(ev.summary.stats[rule]) for rule in RULE_ORDER
-            },
+            "best": summary.best.value,
+            "tie": summary.tie,
+            "rules": {name: vars(summary.stats[rule]).copy() for rule, name in _RULE_NAMES},
         },
-        "diagnostics": {
-            "conjunctive_approximation": ev.diagnostics.conjunctive_approximation,
-            "conjunctive_spread": ev.diagnostics.conjunctive_spread,
-            "conjunctive_fourth_gap": ev.diagnostics.conjunctive_fourth_gap,
-            "disjunctive_approximation": ev.diagnostics.disjunctive_approximation,
-            "disjunctive_spread": ev.diagnostics.disjunctive_spread,
-            "disjunctive_fourth_gap": ev.diagnostics.disjunctive_fourth_gap,
-            "associative_strength": ev.diagnostics.associative_strength,
-        },
+        "diagnostics": vars(ev.diagnostics).copy(),
     }
 
 
-def _report_dict(report: StudyReport, pairs: list, networks: list) -> dict:
-    """The report document around the given ``strength_error_pairs`` and
-    ``networks`` lists."""
+def report_to_dict(report: StudyReport) -> dict:
+    """The report as a JSON-ready dict (deterministic key order)."""
     generation = None
     if report.generation is not None:
         generation = {}
@@ -872,7 +853,7 @@ def _report_dict(report: StudyReport, pairs: list, networks: list) -> dict:
             "generated": cls.generated,
             "filtered_in": cls.filtered_in,
             "best_rule_counts": {
-                rule.value: cls.best_rule_counts[rule] for rule in RULE_ORDER
+                name: cls.best_rule_counts[rule] for rule, name in _RULE_NAMES
             },
             "overall_average_error": cls.overall_average_error,
             "overall_maximum_error": cls.overall_maximum_error,
@@ -886,146 +867,17 @@ def _report_dict(report: StudyReport, pairs: list, networks: list) -> dict:
         },
         "classes": classes,
         "spearman_strength_error": report.spearman_strength_error,
-        "strength_error_pairs": pairs,
-        "networks": networks,
+        "strength_error_pairs": [list(pair) for pair in report.strength_error_pairs],
+        "networks": [_network_dict(ev) for ev in report.networks],
     }
 
 
-def report_to_dict(report: StudyReport) -> dict:
-    """The report as a JSON-ready dict (deterministic key order)."""
-    return _report_dict(
-        report,
-        [list(pair) for pair in report.strength_error_pairs],
-        [_network_dict(ev) for ev in report.networks],
-    )
-
-
-def _slot(conversion: str) -> str:
-    """A template slot: ``_serialize`` renders it as the JSON string
-    "\\u0000<conversion>", which ``_template`` turns into ``%<conversion>``."""
-    return "\x00" + conversion
-
-
-_SLOT = re.compile(r'"\\u0000([^"]*)"')
-
-#: A list element that ``_serialize`` renders as the text ``_MARK_TEXT``.
-_MARK = [_slot("")]
-_MARK_TEXT = _serialize.dumps(_MARK).rstrip("\n")
-
-_JSON_BOOL = {False: "false", True: "true"}
-
-
-def _template(text: str) -> str:
-    """Rendered JSON holding slots, as a %-template."""
-    return _SLOT.sub(r"%\1", text.replace("%", "%%"))
-
-
-def _placeholder(with_provenance: bool) -> SimpleNamespace:
-    """An evaluation whose every value ``_network_dict`` reads is a slot:
-    JSON text (strings, booleans) ``%s``, provenance integers ``%d`` and
-    floats ``%.17g``."""
-    text, integer, real = _slot("s"), _slot("d"), _slot(".17g")
-    return SimpleNamespace(
-        network_id=text,
-        kind=text,
-        pattern=SimpleNamespace(value=text),
-        passes_filter=text,
-        table=SimpleNamespace(
-            provenance=Provenance(integer, integer, integer) if with_provenance else None
-        ),
-        summary=NetworkErrorSummary(
-            text,
-            {rule: RuleStats(real, real, real) for rule in RULE_ORDER},
-            SimpleNamespace(value=text),
-            text,
-        ),
-        diagnostics=Diagnostics(*[real] * len(fields(Diagnostics))),
-    )
-
-
-def _marked(forms: list, items: Sequence) -> list:
-    """A long list of the skeleton document: empty if ``items`` is,
-    otherwise the element ``forms``, each behind a marker, then two more
-    markers."""
-    if not items:
-        return []
-    return [element for form in forms for element in (_MARK, form)] + [_MARK, _MARK]
-
-
-def _cut(parts, count: int) -> tuple[str, list[str]]:
-    """The separator and the ``count`` element templates of a marked list
-    from the skeleton split at its markers."""
-    forms = [next(parts) for _ in range(count)]
-    separator = next(parts)
-    return separator, [_template(form[len(separator) : -len(separator)]) for form in forms]
-
-
-def _network_values(networks: Sequence[NetworkEvaluation]) -> list:
-    """The slot values of all ``networks`` elements in document order, after
-    one finiteness check of their floats."""
-    stats = attrgetter(*(field.name for field in fields(RuleStats)))
-    diagnostics = attrgetter(*(field.name for field in fields(Diagnostics)))
-    floats = np.array(
-        [
-            sum((stats(ev.summary.stats[rule]) for rule in RULE_ORDER), ())
-            + diagnostics(ev.diagnostics)
-            for ev in networks
-        ],
-        dtype=float,
-    )
-    _require_finite(floats)
-    encode = _serialize.encode_basestring
-    values: list = []
-    for ev, row in zip(networks, floats.tolist()):
-        values += (encode(ev.network_id), encode(ev.kind), encode(ev.pattern.value))
-        values.append(_JSON_BOOL[ev.passes_filter])
-        provenance = ev.table.provenance
-        if provenance is not None:
-            values += (provenance.seed, provenance.index, provenance.resamples)
-        values += (encode(ev.summary.best.value), _JSON_BOOL[ev.summary.tie])
-        values += row
-    return values
-
-
 def report_json_text(report: StudyReport) -> str:
-    """The report as JSON, byte-identical to
-    ``_serialize.dumps(report_to_dict(report))`` (pinned by the tests).
-
-    The head (config, classes, Spearman) goes through ``_serialize.dumps``;
-    ``strength_error_pairs`` and ``networks`` are each rendered by one
-    ``%``-call over all their values, after one finiteness check of their
-    floats, so the first non-finite value in document order raises the
-    writer's ValueError.  The element templates come from ``_serialize``
-    itself: it renders a skeleton of the document in which each long list
-    holds a marker, placeholder elements built by ``_network_dict`` (a
-    network without and with provenance) or as a pair, and two more
-    markers, and the text between the markers is the list's opening, each
-    element, the separator and the closing.
-    """
-    pairs = report.strength_error_pairs
-    networks = report.networks
-    network_forms = [_network_dict(_placeholder(flag)) for flag in (False, True)]
-    skeleton = _serialize.dumps(
-        _report_dict(
-            report,
-            _marked([[_slot(".17g")] * 2], pairs),
-            _marked(network_forms, networks),
-        )
-    )
-    parts = iter(skeleton.split(_MARK_TEXT))
-    out = [next(parts)]
-    if pairs:
-        separator, (template,) = _cut(parts, 1)
-        values = np.array(pairs, dtype=float)
-        _require_finite(values)
-        out.append(separator.join([template] * len(pairs)) % tuple(values.ravel().tolist()))
-        out.append(next(parts))
-    if networks:
-        separator, templates = _cut(parts, 2)
-        entries = separator.join([templates[ev.table.provenance is not None] for ev in networks])
-        out.append(entries % tuple(_network_values(networks)))
-        out.append(next(parts))
-    return "".join(out)
+    """The report as deterministic JSON: ``_serialize.dumps`` of
+    ``report_to_dict``, whose templating writer renders the long
+    ``strength_error_pairs`` and ``networks`` lists from one template per
+    element shape."""
+    return _serialize.dumps(report_to_dict(report))
 
 
 def format_class_table(report: StudyReport) -> str:

@@ -157,16 +157,11 @@ def _write_list(obj: Iterable, out: list[str], leaves: list, level: int, indent:
     out.append("\n" + " " * (indent * level) + "]")
 
 
-def format_cell(value: Any) -> str:
-    """Render one CSV field: floats at 17 digits, None as empty."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def format_cell(value: float | str) -> str:
+    """Render one CSV field: a float at 17 digits, or a string that needs no
+    quoting."""
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, int):
-        return str(value)
     text = str(value)
     if "," in text or "\n" in text or '"' in text:
         raise ValueError(f"CSV field would need quoting: {text!r}")

@@ -16,18 +16,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InfeasibleConstraintsError
-from .table import JointTable, compose_table
+from .table import JointTable, compose_table, product_masses
 
 CASE_STUDY_IDS = (1, 2)
-
-
-def _product_marginals(p_e1: float, p_e2: float) -> tuple[float, float, float, float]:
-    return (
-        (1.0 - p_e1) * (1.0 - p_e2),
-        (1.0 - p_e1) * p_e2,
-        p_e1 * (1.0 - p_e2),
-        p_e1 * p_e2,
-    )
 
 
 def independent_table_from_profile(
@@ -39,7 +30,7 @@ def independent_table_from_profile(
             raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
     if len(profile) != 4 or not all(0.0 <= q <= 1.0 for q in profile):
         raise ValueError("profile must be 4 probabilities in FF, FT, TF, TT order")
-    return compose_table(_product_marginals(p_e1, p_e2), tuple(profile), kind="independent")
+    return compose_table(product_masses(p_e1, p_e2), tuple(profile), kind="independent")
 
 
 def solve_link_constraints(
@@ -58,7 +49,7 @@ def solve_link_constraints(
     InfeasibleConstraintsError when the implied cells fall outside their
     rows (some conditional would leave [0, 1]).
     """
-    marginals = _product_marginals(p_e1, p_e2)
+    marginals = product_masses(p_e1, p_e2).tolist()
     x_tt = p_c_given_both * marginals[3]
     x_tf = p_c_given_e1 * p_e1 - x_tt
     x_ft = p_c_given_e2 * p_e2 - x_tt

@@ -54,14 +54,6 @@ class LinkParams:
     p_c_given_e: float
     p_c_given_not_e: float
 
-    def consistency_residual(self) -> float:
-        """|P(C) - (P(C|E) P(E) + P(C|not E) (1 - P(E)))| — 0 for a real network."""
-        mixed = self.p_c_given_e * self.p_e + self.p_c_given_not_e * (1.0 - self.p_e)
-        return abs(self.p_c - mixed)
-
-    def is_consistent(self, tol: float = 1e-9) -> bool:
-        return self.consistency_residual() <= tol
-
 
 def links_from_view(view: NetworkView) -> tuple[LinkParams, LinkParams]:
     """The two per-evidence links implied by a network view."""

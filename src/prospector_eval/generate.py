@@ -40,7 +40,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import GenerationError, InvalidTableError, NoConvergenceError
-from .table import MASK_C, MASK_E1, MASK_E2, JointTable, Provenance
+from .table import MARGIN_CELLS, JointTable, Provenance, compose_cells, product_masses
 
 DEFAULT_BASE_RATE_MARGIN = 1e-3
 DEFAULT_IPF_TOLERANCE = 1e-10
@@ -203,12 +203,6 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-#: (true-cell, false-cell) flat indices of E1, E2 and C, in fitting order.
-_MARGIN_CELLS = tuple(
-    (np.flatnonzero(mask), np.flatnonzero(~mask)) for mask in (MASK_E1, MASK_E2, MASK_C)
-)
-
-
 def _margin_sum(q: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Row sums of four cells, added left to right as a 1-D numpy sum does."""
     return q[:, cells[0]] + q[:, cells[1]] + q[:, cells[2]] + q[:, cells[3]]
@@ -218,7 +212,7 @@ def _deviation(q: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Largest absolute margin error of each row."""
     errors = [
         np.abs(_margin_sum(q, true_cells) - targets[:, k])
-        for k, (true_cells, _) in enumerate(_MARGIN_CELLS)
+        for k, (true_cells, _) in enumerate(MARGIN_CELLS)
     ]
     return np.maximum(np.maximum(errors[0], errors[1]), errors[2])
 
@@ -261,7 +255,7 @@ def fit_margins(
             fitted[rows[done]] = q[done] / q[done].sum(axis=1)[:, None]
             converged[rows[done]] = True
             rows, q, targets = rows[~done], q[~done], targets[~done]
-        for k, (true_cells, false_cells) in enumerate(_MARGIN_CELLS):
+        for k, (true_cells, false_cells) in enumerate(MARGIN_CELLS):
             target = targets[:, k]
             current = _margin_sum(q, true_cells)
             q[:, true_cells] *= (target / current)[:, None]
@@ -361,19 +355,7 @@ def independent_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]
     eps = config.base_rate_margin
     u = _draw_doubles(config.seed, np.arange(config.count), 0, 6)
     draws = np.concatenate((_uniform(u[:, :2], eps, 1.0 - eps), u[:, 2:]), axis=1)
-    p_e1, p_e2, fractions = draws[:, 0], draws[:, 1], draws[:, 2:]
-    masses = np.stack(
-        (
-            (1.0 - p_e1) * (1.0 - p_e2),
-            (1.0 - p_e1) * p_e2,
-            p_e1 * (1.0 - p_e2),
-            p_e1 * p_e2,
-        ),
-        axis=1,
-    )
-    cells = np.empty((config.count, 8))
-    cells[:, 1::2] = masses * fractions
-    cells[:, 0::2] = masses * (1.0 - fractions)
+    cells = compose_cells(product_masses(draws[:, 0], draws[:, 1]), draws[:, 2:])
     return cells, np.zeros(config.count, dtype=np.int64)
 
 

@@ -33,11 +33,13 @@ import numpy as np
 
 from .errors import InfeasibleUpdateError, NotIndependentError
 from .table import (
-    EVIDENCE_STATES,
-    MASK_E1,
-    MASK_E2,
     JointTable,
-    base_rates,
+    check_cells,
+    conclusion_cells,
+    pair_masses,
+    rates,
+    require_valid,
+    scale_pairs,
 )
 
 #: Margins within this of their targets count as met: an update at the
@@ -131,10 +133,9 @@ def posteriors(cells, u1, u2) -> np.ndarray:
     ``cells`` holds tables in the canonical order along its last axis and
     broadcasts (without that axis) against ``u1`` and ``u2``.
     """
-    cells = np.asarray(cells, dtype=float)
-    pairs = cells[..., 0::2] + cells[..., 1::2]
+    pairs = pair_masses(cells)
     with np.errstate(divide="ignore", invalid="ignore"):
-        profile = np.where(pairs > 0.0, cells[..., 1::2] / pairs, 0.0)
+        profile = np.where(pairs > 0.0, conclusion_cells(cells) / pairs, 0.0)
     return (pair_weights(pairs, u1, u2) * profile).sum(axis=-1)
 
 
@@ -148,17 +149,15 @@ def mce_update(table: JointTable, update: EvidenceUpdate) -> UpdatedTable:
     """
     u1, u2 = update.as_tuple()
     cells = table.as_array()
-    if (
-        abs(float(cells[MASK_E1].sum()) - u1) > MATCH_TOL
-        or abs(float(cells[MASK_E2].sum()) - u2) > MATCH_TOL
-    ):
-        pairs = cells[0::2] + cells[1::2]
+    p_e1, p_e2, _ = rates(cells)
+    if abs(float(p_e1) - u1) > MATCH_TOL or abs(float(p_e2) - u2) > MATCH_TOL:
+        pairs = pair_masses(cells)
         weights = pair_weights(pairs, u1, u2)
         if np.isnan(weights).any():
             raise InfeasibleUpdateError(unreachable_message(u1, u2))
-        scale = np.divide(weights, pairs, out=np.zeros(4), where=pairs > 0.0)
-        cells = cells * np.repeat(scale, 2)
-    deviation = (abs(float(cells[MASK_E1].sum()) - u1), abs(float(cells[MASK_E2].sum()) - u2))
+        cells = scale_pairs(cells, np.divide(weights, pairs, out=np.zeros(4), where=pairs > 0.0))
+        p_e1, p_e2, _ = rates(cells)
+    deviation = (abs(float(p_e1) - u1), abs(float(p_e2) - u2))
     projected = JointTable(tuple(float(v) for v in cells), kind=table.kind, provenance=None)
     return UpdatedTable(table=projected, marginal_deviation=deviation, iterations=0)
 
@@ -172,12 +171,7 @@ def correct_posterior(table: JointTable, update: EvidenceUpdate) -> float:
     return posterior
 
 
-def independent_closed_form(
-    table: JointTable,
-    update: EvidenceUpdate,
-    *,
-    independence_tol: float = 1e-9,
-) -> float:
+def independent_closed_form(table: JointTable, update: EvidenceUpdate) -> float:
     """Closed-form P'(C) for independent-evidence tables.
 
     When the evidence pair factorizes, theta = 1 and the projected evidence
@@ -185,20 +179,18 @@ def independent_closed_form(
 
         P'(C) = sum over (a, b) of P(C | E1=a, E2=b) * w1(a) * w2(b)
 
-    with w_i(true) = P'(E_i).  Raises NotIndependentError if the table's
-    evidence pair deviates from the product of its base rates by more than
-    ``independence_tol``.
+    with w_i(true) = P'(E_i).  Raises InvalidTableError (``require_valid``
+    at floor 0) for non-finite, negative or unnormalized cells, and
+    NotIndependentError where ``validate`` would flag kind="independent":
+    an evidence pair off the product of its base rates by more than
+    ``INDEPENDENCE_TOL``.
     """
-    p_e1, p_e2, _ = base_rates(table)
-    rate1 = {True: p_e1, False: 1.0 - p_e1}
-    rate2 = {True: p_e2, False: 1.0 - p_e2}
-    worst = max(
-        abs(mass - rate1[a] * rate2[b])
-        for (a, b), mass in zip(EVIDENCE_STATES, table.pair_marginals())
-    )
-    if worst > independence_tol:
+    checks = check_cells(table.as_array(), np.array([True]), marginal_floor=0.0)
+    if not checks.finite[0] or checks.negative.any() or checks.not_normalized[0]:
+        require_valid(table, marginal_floor=0.0)
+    if checks.mismatch.any():
         raise NotIndependentError(
-            f"evidence pair deviates from independence by {worst!r}; "
+            f"evidence pair deviates from independence by {float(checks.deviation.max())!r}; "
             "the closed form only applies to independent tables"
         )
     return correct_posterior(table, update)

@@ -37,12 +37,13 @@ from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTable
 from .generate import GenerationConfig, associated_cells, independent_cells, network_table
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
-    PAIR_CELLS,
     ConditionalProfile,
     JointTable,
     check_cells,
+    conclusion_cells,
     conditional_profile,
-    evidence_rates,
+    link_conditionals,
+    rates,
     require_valid,
 )
 
@@ -126,9 +127,6 @@ class EvaluationRecord:
     oracle: float
     signed_error: dict[Rule, float]
 
-    def absolute_error(self, rule: Rule) -> float:
-        return abs(self.signed_error[rule])
-
 
 def _propagate(p_c, p_e, p_c_given_e, p_c_given_not_e, u):
     """The engine's piecewise-linear link, elementwise."""
@@ -164,11 +162,9 @@ def sweep(
         raise ValueError("update grid must be a nonempty sequence of numbers")
     if not np.all((u >= 0.0) & (u <= 1.0)):
         raise ValueError(f"grid values must lie in [0, 1], got {tuple(grid)!r}")
-    x = np.asarray(cells, dtype=float).reshape(-1, 8)
-    c = x.T[:, :, None, None]  # c[i] is cell i of every network, shape (N, 1, 1)
-    p_c = c[1] + c[3] + c[5] + c[7]
-    p_e1 = c[4] + c[5] + c[6] + c[7]
-    p_e2 = c[2] + c[3] + c[6] + c[7]
+    # One network per row, broadcast against the (G, G) update grid.
+    tables = np.asarray(cells, dtype=float).reshape(-1, 1, 1, 8)
+    p_e1, p_e2, p_c = rates(tables)
     for name, rate in (("C", p_c), ("E1", p_e1), ("E2", p_e2)):
         degenerate = np.flatnonzero(~((rate > 0.0) & (rate < 1.0)))
         if degenerate.size:
@@ -179,8 +175,9 @@ def sweep(
                 f"the rules need 0 < P({name}) < 1"
             )
     u1, u2 = u[:, None], u[None, :]
-    post1 = _propagate(p_c, p_e1, (c[5] + c[7]) / p_e1, (c[1] + c[3]) / (1.0 - p_e1), u1)
-    post2 = _propagate(p_c, p_e2, (c[3] + c[7]) / p_e2, (c[1] + c[5]) / (1.0 - p_e2), u2)
+    given_e1, given_not_e1, given_e2, given_not_e2 = link_conditionals(tables)
+    post1 = _propagate(p_c, p_e1, given_e1, given_not_e1, u1)
+    post2 = _propagate(p_c, p_e2, given_e2, given_not_e2, u2)
     prior_odds = _odds(p_c)
     combined = prior_odds * (_odds(post1) / prior_odds) * (_odds(post2) / prior_odds)
     answers = np.stack(
@@ -191,7 +188,7 @@ def sweep(
         ),
         axis=-1,
     )
-    return answers, posteriors(x[:, None, None, :], u1, u2)
+    return answers, posteriors(tables, u1, u2)
 
 
 def _records(
@@ -321,10 +318,6 @@ class Diagnostics:
     associative_strength: float
 
 
-#: Conclusion-true cell of each evidence state, FF, FT, TF, TT.
-_TRUE_CELLS = [true_cell for _, true_cell in PAIR_CELLS]
-
-
 def _spread(a, b, c):
     """Elementwise max(a, b, c) - min(a, b, c), each picked as Python's
     ``max`` and ``min`` pick it: the first largest and the first smallest."""
@@ -337,8 +330,8 @@ def _diagnostics(cells: np.ndarray, profiles: np.ndarray) -> list[Diagnostics]:
     """Diagnostics of every row of an (N, 8) cell array, given its (N, 4)
     conditional profiles."""
     q_ff, q_ft, q_tf, q_tt = profiles.T
-    x_ff, x_ft, x_tf, x_tt = cells[:, _TRUE_CELLS].T
-    p_e1, p_e2 = evidence_rates(cells)
+    x_ff, x_ft, x_tf, x_tt = conclusion_cells(cells).T
+    p_e1, p_e2, _ = rates(cells)
     columns = (
         (x_ff + x_ft + x_tf) / (1.0 - p_e1 * p_e2),
         _spread(q_ff, q_ft, q_tf),
@@ -414,7 +407,7 @@ def _evaluate(
                 issues=exc.issues,
             ) from exc
     # Validation put every evidence-state mass at or above MARGINAL_FLOOR.
-    profiles = cells[:, _TRUE_CELLS] / checks.masses
+    profiles = conclusion_cells(cells) / checks.masses
     codes = _pattern_code(*profiles.T, filter_mode)
     passes = codes != _PATTERNS.index(MonotonicityPattern.REJECTED)
     kept = np.flatnonzero(passes) if filter_enabled else np.arange(len(cells))

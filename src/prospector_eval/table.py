@@ -11,6 +11,13 @@ quantities, and tests in this package assume that order.
 
 Evidence-state pairs (rows of the conditional profile) use the analogous
 order FF, FT, TF, TT.
+
+This is the only module that decodes the cell order.  The others use its
+helpers, which broadcast over arrays of shape (..., 8), one table along the
+last axis: ``rates``, ``pair_masses``, ``conclusion_cells``,
+``link_conditionals``, ``product_masses``, ``compose_cells`` and
+``scale_pairs``, plus ``MARGIN_CELLS`` for the margin fit.  ``base_rates``,
+``network_view``, ``compose_table`` and ``validate`` are one-table calls.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ def cell_index(e1: bool, e2: bool, c: bool) -> int:
 
 
 #: Boolean masks over the flat cell order, one per variable (True where the
-#: variable is true).  Shared by every numeric routine in the package.
+#: variable is true).
 MASK_E1 = np.array([i >= 4 for i in range(8)])
 MASK_E2 = np.array([(i >> 1) & 1 == 1 for i in range(8)])
 MASK_C = np.array([i & 1 == 1 for i in range(8)])
@@ -59,6 +66,71 @@ MASK_C = np.array([i & 1 == 1 for i in range(8)])
 PAIR_CELLS: tuple[tuple[int, int], ...] = tuple(
     (cell_index(a, b, False), cell_index(a, b, True)) for a, b in EVIDENCE_STATES
 )
+
+#: (true-cell, false-cell) flat indices of E1, E2 and C, in fitting order.
+MARGIN_CELLS = tuple(
+    (np.flatnonzero(mask), np.flatnonzero(~mask)) for mask in (MASK_E1, MASK_E2, MASK_C)
+)
+
+
+def rates(cells):
+    """(P(E1), P(E2), P(C)) of tables (..., 8): each its four cells added
+    left to right from 0.0, bit for bit a numpy sum of the masked cells."""
+    c = np.moveaxis(np.asarray(cells, dtype=float), -1, 0)
+    return (
+        0.0 + c[4] + c[5] + c[6] + c[7],
+        0.0 + c[2] + c[3] + c[6] + c[7],
+        0.0 + c[1] + c[3] + c[5] + c[7],
+    )
+
+
+def pair_masses(cells) -> np.ndarray:
+    """P(E1=a, E2=b) of tables (..., 8) as (..., 4), FF, FT, TF, TT: the
+    conclusion-false cell plus the true one."""
+    cells = np.asarray(cells, dtype=float)
+    return cells[..., 0::2] + cells[..., 1::2]
+
+
+def conclusion_cells(cells) -> np.ndarray:
+    """P(E1=a, E2=b, C) of tables (..., 8) as (..., 4), FF, FT, TF, TT."""
+    return np.asarray(cells, dtype=float)[..., 1::2]
+
+
+def link_conditionals(cells):
+    """(P(C | E1), P(C | not E1), P(C | E2), P(C | not E2)) of tables (..., 8),
+    numerators added from 0.0 like ``rates``.  Callers first check that the
+    evidence base rates lie in (0, 1): elsewhere this divides by zero."""
+    cells = np.asarray(cells, dtype=float)
+    c = np.moveaxis(cells, -1, 0)
+    p_e1, p_e2, _ = rates(cells)
+    return (
+        (0.0 + c[5] + c[7]) / p_e1,
+        (0.0 + c[1] + c[3]) / (1.0 - p_e1),
+        (0.0 + c[3] + c[7]) / p_e2,
+        (0.0 + c[1] + c[5]) / (1.0 - p_e2),
+    )
+
+
+def product_masses(p_e1, p_e2) -> np.ndarray:
+    """Evidence-state masses (..., 4), FF, FT, TF, TT, of independent evidence
+    with base rates ``p_e1`` and ``p_e2``."""
+    return np.stack(
+        ((1.0 - p_e1) * (1.0 - p_e2), (1.0 - p_e1) * p_e2, p_e1 * (1.0 - p_e2), p_e1 * p_e2),
+        axis=-1,
+    )
+
+
+def compose_cells(masses, profile) -> np.ndarray:
+    """Cells (..., 8) from evidence-state masses and conditional profiles,
+    both (..., 4): mass * (1 - q) and mass * q on each state's two cells."""
+    masses, profile = np.asarray(masses, dtype=float), np.asarray(profile, dtype=float)
+    pairs = np.stack((masses * (1.0 - profile), masses * profile), axis=-1)
+    return pairs.reshape(pairs.shape[:-2] + (8,))
+
+
+def scale_pairs(cells, factors) -> np.ndarray:
+    """Cells (..., 8) with both cells of each evidence state times its factor."""
+    return np.asarray(cells, dtype=float) * np.repeat(factors, 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -101,8 +173,7 @@ class JointTable:
 
     def pair_marginals(self) -> tuple[float, float, float, float]:
         """P(E1=a, E2=b) for the four evidence states in FF, FT, TF, TT order."""
-        cells = self.cells
-        return tuple(cells[f] + cells[t] for f, t in PAIR_CELLS)
+        return tuple(pair_masses(self.cells).tolist())
 
 
 @dataclass(frozen=True)
@@ -134,13 +205,8 @@ class NetworkView:
 
 
 def base_rates(table: JointTable) -> tuple[float, float, float]:
-    """(P(E1), P(E2), P(C)) by marginalization."""
-    cells = table.as_array()
-    return (
-        float(cells[MASK_E1].sum()),
-        float(cells[MASK_E2].sum()),
-        float(cells[MASK_C].sum()),
-    )
+    """(P(E1), P(E2), P(C)) by marginalization: ``rates`` of one table."""
+    return tuple(float(rate) for rate in rates(table.as_array()))
 
 
 def conditional_profile(table: JointTable) -> ConditionalProfile:
@@ -169,24 +235,14 @@ def network_view(table: JointTable) -> NetworkView:
     of the link conditionals would be undefined.
     """
     cells = table.as_array()
-    p_e1 = float(cells[MASK_E1].sum())
-    p_e2 = float(cells[MASK_E2].sum())
-    p_c = float(cells[MASK_C].sum())
+    p_e1, p_e2, p_c = (float(rate) for rate in rates(cells))
     for name, rate in (("E1", p_e1), ("E2", p_e2)):
         if not 0.0 < rate < 1.0:
             raise DegenerateBaseRateError(
                 f"base rate of {name} is {rate!r}; link conditionals need 0 < P({name}) < 1"
             )
-    p_c_given_e1 = float(cells[MASK_E1 & MASK_C].sum()) / p_e1
-    p_c_given_not_e1 = float(cells[~MASK_E1 & MASK_C].sum()) / (1.0 - p_e1)
-    p_c_given_e2 = float(cells[MASK_E2 & MASK_C].sum()) / p_e2
-    p_c_given_not_e2 = float(cells[~MASK_E2 & MASK_C].sum()) / (1.0 - p_e2)
-    return NetworkView(
-        p_c=p_c,
-        p_e=(p_e1, p_e2),
-        p_c_given_e=(p_c_given_e1, p_c_given_e2),
-        p_c_given_not_e=(p_c_given_not_e1, p_c_given_not_e2),
-    )
+    given_e1, given_not_e1, given_e2, given_not_e2 = map(float, link_conditionals(cells))
+    return NetworkView(p_c, (p_e1, p_e2), (given_e1, given_e2), (given_not_e1, given_not_e2))
 
 
 def compose_table(
@@ -203,10 +259,7 @@ def compose_table(
     """
     if len(pair_marginals) != 4 or len(profile) != 4:
         raise ValueError("need 4 pair marginals and 4 conditional values")
-    cells = [0.0] * 8
-    for (a, b), mass, q in zip(EVIDENCE_STATES, pair_marginals, profile):
-        cells[cell_index(a, b, True)] = mass * q
-        cells[cell_index(a, b, False)] = mass * (1.0 - q)
+    cells = compose_cells(pair_marginals, profile).tolist()
     return JointTable(tuple(cells), kind=kind, provenance=provenance)
 
 
@@ -225,21 +278,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-
-def _pair_masses(cells: np.ndarray) -> np.ndarray:
-    """P(E1=a, E2=b) of every row of an (N, 8) cell array, shape (N, 4)."""
-    return cells[:, [f for f, _ in PAIR_CELLS]] + cells[:, [t for _, t in PAIR_CELLS]]
-
-
-def evidence_rates(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P(E1), P(E2)) of every row of an (N, 8) cell array.
-
-    Each is its four cells added left to right from 0.0, as ``base_rates``
-    adds them, so the two agree bit for bit.
-    """
-    c = cells.T
-    return 0.0 + c[4] + c[5] + c[6] + c[7], 0.0 + c[2] + c[3] + c[6] + c[7]
 
 
 @dataclass(frozen=True)
@@ -263,12 +301,7 @@ class CellChecks:
 
 
 def check_cells(
-    cells: np.ndarray,
-    independent: np.ndarray,
-    *,
-    normalization_tol: float = NORMALIZATION_TOL,
-    independence_tol: float = INDEPENDENCE_TOL,
-    marginal_floor: float = MARGINAL_FLOOR,
+    cells: np.ndarray, independent: np.ndarray, *, marginal_floor: float = MARGINAL_FLOOR
 ) -> CellChecks:
     """Check the structural invariants of every row of an (N, 8) cell array.
 
@@ -283,16 +316,12 @@ def check_cells(
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(cells).all(axis=1)
         total = 0.0 + (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])))
-        not_normalized = np.abs(total - 1.0) > normalization_tol
-        masses = _pair_masses(cells)
-        p_e1, p_e2 = evidence_rates(cells)
-        products = np.stack(
-            ((1.0 - p_e1) * (1.0 - p_e2), (1.0 - p_e1) * p_e2, p_e1 * (1.0 - p_e2), p_e1 * p_e2),
-            axis=1,
-        )
-        deviation = np.abs(masses - products)
+        not_normalized = np.abs(total - 1.0) > NORMALIZATION_TOL
+        masses = pair_masses(cells)
+        p_e1, p_e2, _ = rates(cells)
+        deviation = np.abs(masses - product_masses(p_e1, p_e2))
         negative = cells < 0.0
-        mismatch = np.asarray(independent, dtype=bool)[:, None] & (deviation > independence_tol)
+        mismatch = np.asarray(independent, dtype=bool)[:, None] & (deviation > INDEPENDENCE_TOL)
         degenerate = masses < marginal_floor
     ok = finite & ~(
         negative.any(axis=1) | not_normalized | mismatch.any(axis=1) | degenerate.any(axis=1)
@@ -302,29 +331,18 @@ def check_cells(
     )
 
 
-def validate(
-    table: JointTable,
-    *,
-    normalization_tol: float = NORMALIZATION_TOL,
-    independence_tol: float = INDEPENDENCE_TOL,
-    marginal_floor: float = MARGINAL_FLOOR,
-) -> ValidationReport:
+def validate(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) -> ValidationReport:
     """Check structural invariants, reporting every violation found.
 
     Checks: finite cells, nonnegativity, normalization (sum within
-    ``normalization_tol`` of 1), the product identity on evidence pairs when
-    the table claims ``kind="independent"`` (within ``independence_tol``),
+    ``NORMALIZATION_TOL`` of 1), the product identity on evidence pairs when
+    the table claims ``kind="independent"`` (within ``INDEPENDENCE_TOL``),
     and evidence-state marginals at or above ``marginal_floor`` (smaller is
     degenerate: conditionals on that row are numerically meaningless).  The
     one-table case of ``check_cells``.
     """
-    checks = check_cells(
-        table.as_array(),
-        np.array([table.kind == "independent"]),
-        normalization_tol=normalization_tol,
-        independence_tol=independence_tol,
-        marginal_floor=marginal_floor,
-    )
+    independent = np.array([table.kind == "independent"])
+    checks = check_cells(table.as_array(), independent, marginal_floor=marginal_floor)
     cells = table.cells
     if not checks.finite[0]:
         bad = next(i for i, value in enumerate(cells) if not math.isfinite(value))
@@ -339,7 +357,7 @@ def validate(
         issues.append(
             ValidationIssue(
                 "not-normalized",
-                f"cells sum to {float(checks.total[0])!r}, expected 1 within {normalization_tol}",
+                f"cells sum to {float(checks.total[0])!r}, expected 1 within {NORMALIZATION_TOL}",
             )
         )
     deviations = checks.deviation[0].tolist()
@@ -365,9 +383,9 @@ def validate(
     return ValidationReport(tuple(issues))
 
 
-def require_valid(table: JointTable, **tolerances: float) -> None:
+def require_valid(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) -> None:
     """Raise InvalidTableError (listing every issue) unless the table is valid."""
-    report = validate(table, **tolerances)
+    report = validate(table, marginal_floor=marginal_floor)
     if not report.ok:
         summary = "; ".join(issue.message for issue in report.issues)
         raise InvalidTableError(f"invalid table: {summary}", issues=report.issues)

@@ -1,13 +1,18 @@
-"""Import hygiene, checked in a fresh interpreter.
+"""Import hygiene.
 
 The package draws its random streams with its own array PCG64, so neither
 generating networks nor running a study may load ``numpy.random`` (about
-10 ms of cold start for ``prospector-eval generate``).
+10 ms of cold start for ``prospector-eval generate``); that is checked in a
+fresh interpreter.  Only ``table`` decodes the eight-cell layout, so no
+other module imports its masks or cell-index pairs.
 """
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import prospector_eval
 
@@ -35,3 +40,9 @@ def test_generate_and_run_study_leave_numpy_random_unimported(tmp_path):
         env={"PYTHONPATH": str(SRC)},
     )
     assert child.stdout.splitlines()[-1] == ""
+
+
+@pytest.mark.parametrize("module", ["study", "oracle", "generate", "cases", "engine"])
+def test_only_table_holds_the_cell_layout(module):
+    names = vars(importlib.import_module(f"prospector_eval.{module}"))
+    assert not {"MASK_E1", "MASK_E2", "MASK_C", "PAIR_CELLS"} & names.keys()

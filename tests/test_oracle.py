@@ -11,6 +11,7 @@ from prospector_eval import (
     EvidenceUpdate,
     GenerationConfig,
     InfeasibleUpdateError,
+    InvalidTableError,
     JointTable,
     NotIndependentError,
     base_rates,
@@ -167,6 +168,20 @@ class TestClosedForm:
         table = generate_associated(config)[0]
         with pytest.raises(NotIndependentError):
             independent_closed_form(table, EvidenceUpdate(0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ((math.nan,) + (0.125,) * 7, "invalid table: cell 0 is not finite: nan"),
+            ((-0.125, 0.375) + (0.125,) * 6, "invalid table: cell 0 is negative: -0.125"),
+        ],
+        ids=["nan-cell", "negative-cell"],
+    )
+    def test_rejects_invalid_tables_as_validate_words_them(self, cells, message):
+        table = JointTable(cells, kind="independent")
+        with pytest.raises(InvalidTableError) as excinfo:
+            independent_closed_form(table, EvidenceUpdate(0.8, 0.8))
+        assert str(excinfo.value) == message
 
 
 class TestInfeasibleAndNonConvergent:

@@ -9,23 +9,27 @@ from hypothesis import strategies as st
 
 from prospector_eval import (
     ConditionalProfile,
+    EvidenceUpdate,
     GenerationConfig,
     InvalidTableError,
     JointTable,
+    NotIndependentError,
     Provenance,
     ZeroMarginalError,
     base_rates,
     compose_table,
     conditional_profile,
     generate,
+    independent_closed_form,
     network_view,
     validate,
 )
-from prospector_eval.errors import DegenerateBaseRateError
+from prospector_eval.errors import DegenerateBaseRateError, InfeasibleUpdateError
 from prospector_eval.table import (
     EVIDENCE_STATES,
     INDEPENDENCE_TOL,
     KINDS,
+    MARGIN_CELLS,
     MARGINAL_FLOOR,
     NORMALIZATION_TOL,
     ValidationIssue,
@@ -35,11 +39,18 @@ from prospector_eval.table import (
     MASK_E2,
     PAIR_CELLS,
     cell_index,
+    compose_cells,
+    conclusion_cells,
+    link_conditionals,
     load_networks,
     networks_from_json,
     networks_to_json,
+    pair_masses,
+    product_masses,
+    rates,
     require_valid,
     save_networks,
+    scale_pairs,
 )
 
 UNIFORM = JointTable((0.125,) * 8)
@@ -402,6 +413,126 @@ class TestArrayValidation:
         assert [issue.message for issue in validate(JointTable(tuple(cells))).issues] == [
             "cell 1 is not finite: nan"
         ]
+
+
+cell_values = st.sampled_from((0.0, -0.0, 1.0)) | st.floats(-0.5, 1.0, allow_nan=False)
+
+#: (N, 8) cell arrays, unnormalized, with exact (and negative) zeros.
+cell_arrays = st.lists(
+    st.lists(cell_values, min_size=8, max_size=8), min_size=1, max_size=20
+).map(lambda rows: np.array(rows, dtype=float))
+
+
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns: tells -0.0 from 0.0."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def linkable(cells: np.ndarray) -> np.ndarray:
+    """Rows whose link conditionals are defined: 0 < P(E1), P(E2) < 1."""
+    p_e1, p_e2, _ = rates(cells)
+    return (0.0 < p_e1) & (p_e1 < 1.0) & (0.0 < p_e2) & (p_e2 < 1.0)
+
+
+class TestLayoutHelpers:
+    """The array helpers against the MASK_* sums and PAIR_CELLS arithmetic
+    of one table at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_arrays)
+    def test_rates_and_pair_masses_match_the_masked_sums(self, cells):
+        p_e1, p_e2, p_c = rates(cells)
+        masses = pair_masses(cells)
+        true_cells = conclusion_cells(cells)
+        for k, row in enumerate(cells):
+            for mask, rate in ((MASK_E1, p_e1), (MASK_E2, p_e2), (MASK_C, p_c)):
+                assert same_bits(rate[k], row[mask].sum())
+            assert same_bits(masses[k], [row[f] + row[t] for f, t in PAIR_CELLS])
+            assert same_bits(true_cells[k], [row[t] for _, t in PAIR_CELLS])
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_arrays)
+    def test_link_conditionals_match_the_masked_sums(self, cells):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conditionals = np.stack(link_conditionals(cells), axis=-1)
+        for k in np.flatnonzero(linkable(cells)).tolist():
+            row = cells[k]
+            p_e1, p_e2 = float(row[MASK_E1].sum()), float(row[MASK_E2].sum())
+            expected = (
+                float(row[MASK_E1 & MASK_C].sum()) / p_e1,
+                float(row[~MASK_E1 & MASK_C].sum()) / (1.0 - p_e1),
+                float(row[MASK_E2 & MASK_C].sum()) / p_e2,
+                float(row[~MASK_E2 & MASK_C].sum()) / (1.0 - p_e2),
+            )
+            assert same_bits(conditionals[k], expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell_arrays)
+    def test_one_table_calls_match_the_sweep_broadcast(self, cells):
+        # study.sweep reads every network as a (N, 1, 1, 8) array.
+        tables = cells.reshape(-1, 1, 1, 8)
+        p_e1, p_e2, p_c = (rate.ravel() for rate in rates(tables))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            given_e1, given_not_e1, given_e2, given_not_e2 = (
+                value.ravel() for value in link_conditionals(tables)
+            )
+        ok = linkable(cells)
+        for k, row in enumerate(cells):
+            table = JointTable(tuple(row))
+            assert same_bits(base_rates(table), (p_e1[k], p_e2[k], p_c[k]))
+            if not ok[k]:
+                with pytest.raises(DegenerateBaseRateError):
+                    network_view(table)
+                continue
+            view = network_view(table)
+            assert same_bits(view.p_c, p_c[k])
+            assert same_bits(view.p_e, (p_e1[k], p_e2[k]))
+            assert same_bits(view.p_c_given_e, (given_e1[k], given_e2[k]))
+            assert same_bits(view.p_c_given_not_e, (given_not_e1[k], given_not_e2[k]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell_arrays, cell_arrays)
+    def test_builders_place_cells_by_pair_cells(self, masses, profile):
+        masses, profile = masses[:, :4], profile[:1, 4:]
+        cells = compose_cells(masses, profile)
+        scaled = scale_pairs(cells, masses)
+        products = product_masses(masses[:, 0], masses[:, 1])
+        for k, mass in enumerate(masses):
+            p_e1, p_e2 = float(mass[0]), float(mass[1])
+            expected_products = (
+                (1.0 - p_e1) * (1.0 - p_e2), (1.0 - p_e1) * p_e2, p_e1 * (1.0 - p_e2), p_e1 * p_e2
+            )
+            assert same_bits(products[k], expected_products)
+            for state, (f, t) in enumerate(PAIR_CELLS):
+                q = float(profile[0, state])
+                assert same_bits(cells[k, t], mass[state] * q)
+                assert same_bits(cells[k, f], mass[state] * (1.0 - q))
+                assert same_bits(scaled[k, [f, t]], cells[k, [f, t]] * mass[state])
+
+    def test_margin_cells_split_by_the_masks(self):
+        for (true_cells, false_cells), mask in zip(MARGIN_CELLS, (MASK_E1, MASK_E2, MASK_C)):
+            assert true_cells.tolist() == np.flatnonzero(mask).tolist()
+            assert false_cells.tolist() == np.flatnonzero(~mask).tolist()
+
+
+class TestClosedFormRefusals:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_tables())
+    def test_refuses_exactly_the_independence_mismatches(self, table):
+        claimed = JointTable(table.cells, kind="independent")
+        codes = {issue.code for issue in validate(claimed).issues}
+        if codes & {"non-finite", "negative-cell", "not-normalized"}:
+            with pytest.raises(InvalidTableError):
+                independent_closed_form(table, EvidenceUpdate(0.5, 0.5))
+            return
+        try:
+            independent_closed_form(table, EvidenceUpdate(0.5, 0.5))
+            refused = False
+        except NotIndependentError:
+            refused = True
+        except InfeasibleUpdateError:
+            refused = False
+        assert refused == ("independence-mismatch" in codes)
 
 
 class TestNetworkFiles:

@@ -736,44 +736,22 @@ RESULTS_HEADER = (
 SURFACE_HEADER = ("e1", "e2", "signed_error")
 
 
-#: Networks per formatting call of ``results_csv_text``.  The per-call cost
-#: is negligible at this size, and the chunk's object table stays small: one
-#: table for the whole file raised a 4000+4000 study's peak RSS by ~10 %.
+#: Networks per formatting call of ``results_csv_text``: one call for the
+#: whole file raised a 4000+4000 study's peak RSS by 10-30 %.
 _CSV_CHUNK = 128
-
-#: One results row behind its text fields: the network's three text fields,
-#: the update's "e1,e2", then the seven float columns.
-_CSV_ROW = "%s,%s" + ",%.17g" * 7 + "\n"
-
-
-def _require_finite(values: np.ndarray) -> None:
-    """Raise the writers' ValueError for the first non-finite value of
-    ``values`` in row-major order, that is, in document order."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        _serialize.format_float(values[~finite][0])
-
-
-def _grid_columns(grid: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The update of every grid point, row-major in (e1, e2): as floats,
-    shape (G * G, 2), and as "e1,e2" text."""
-    points = np.array(list(product(grid, grid)), dtype=float).reshape(-1, 2)
-    text = ["%.17g,%.17g" % tuple(point) for point in points.tolist()]
-    return points, np.array(text, dtype=object)
 
 
 def results_csv_text(evaluations: Sequence[NetworkEvaluation]) -> str:
     """Per-update results, one row per (network, grid point).
 
     Byte-identical to ``_serialize.csv_text`` on the same rows (pinned by
-    the tests).  The networks are written in chunks of ``_CSV_CHUNK``:
-    their answers and oracle arrays are concatenated, checked for
-    non-finite values in document order once, and formatted by one
-    ``%``-call over an object table of the text fields, the "e1,e2" text
-    (formatted once per distinct grid) and the seven float columns.
-    ``"%.17g" % v`` equals ``format(v, ".17g")`` for every float.  Text
-    fields that would need quoting are refused as the generic writer
-    refuses them.
+    the tests).  The networks are written in chunks of ``_CSV_CHUNK`` as
+    ``_serialize.csv_rows`` of three parts: the network's text fields,
+    repeated over its grid points; the "e1,e2" fields, formatted once per
+    distinct grid; and the seven float columns, whose ``%.17g`` text
+    ``_serialize.float_fields`` renders in numpy.  The first non-finite
+    float of a chunk raises in document order, and text fields that would
+    need quoting are refused as the generic writer refuses them.
     """
     evaluations = list(evaluations)
     grids: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
@@ -782,21 +760,22 @@ def results_csv_text(evaluations: Sequence[NetworkEvaluation]) -> str:
         chunk = evaluations[start : start + _CSV_CHUNK]
         for ev in chunk:
             if ev.grid not in grids:
-                grids[ev.grid] = _grid_columns(ev.grid)
+                points = np.array(list(product(ev.grid, ev.grid)), dtype=float)
+                grids[ev.grid] = _serialize.float_fields(points.reshape(-1, 2))
         answers = np.concatenate([ev.answers.reshape(-1, 3) for ev in chunk])
         oracle = np.concatenate([ev.oracle.reshape(-1, 1) for ev in chunk])
-        points = np.concatenate([grids[ev.grid][0] for ev in chunk])
-        values = np.concatenate((points, answers, oracle, oracle - answers), axis=1)
-        _require_finite(values)
-        prefixes = [
-            ",".join(map(_serialize.format_cell, (ev.network_id, ev.kind, ev.pattern.value)))
+        values = _serialize.float_fields(np.hstack((answers, oracle, oracle - answers)))
+        texts = _serialize.text_fields([
+            ",".join(map(_serialize.format_cell, (ev.network_id, ev.kind, ev.pattern.value))) + ","
             for ev in chunk
-        ]
-        table = np.empty((len(values), 9), dtype=object)
-        table[:, 0] = np.repeat(np.array(prefixes, dtype=object), [ev.oracle.size for ev in chunk])
-        table[:, 1] = np.concatenate([grids[ev.grid][1] for ev in chunk])
-        table[:, 2:] = values[:, 2:]
-        pieces.append((_CSV_ROW * len(table)) % tuple(table.ravel().tolist()))
+        ])
+        sizes = [ev.oracle.size for ev in chunk]
+        grid_slots, grid_mask = zip(*(grids[ev.grid] for ev in chunk))
+        pieces.append(_serialize.csv_rows(
+            tuple(np.repeat(part, sizes, axis=0) for part in texts),
+            (np.concatenate(grid_slots), np.concatenate(grid_mask)),
+            values,
+        ))
     return "".join(pieces)
 
 

@@ -13,12 +13,8 @@ from .engine import (
     InferenceTrace,
     LinkParams,
     Rule,
-    combine_and,
     combine_independent,
-    combine_or,
     infer,
-    infer_links,
-    links_from_view,
     propagate,
 )
 from .errors import (
@@ -28,18 +24,15 @@ from .errors import (
     InfeasibleConstraintsError,
     InfeasibleUpdateError,
     InvalidTableError,
-    NoConvergenceError,
     NotIndependentError,
     ProspectorEvalError,
     ZeroMarginalError,
 )
 from .generate import (
     GenerationConfig,
-    MarginTargets,
     generate,
     generate_associated,
     generate_independent,
-    ipf_fit,
 )
 from .oracle import (
     EvidenceUpdate,

@@ -9,19 +9,19 @@ linear with a knee at the base rate:
     p_new_e <= P(E):  P(C|not E) + (P(C) - P(C|not E)) * p_new_e / P(E)
     p_new_e >  P(E):  P(C) + (P(C|E) - P(C)) * (p_new_e - P(E)) / (1 - P(E))
 
-Several pieces of evidence are combined under one of three rule sets:
+A query gives new probabilities (u1, u2) for the two evidence variables,
+and ``infer`` answers it under one of three rule sets:
 
-* conjunctive  — the new evidence probabilities are fused by MIN and the
-  result is propagated through the minimizing link;
-* disjunctive  — likewise with MAX;
+* conjunctive  — the smaller of u1 and u2 is propagated through its own
+  link (MIN);
+* disjunctive  — likewise with the larger (MAX);
 * independent  — each link is propagated separately, each posterior is
   converted to odds, divided by the prior odds to give an effective
   likelihood ratio, and the ratios multiply the prior odds.
 
 Probabilities are clamped into [1e-12, 1 - 1e-12] before any odds
 conversion so certain evidence stays finite; every clamp is flagged in the
-returned trace.  Ties in MIN/MAX go to the lowest-indexed evidence (E1
-first) and are flagged.
+returned trace.  Ties in MIN/MAX (u1 == u2) go to E1 and are flagged.
 """
 
 from __future__ import annotations
@@ -55,19 +55,6 @@ class LinkParams:
     p_c_given_not_e: float
 
 
-def links_from_view(view: NetworkView) -> tuple[LinkParams, LinkParams]:
-    """The two per-evidence links implied by a network view."""
-    return tuple(
-        LinkParams(
-            p_c=view.p_c,
-            p_e=view.p_e[i],
-            p_c_given_e=view.p_c_given_e[i],
-            p_c_given_not_e=view.p_c_given_not_e[i],
-        )
-        for i in range(2)
-    )
-
-
 def propagate(link: LinkParams, p_new_e: float) -> float:
     """Posterior conclusion probability for one link given P'(E) = p_new_e.
 
@@ -96,18 +83,6 @@ def _check_probabilities(values: Sequence[float]) -> None:
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"probabilities must lie in [0, 1], got {v!r}")
-
-
-def combine_and(values: Sequence[float]) -> float:
-    """Fuzzy-AND of evidence probabilities: the minimum."""
-    _check_probabilities(values)
-    return min(values)
-
-
-def combine_or(values: Sequence[float]) -> float:
-    """Fuzzy-OR of evidence probabilities: the maximum."""
-    _check_probabilities(values)
-    return max(values)
 
 
 def _clamp_unit(p: float) -> float:
@@ -217,60 +192,45 @@ def combine_independent(
     return probability, trace
 
 
-def infer_links(
-    links: Sequence[LinkParams],
-    rule: Rule,
-    updates: Sequence[float],
-    *,
-    prior: float | None = None,
+def infer(
+    view: NetworkView, rule: Rule, update: tuple[float, float]
 ) -> tuple[float, InferenceTrace]:
-    """Run one inference over any number of links (the two-evidence case is
-    the canonical one, but nothing here is specific to k = 2)."""
-    if len(links) == 0:
-        raise EmptyEvidenceError("need at least one link")
-    if len(links) != len(updates):
-        raise ValueError("one update per link is required")
-    _check_probabilities(updates)
-    if prior is None:
-        prior = links[0].p_c
-    for link in links:
-        if abs(link.p_c - prior) > 1e-9:
-            raise ValueError("links disagree about the conclusion prior")
-
+    """Answer one two-evidence query: new evidence probabilities
+    (u1, u2) -> P'(C)."""
+    _check_probabilities(update)
+    if len(update) != 2:
+        raise ValueError(f"need one update per evidence variable (two), got {len(update)}")
+    links = [
+        LinkParams(view.p_c, view.p_e[i], view.p_c_given_e[i], view.p_c_given_not_e[i])
+        for i in range(2)
+    ]
     if rule is Rule.INDEPENDENT:
-        posteriors = [propagate(link, u) for link, u in zip(links, updates)]
-        return combine_independent(posteriors, prior, p_new_e=updates)
+        posteriors = [propagate(link, u) for link, u in zip(links, update)]
+        return combine_independent(posteriors, view.p_c, p_new_e=update)
 
+    u1, u2 = update
     if rule is Rule.CONJUNCTIVE:
-        fused = combine_and(updates)
+        selected = 0 if u1 <= u2 else 1
     elif rule is Rule.DISJUNCTIVE:
-        fused = combine_or(updates)
+        selected = 0 if u1 >= u2 else 1
     else:
         raise ValueError(f"unknown rule: {rule!r}")
-    selected = list(updates).index(fused)
-    tie = sum(1 for u in updates if u == fused) > 1
+    fused = update[selected]
     posterior = propagate(links[selected], fused)
 
-    used_prior = _clamp_unit(prior)
+    used_prior = _clamp_unit(view.p_c)
     prior_odds = used_prior / (1.0 - used_prior)
     entry = _evidence_entry(selected, fused, posterior, prior_odds)
     trace = InferenceTrace(
         rule=rule,
-        prior=prior,
+        prior=view.p_c,
         used_prior=used_prior,
         prior_odds=prior_odds,
-        prior_clamped=used_prior != prior,
+        prior_clamped=used_prior != view.p_c,
         evidence=(entry,),
         combined_odds=prior_odds * entry.likelihood_ratio,
         probability=posterior,
         selected=selected,
-        tie=tie,
+        tie=bool(u1 == u2),
     )
     return posterior, trace
-
-
-def infer(
-    view: NetworkView, rule: Rule, update: tuple[float, float]
-) -> tuple[float, InferenceTrace]:
-    """Answer one two-evidence query: new evidence probabilities -> P'(C)."""
-    return infer_links(links_from_view(view), rule, update, prior=view.p_c)

@@ -36,15 +36,6 @@ class EmptyEvidenceError(ProspectorEvalError, ValueError):
     """An evidence combination was requested with no evidence values."""
 
 
-class NoConvergenceError(ProspectorEvalError):
-    """Iterative fitting failed to reach the tolerance within the iteration cap."""
-
-    def __init__(self, message: str, deviation: float, iterations: int):
-        super().__init__(message)
-        self.deviation = float(deviation)
-        self.iterations = int(iterations)
-
-
 class InfeasibleUpdateError(ProspectorEvalError):
     """An evidence target is incompatible with the table's zero pattern."""
 

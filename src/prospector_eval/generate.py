@@ -24,8 +24,9 @@ raw output, which NumPy keeps stable across releases.  Both run here for
 every pending network in one array pass (``_stream_words``, and the array
 PCG64 ``_draw_doubles``, checked bit for bit against ``numpy.random`` by
 the tests), and so does the arithmetic after the draws: one array pass
-builds every independent network, and one ``fit_margins`` call fits every
-associated network, row by row exactly as a one-table fit would.  Failed
+builds every independent network, and one ``fit_margins`` call (the only
+proportional fit) fits every associated network, each row exactly as if it
+were fitted alone.  Failed
 proportional fits are resampled with the attempt counter bumped (bounded;
 the table records how many resamples it took), and only the resampled
 networks are redrawn and refitted.  The samplers ``independent_cells`` and
@@ -39,30 +40,13 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import GenerationError, InvalidTableError, NoConvergenceError
+from .errors import GenerationError
 from .table import MARGIN_CELLS, JointTable, Provenance, compose_cells, product_masses
 
 DEFAULT_BASE_RATE_MARGIN = 1e-3
 DEFAULT_IPF_TOLERANCE = 1e-10
 DEFAULT_IPF_MAX_ITERATIONS = 10000
 DEFAULT_MAX_RESAMPLES = 10
-
-
-@dataclass(frozen=True)
-class MarginTargets:
-    """Target one-dimensional margins for (E1, E2, C)."""
-
-    t_e1: float
-    t_e2: float
-    t_c: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("t_e1", self.t_e1), ("t_e2", self.t_e2), ("t_c", self.t_c)):
-            if not 0.0 < float(value) < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.t_e1, self.t_e2, self.t_c)
 
 
 @dataclass(frozen=True)
@@ -263,43 +247,6 @@ def fit_margins(
     fitted[rows] = q
     deviation[rows] = _deviation(q, targets)
     return fitted, converged, deviation
-
-
-def ipf_fit(
-    table: JointTable,
-    targets: MarginTargets,
-    *,
-    tolerance: float = DEFAULT_IPF_TOLERANCE,
-    max_iterations: int = DEFAULT_IPF_MAX_ITERATIONS,
-) -> JointTable:
-    """Iteratively rescale cells until all three margins match the targets.
-
-    The one-table case of ``fit_margins``.  Cycles E1, E2, C in a fixed
-    order; convergence is checked before each cycle, so a table that already
-    matches comes back (numerically) unchanged.  Requires strictly positive
-    cells — proportional scaling can never move mass onto or off a zero.
-    Raises ValueError for a tolerance outside (0, 1), as ``fit_margins``
-    does, and NoConvergenceError with the remaining deviation if the cap
-    runs out.
-    """
-    q = table.as_array()
-    if np.any(q <= 0.0):
-        raise InvalidTableError(
-            "proportional fitting requires strictly positive cells"
-        )
-    fitted, converged, deviation = fit_margins(
-        q[None, :],
-        np.array([targets.as_tuple()]),
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-    )
-    if not converged[0]:
-        raise NoConvergenceError(
-            f"margins still off by {deviation[0]:.3e} after {max_iterations} cycles",
-            deviation=float(deviation[0]),
-            iterations=max_iterations,
-        )
-    return JointTable(tuple(fitted[0].tolist()), kind=table.kind, provenance=table.provenance)
 
 
 def associated_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -749,33 +749,45 @@ def results_csv_text(evaluations: Sequence[NetworkEvaluation]) -> str:
     ``_serialize.csv_rows`` of three parts: the network's text fields,
     repeated over its grid points; the "e1,e2" fields, formatted once per
     distinct grid; and the seven float columns, whose ``%.17g`` text
-    ``_serialize.float_fields`` renders in numpy.  The first non-finite
-    float of a chunk raises in document order, and text fields that would
-    need quoting are refused as the generic writer refuses them.
+    ``_serialize.float_fields`` renders in numpy.  A non-finite float or a
+    text field that would need quoting is refused with the generic writer's
+    error for the first one in document order.
     """
     evaluations = list(evaluations)
     grids: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
     pieces = [",".join(RESULTS_HEADER) + "\n"]
     for start in range(0, len(evaluations), _CSV_CHUNK):
         chunk = evaluations[start : start + _CSV_CHUNK]
-        for ev in chunk:
-            if ev.grid not in grids:
-                points = np.array(list(product(ev.grid, ev.grid)), dtype=float)
-                grids[ev.grid] = _serialize.float_fields(points.reshape(-1, 2))
         answers = np.concatenate([ev.answers.reshape(-1, 3) for ev in chunk])
         oracle = np.concatenate([ev.oracle.reshape(-1, 1) for ev in chunk])
-        values = _serialize.float_fields(np.hstack((answers, oracle, oracle - answers)))
-        texts = _serialize.text_fields([
-            ",".join(map(_serialize.format_cell, (ev.network_id, ev.kind, ev.pattern.value))) + ","
-            for ev in chunk
-        ])
-        sizes = [ev.oracle.size for ev in chunk]
-        grid_slots, grid_mask = zip(*(grids[ev.grid] for ev in chunk))
-        pieces.append(_serialize.csv_rows(
-            tuple(np.repeat(part, sizes, axis=0) for part in texts),
-            (np.concatenate(grid_slots), np.concatenate(grid_mask)),
-            values,
-        ))
+        values = np.hstack((answers, oracle, oracle - answers))
+        try:
+            for ev in chunk:
+                if ev.grid not in grids:
+                    points = np.array(list(product(ev.grid, ev.grid)), dtype=float)
+                    grids[ev.grid] = _serialize.float_fields(points.reshape(-1, 2))
+            texts = _serialize.text_fields([
+                ",".join(map(_serialize.format_cell, (ev.network_id, ev.kind, ev.pattern.value)))
+                + ","
+                for ev in chunk
+            ])
+            sizes = [ev.oracle.size for ev in chunk]
+            grid_slots, grid_mask = zip(*(grids[ev.grid] for ev in chunk))
+            pieces.append(_serialize.csv_rows(
+                tuple(np.repeat(part, sizes, axis=0) for part in texts),
+                (np.concatenate(grid_slots), np.concatenate(grid_mask)),
+                _serialize.float_fields(values),
+            ))
+        except ValueError:
+            # Each part above is checked on its own; the generic writer
+            # raises the chunk's first refusal in document order.
+            heads = (
+                (ev.network_id, ev.kind, ev.pattern.value, *point)
+                for ev in chunk
+                for point in product(ev.grid, ev.grid)
+            )
+            _serialize.csv_text((), (head + tuple(row) for head, row in zip(heads, values.tolist())))
+            raise
     return "".join(pieces)
 
 

@@ -8,12 +8,8 @@ from prospector_eval import (
     JointTable,
     LinkParams,
     Rule,
-    combine_and,
     combine_independent,
-    combine_or,
     infer,
-    infer_links,
-    links_from_view,
     network_view,
     propagate,
 )
@@ -21,6 +17,19 @@ from prospector_eval.errors import DegenerateBaseRateError
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 interior_rates = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
+
+
+def view_links(view):
+    """The (E1, E2) links of a network view, as ``infer`` builds them."""
+    return tuple(
+        LinkParams(
+            p_c=view.p_c,
+            p_e=view.p_e[i],
+            p_c_given_e=view.p_c_given_e[i],
+            p_c_given_not_e=view.p_c_given_not_e[i],
+        )
+        for i in range(2)
+    )
 
 
 @st.composite
@@ -44,7 +53,7 @@ class TestPropagate:
         assert propagate(link, 1.0) == pytest.approx(link.p_c_given_e, abs=1e-12)
 
     def test_case_study_1_between_anchors(self, case1):
-        link = links_from_view(network_view(case1))[0]
+        link = view_links(network_view(case1))[0]
         # Upper branch: .5 + .2 * (.8 - .5)/(1 - .5) = .62
         assert propagate(link, 0.8) == pytest.approx(0.62, abs=1e-12)
         # Lower branch: .3 + .2 * .25/.5 = .4
@@ -68,7 +77,7 @@ class TestPropagate:
         assert abs(above - below) < 1e-7
 
     def test_rejects_out_of_range_update(self, case1):
-        link = links_from_view(network_view(case1))[0]
+        link = view_links(network_view(case1))[0]
         with pytest.raises(ValueError):
             propagate(link, 1.5)
 
@@ -76,30 +85,6 @@ class TestPropagate:
         link = LinkParams(p_c=0.5, p_e=1.0, p_c_given_e=0.5, p_c_given_not_e=0.5)
         with pytest.raises(DegenerateBaseRateError):
             propagate(link, 0.5)
-
-
-class TestFuzzyCombinators:
-    def test_min_and_max(self):
-        assert combine_and([0.2, 0.8]) == 0.2
-        assert combine_or([0.2, 0.8]) == 0.8
-
-    def test_certainty_edges(self):
-        assert combine_and([0.0, 1.0]) == 0.0
-        assert combine_or([0.0, 1.0]) == 1.0
-
-    def test_singletons(self):
-        assert combine_and([0.37]) == 0.37
-        assert combine_or([0.37]) == 0.37
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyEvidenceError):
-            combine_and([])
-        with pytest.raises(EmptyEvidenceError):
-            combine_or([])
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            combine_and([0.5, 1.2])
 
 
 class TestCombineIndependent:
@@ -176,7 +161,7 @@ class TestInfer:
 
     def test_conjunctive_takes_the_minimum_link(self):
         view = asymmetric_view()
-        links = links_from_view(view)
+        links = view_links(view)
         value, trace = infer(view, Rule.CONJUNCTIVE, (0.9, 0.2))
         assert value == propagate(links[1], 0.2)
         assert trace.selected == 1
@@ -184,14 +169,14 @@ class TestInfer:
 
     def test_disjunctive_takes_the_maximum_link(self):
         view = asymmetric_view()
-        links = links_from_view(view)
+        links = view_links(view)
         value, trace = infer(view, Rule.DISJUNCTIVE, (0.9, 0.2))
         assert value == propagate(links[0], 0.9)
         assert trace.selected == 0
 
     def test_ties_go_to_the_first_link_and_are_flagged(self):
         view = asymmetric_view()
-        links = links_from_view(view)
+        links = view_links(view)
         for rule in (Rule.CONJUNCTIVE, Rule.DISJUNCTIVE):
             value, trace = infer(view, rule, (0.4, 0.4))
             assert trace.selected == 0
@@ -217,37 +202,20 @@ class TestInfer:
                 from_odds = trace.combined_odds / (1.0 + trace.combined_odds)
                 assert from_odds == pytest.approx(value, abs=1e-12)
 
+    def test_mismatched_lengths_raise(self, case1):
+        view = network_view(case1)
+        for update in ((0.5,), (0.5, 0.5, 0.5)):
+            with pytest.raises(ValueError, match="one update per evidence variable") as excinfo:
+                infer(view, Rule.CONJUNCTIVE, update)
+            assert "\n" not in str(excinfo.value)
 
-class TestInferLinks:
-    def test_three_links_generalize(self):
-        links = tuple(
-            LinkParams(p_c=0.4, p_e=p_e, p_c_given_e=pce, p_c_given_not_e=pcne)
-            for p_e, pce, pcne in (
-                (0.5, 0.6, 0.2),
-                (0.25, 0.7, 0.3),
-                (0.4, 0.5, 0.33333333333333337),
-            )
-        )
-        value, trace = infer_links(links, Rule.CONJUNCTIVE, (0.9, 0.1, 0.5))
-        assert trace.selected == 1
-        assert value == propagate(links[1], 0.1)
-        value, trace = infer_links(links, Rule.INDEPENDENT, (0.9, 0.1, 0.5))
-        assert len(trace.evidence) == 3
-        assert 0.0 <= value <= 1.0
-
-    def test_mismatched_lengths_raise(self):
-        link = LinkParams(p_c=0.4, p_e=0.5, p_c_given_e=0.6, p_c_given_not_e=0.2)
-        with pytest.raises(ValueError):
-            infer_links((link,), Rule.CONJUNCTIVE, (0.5, 0.5))
-
-    def test_disagreeing_priors_raise(self):
-        links = (
-            LinkParams(p_c=0.4, p_e=0.5, p_c_given_e=0.6, p_c_given_not_e=0.2),
-            LinkParams(p_c=0.7, p_e=0.5, p_c_given_e=0.8, p_c_given_not_e=0.6),
-        )
-        with pytest.raises(ValueError):
-            infer_links(links, Rule.INDEPENDENT, (0.5, 0.5))
-
-    def test_empty_links_raise(self):
+    def test_empty_update_raises(self, case1):
         with pytest.raises(EmptyEvidenceError):
-            infer_links((), Rule.INDEPENDENT, ())
+            infer(network_view(case1), Rule.INDEPENDENT, ())
+
+    def test_out_of_range_raises(self, case1):
+        view = network_view(case1)
+        for rule in Rule:
+            for update in ((0.5, 1.2), (-0.1, 0.5), (0.5, float("nan"))):
+                with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+                    infer(view, rule, update)

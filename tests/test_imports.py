@@ -4,9 +4,12 @@ The package draws its random streams with its own array PCG64, so neither
 generating networks nor running a study may load ``numpy.random`` (about
 10 ms of cold start for ``prospector-eval generate``); that is checked in a
 fresh interpreter.  Only ``table`` decodes the eight-cell layout, so no
-other module imports its masks or cell-index pairs.
+other module imports its masks or cell-index pairs.  Deleting code must not
+leave dead code behind: no module imports a name it never uses, and every
+module-level private function or constant is referenced in the package.
 """
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -16,7 +19,12 @@ import pytest
 
 import prospector_eval
 
-SRC = Path(prospector_eval.__file__).resolve().parent.parent
+PACKAGE = Path(prospector_eval.__file__).resolve().parent
+SRC = PACKAGE.parent
+TREES = {
+    path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path in sorted(PACKAGE.glob("*.py"))
+}
 
 CHILD = """
 import sys
@@ -46,3 +54,51 @@ def test_generate_and_run_study_leave_numpy_random_unimported(tmp_path):
 def test_only_table_holds_the_cell_layout(module):
     names = vars(importlib.import_module(f"prospector_eval.{module}"))
     assert not {"MASK_E1", "MASK_E2", "MASK_C", "PAIR_CELLS"} & names.keys()
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_every_imported_name_is_used(module):
+    tree = TREES[module]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert sorted(imported - loaded_names(tree)) == []
+
+
+def test_every_private_definition_is_referenced():
+    defined = set()
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [
+                    name.id
+                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+            else:
+                continue
+            defined |= {
+                (module, name)
+                for name in targets
+                if name.startswith("_") and not name.startswith("__")
+            }
+    used = set().union(*map(loaded_names, TREES.values()))
+    assert sorted(name for name in defined if name[1] not in used) == []

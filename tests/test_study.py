@@ -707,6 +707,25 @@ class TestReportOutputs:
             with pytest.raises(ValueError, match="CSV field would need quoting"):
                 results_csv_text([NetworkEvaluation(**{**vars(ev), "network_id": text})])
 
+    @pytest.mark.parametrize(
+        "bad_id, nan_oracle",
+        [(1, 3), (3, 1), (2, 2)],
+        ids=["id-before-nan", "nan-before-id", "same-network"],
+    )
+    def test_results_csv_raises_the_first_refusal_in_document_order(self, bad_id, nan_oracle):
+        """A text field that needs quoting and a non-finite float are both
+        refused, and the one whose row comes first is named; within a row
+        the text fields come first."""
+        evaluations = list(run_study(StudyConfig.default(count=40)).networks[:4])
+        assert len(evaluations) == 4
+        ev = evaluations[nan_oracle]
+        oracle = ev.oracle.copy()
+        oracle.flat[3] = np.nan
+        evaluations[nan_oracle] = dataclasses.replace(ev, oracle=oracle)
+        evaluations[bad_id] = dataclasses.replace(evaluations[bad_id], network_id="a,b")
+        expected = value_error(generic_results_csv, evaluations)
+        assert value_error(results_csv_text, evaluations) == expected
+
     def test_surface_csv_layout(self, case1):
         points = error_surface(case1, Rule.INDEPENDENT, 0.5)
         lines = surface_csv_text(points).strip().split("\n")

@@ -53,11 +53,11 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize to deterministic JSON with a trailing newline."""
+def dumps(obj: Any) -> str:
+    """Serialize to deterministic two-space-indented JSON with a trailing newline."""
     out: list[str] = []
     leaves: list = []
-    _write(obj, out, leaves, 0, indent)
+    _write(obj, out, leaves, 0)
     out.append("\n")
     return "".join(out) % tuple(leaves)
 
@@ -103,22 +103,22 @@ def _walk(items: Iterable, shape: list, leaves: list) -> None:
             _walk((_as_base(obj),), shape, leaves)
 
 
-def _write(obj: Any, out: list[str], leaves: list, level: int, indent: int) -> None:
+def _write(obj: Any, out: list[str], leaves: list, level: int) -> None:
     """Append the template text of ``obj`` to ``out`` and its slot values
     to ``leaves``."""
     if isinstance(obj, dict):
-        _write_dict(obj, out, leaves, level, indent)
+        _write_dict(obj, out, leaves, level)
     elif isinstance(obj, (list, tuple)):
-        _write_list(obj, out, leaves, level, indent)
+        _write_list(obj, out, leaves, level)
     else:
         _walk((obj,), out, leaves)
 
 
-def _write_dict(obj: dict, out: list[str], leaves: list, level: int, indent: int) -> None:
+def _write_dict(obj: dict, out: list[str], leaves: list, level: int) -> None:
     if not obj:
         out.append("{}")
         return
-    inner = " " * (indent * (level + 1))
+    inner = "  " * (level + 1)
     out.append("{\n")
     for i, (key, value) in enumerate(obj.items()):
         if not isinstance(key, str):
@@ -126,12 +126,12 @@ def _write_dict(obj: dict, out: list[str], leaves: list, level: int, indent: int
         out.append(inner)
         out.append(encode_basestring(key).replace("%", "%%"))
         out.append(": ")
-        _write(value, out, leaves, level + 1, indent)
+        _write(value, out, leaves, level + 1)
         out.append(",\n" if i < len(obj) - 1 else "\n")
-    out.append(" " * (indent * level) + "}")
+    out.append("  " * level + "}")
 
 
-def _write_list(obj: Iterable, out: list[str], leaves: list, level: int, indent: int) -> None:
+def _write_list(obj: Iterable, out: list[str], leaves: list, level: int) -> None:
     items = list(obj)
     if not items:
         out.append("[]")
@@ -150,19 +150,19 @@ def _write_list(obj: Iterable, out: list[str], leaves: list, level: int, indent:
         try:
             _walk((item,), shape, leaves)
         except (TypeError, ValueError):
-            _write(item, [], [], level + 1, indent)
+            _write(item, [], [], level + 1)
             raise
         key = tuple(shape)
         template = templates.get(key)
         if template is None:
             text: list[str] = []
-            _write(item, text, [], level + 1, indent)
+            _write(item, text, [], level + 1)
             template = templates[key] = "".join(text)
         elements.append(template)
-    inner = " " * (indent * (level + 1))
+    inner = "  " * (level + 1)
     out.append("[\n" + inner)
     out.append((",\n" + inner).join(elements))
-    out.append("\n" + " " * (indent * level) + "]")
+    out.append("\n" + "  " * level + "]")
 
 
 def format_cell(value: float | str) -> str:
@@ -171,7 +171,7 @@ def format_cell(value: float | str) -> str:
     if isinstance(value, float):
         return format_float(value)
     text = str(value)
-    if "," in text or "\n" in text or '"' in text:
+    if "," in text or "\n" in text or "\r" in text or '"' in text:
         raise ValueError(f"CSV field would need quoting: {text!r}")
     return text
 

@@ -123,12 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--ipf-tolerance", type=float, default=DEFAULT_IPF_TOLERANCE)
     gen.add_argument("--ipf-max-iterations", type=int, default=DEFAULT_IPF_MAX_ITERATIONS)
     gen.add_argument("--max-resamples", type=int, default=DEFAULT_MAX_RESAMPLES)
+    gen.set_defaults(handler=_cmd_generate)
 
     ev = commands.add_parser("evaluate", help="write per-update results for a network file")
     _add_sweep_flags(ev)
+    ev.set_defaults(handler=_cmd_evaluate)
 
     rep = commands.add_parser("report", help="write the aggregate study report for a network file")
     _add_sweep_flags(rep)
+    rep.set_defaults(handler=_cmd_report)
 
     case = commands.add_parser("case-study", help="run a built-in benchmark network")
     case.add_argument("--id", type=int, required=True, choices=CASE_STUDY_IDS)
@@ -139,11 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(str(v) for v in DEFAULT_UPDATE_GRID),
         help="update grid for the printed summary statistics",
     )
+    case.set_defaults(handler=_cmd_case_study)
 
     orc = commands.add_parser("oracle", help="print the correct posterior for one update")
     _add_network_selection(orc)
     orc.add_argument("--e1", type=float, required=True, help="new probability of E1")
     orc.add_argument("--e2", type=float, required=True, help="new probability of E2")
+    orc.set_defaults(handler=_cmd_oracle)
 
     surf = commands.add_parser("surface", help="write one rule set's error surface")
     _add_network_selection(surf)
@@ -152,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     surf.add_argument("--step", type=float, default=0.05, help="surface lattice step")
     surf.add_argument("--out", required=True, help="error-surface CSV to write")
+    surf.set_defaults(handler=_cmd_surface)
 
     return parser
 
@@ -187,6 +193,13 @@ def _select_network(
     return table
 
 
+def _shown(path: str) -> str:
+    """``path`` for a success message.  A name that is not UTF-8 reaches
+    ``argv`` with its undecodable bytes as lone surrogates, which a strict
+    stdout cannot encode; those bytes are shown as backslash escapes."""
+    return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def _cmd_generate(args, parser) -> int:
     try:
         config = GenerationConfig(
@@ -202,7 +215,7 @@ def _cmd_generate(args, parser) -> int:
         parser.error(str(exc))
     tables = generate(config)
     save_networks(tables, args.out)
-    print(f"wrote {len(tables)} {args.kind} networks to {args.out}")
+    print(f"wrote {len(tables)} {args.kind} networks to {_shown(args.out)}")
     return 0
 
 
@@ -236,7 +249,7 @@ def _cmd_evaluate(args, parser) -> int:
     Path(args.out).write_text(results_csv_text(evaluations), encoding="utf-8")
     kept = sum(cls.filtered_in for cls in report.classes.values())
     total = sum(cls.generated for cls in report.classes.values())
-    print(f"evaluated {kept} of {total} networks; results written to {args.out}")
+    print(f"evaluated {kept} of {total} networks; results written to {_shown(args.out)}")
     return 0
 
 
@@ -244,7 +257,7 @@ def _cmd_report(args, parser) -> int:
     _, report = _run_sweep(args, parser)
     Path(args.out).write_text(report_json_text(report), encoding="utf-8")
     print(format_class_table(report), end="")
-    print(f"report written to {args.out}")
+    print(f"report written to {_shown(args.out)}")
     return 0
 
 
@@ -276,7 +289,8 @@ def _cmd_case_study(args, parser) -> int:
             f"avg |err| {stats.mean_abs:.6g}  max |err| {stats.max_abs:.6g}"
         )
     print(
-        f"independent-rule surface (step {args.step:g}, {len(points)} points) written to {args.out}"
+        f"independent-rule surface (step {args.step:g}, {len(points)} points) "
+        f"written to {_shown(args.out)}"
     )
     return 0
 
@@ -302,7 +316,7 @@ def _cmd_surface(args, parser) -> int:
     except DegenerateBaseRateError as exc:
         parser.error(f"unusable network: {exc}")
     Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")
-    print(f"wrote {len(points)} surface points to {args.out}")
+    print(f"wrote {len(points)} surface points to {_shown(args.out)}")
     return 0
 
 
@@ -310,26 +324,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args, parser)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args, parser)
-        if args.command == "report":
-            return _cmd_report(args, parser)
-        if args.command == "case-study":
-            return _cmd_case_study(args, parser)
-        if args.command == "oracle":
-            return _cmd_oracle(args, parser)
-        if args.command == "surface":
-            return _cmd_surface(args, parser)
-        parser.error(f"unknown command {args.command!r}")
-    except ProspectorEvalError as exc:
+        return args.handler(args, parser)
+    except (ProspectorEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

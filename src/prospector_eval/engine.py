@@ -19,9 +19,12 @@ and ``infer`` answers it under one of three rule sets:
   converted to odds, divided by the prior odds to give an effective
   likelihood ratio, and the ratios multiply the prior odds.
 
+Every rule's trace is built one way: the clamped prior and its odds, one
+entry per fused posterior, the combined odds, and the answer.
 Probabilities are clamped into [1e-12, 1 - 1e-12] before any odds
 conversion so certain evidence stays finite; every clamp is flagged in the
 returned trace.  Ties in MIN/MAX (u1 == u2) go to E1 and are flagged.
+Like the sweep, ``infer`` refuses a network whose P(C) is 0 or 1.
 """
 
 from __future__ import annotations
@@ -131,27 +134,45 @@ class InferenceTrace:
     tie: bool
 
 
-def _evidence_entry(
-    index: int, p_new_e: float | None, posterior: float, prior_odds: float
-) -> EvidenceTrace:
-    used = _clamp_unit(posterior)
-    odds = used / (1.0 - used)
-    return EvidenceTrace(
-        index=index,
-        p_new_e=p_new_e,
-        posterior=posterior,
-        used_posterior=used,
-        odds=odds,
-        likelihood_ratio=odds / prior_odds,
-        clamped=used != posterior,
+def _trace(
+    rule: Rule,
+    p_c: float,
+    fused: Sequence[tuple[int, float | None, float]],
+    tie: bool = False,
+) -> InferenceTrace:
+    """The audit trail every rule builds: the clamped prior and its odds,
+    one entry per fused (index, p_new_e, posterior) with its clamped odds
+    and likelihood ratio, and the combined odds.  The probability is the
+    odds product's, or under MIN/MAX the one fused posterior."""
+    used_prior = _clamp_unit(p_c)
+    prior_odds = used_prior / (1.0 - used_prior)
+    combined = prior_odds
+    entries = []
+    for index, p_new_e, posterior in fused:
+        used = _clamp_unit(posterior)
+        odds = used / (1.0 - used)
+        ratio = odds / prior_odds
+        combined *= ratio
+        entries.append(
+            EvidenceTrace(index, p_new_e, posterior, used, odds, ratio, used != posterior)
+        )
+    independent = rule is Rule.INDEPENDENT
+    return InferenceTrace(
+        rule=rule,
+        prior=p_c,
+        used_prior=used_prior,
+        prior_odds=prior_odds,
+        prior_clamped=used_prior != p_c,
+        evidence=tuple(entries),
+        combined_odds=combined,
+        probability=combined / (1.0 + combined) if independent else entries[0].posterior,
+        selected=None if independent else entries[0].index,
+        tie=tie,
     )
 
 
 def combine_independent(
-    posteriors: Sequence[float],
-    p_c: float,
-    *,
-    p_new_e: Sequence[float] | None = None,
+    posteriors: Sequence[float], p_c: float
 ) -> tuple[float, InferenceTrace]:
     """Fuse per-link posteriors multiplicatively in odds space.
 
@@ -163,74 +184,35 @@ def combine_independent(
     _check_probabilities(posteriors)
     if not 0.0 < p_c < 1.0:
         raise ValueError(f"prior must lie strictly inside (0, 1), got {p_c!r}")
-    if p_new_e is not None and len(p_new_e) != len(posteriors):
-        raise ValueError("p_new_e must match posteriors in length")
-
-    used_prior = _clamp_unit(p_c)
-    prior_odds = used_prior / (1.0 - used_prior)
-    combined = prior_odds
-    entries = []
-    for i, posterior in enumerate(posteriors):
-        entry = _evidence_entry(
-            i, None if p_new_e is None else p_new_e[i], posterior, prior_odds
-        )
-        combined *= entry.likelihood_ratio
-        entries.append(entry)
-    probability = combined / (1.0 + combined)
-    trace = InferenceTrace(
-        rule=Rule.INDEPENDENT,
-        prior=p_c,
-        used_prior=used_prior,
-        prior_odds=prior_odds,
-        prior_clamped=used_prior != p_c,
-        evidence=tuple(entries),
-        combined_odds=combined,
-        probability=probability,
-        selected=None,
-        tie=False,
-    )
-    return probability, trace
+    trace = _trace(Rule.INDEPENDENT, p_c, [(i, None, p) for i, p in enumerate(posteriors)])
+    return trace.probability, trace
 
 
 def infer(
     view: NetworkView, rule: Rule, update: tuple[float, float]
 ) -> tuple[float, InferenceTrace]:
     """Answer one two-evidence query: new evidence probabilities
-    (u1, u2) -> P'(C)."""
+    (u1, u2) -> P'(C).  Raises DegenerateBaseRateError, as the sweep does,
+    when P(C) is 0 or 1."""
     _check_probabilities(update)
     if len(update) != 2:
         raise ValueError(f"need one update per evidence variable (two), got {len(update)}")
-    links = [
-        LinkParams(view.p_c, view.p_e[i], view.p_c_given_e[i], view.p_c_given_not_e[i])
-        for i in range(2)
-    ]
-    if rule is Rule.INDEPENDENT:
-        posteriors = [propagate(link, u) for link, u in zip(links, update)]
-        return combine_independent(posteriors, view.p_c, p_new_e=update)
-
+    if not 0.0 < view.p_c < 1.0:
+        raise DegenerateBaseRateError(
+            f"base rate of C is {view.p_c!r}; the rules need 0 < P(C) < 1"
+        )
     u1, u2 = update
-    if rule is Rule.CONJUNCTIVE:
-        selected = 0 if u1 <= u2 else 1
+    if rule is Rule.INDEPENDENT:
+        chosen = (0, 1)
+    elif rule is Rule.CONJUNCTIVE:
+        chosen = (0 if u1 <= u2 else 1,)
     elif rule is Rule.DISJUNCTIVE:
-        selected = 0 if u1 >= u2 else 1
+        chosen = (0 if u1 >= u2 else 1,)
     else:
         raise ValueError(f"unknown rule: {rule!r}")
-    fused = update[selected]
-    posterior = propagate(links[selected], fused)
-
-    used_prior = _clamp_unit(view.p_c)
-    prior_odds = used_prior / (1.0 - used_prior)
-    entry = _evidence_entry(selected, fused, posterior, prior_odds)
-    trace = InferenceTrace(
-        rule=rule,
-        prior=view.p_c,
-        used_prior=used_prior,
-        prior_odds=prior_odds,
-        prior_clamped=used_prior != view.p_c,
-        evidence=(entry,),
-        combined_odds=prior_odds * entry.likelihood_ratio,
-        probability=posterior,
-        selected=selected,
-        tie=bool(u1 == u2),
-    )
-    return posterior, trace
+    fused = []
+    for i in chosen:
+        link = LinkParams(view.p_c, view.p_e[i], view.p_c_given_e[i], view.p_c_given_not_e[i])
+        fused.append((i, update[i], propagate(link, update[i])))
+    trace = _trace(rule, view.p_c, fused, tie=rule is not Rule.INDEPENDENT and bool(u1 == u2))
+    return trace.probability, trace

@@ -37,6 +37,7 @@ from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTable
 from .generate import GenerationConfig, associated_cells, independent_cells, network_table
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
+    KINDS,
     ConditionalProfile,
     JointTable,
     check_cells,
@@ -70,8 +71,6 @@ _RULE_NAMES: tuple[tuple[Rule, str], ...] = tuple((rule, rule.value) for rule in
 
 #: Tie-break preference when two rule sets have equal average error.
 BEST_RULE_TIE_ORDER: tuple[Rule, ...] = (Rule.INDEPENDENT, Rule.CONJUNCTIVE, Rule.DISJUNCTIVE)
-
-CLASS_ORDER: tuple[str, ...] = ("independent", "associated", "unspecified")
 
 
 class MonotonicityPattern(Enum):
@@ -569,7 +568,7 @@ def build_report(
 ) -> StudyReport:
     """Aggregate per-network evaluations into the study report."""
     classes = {}
-    for kind in CLASS_ORDER:
+    for kind in KINDS:
         if kind not in generated_counts:
             continue
         kept = [ev for ev in evaluations if ev.kind == kind]

@@ -35,6 +35,7 @@ from .errors import DegenerateBaseRateError, InvalidTableError, ZeroMarginalErro
 
 Kind = Literal["independent", "associated", "unspecified"]
 
+#: The network classes, in the order the report lists them.
 KINDS: tuple[str, ...] = ("independent", "associated", "unspecified")
 
 #: Evidence-state pairs in canonical row order (FF, FT, TF, TT).

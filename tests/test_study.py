@@ -703,7 +703,7 @@ class TestReportOutputs:
         oracle.flat[3] = np.nan
         with pytest.raises(ValueError, match="non-finite value cannot be serialized: nan"):
             results_csv_text([NetworkEvaluation(**{**vars(ev), "oracle": oracle})])
-        for text in ("a,b", 'say "x"', "two\nlines"):
+        for text in ("a,b", 'say "x"', "two\nlines", "carriage\rreturn"):
             with pytest.raises(ValueError, match="CSV field would need quoting"):
                 results_csv_text([NetworkEvaluation(**{**vars(ev), "network_id": text})])
 
@@ -888,3 +888,7 @@ class TestEdgeSamples:
             evaluate_network(table)
         with pytest.raises(DegenerateBaseRateError):
             error_surface(table, Rule.CONJUNCTIVE, 0.5)
+        message = rf"^base rate of C is {rate!r}; the rules need 0 < P\(C\) < 1$"
+        for rule in Rule:
+            with pytest.raises(DegenerateBaseRateError, match=message):
+                infer(network_view(table), rule, (0.3, 0.6))

@@ -26,14 +26,7 @@ from typing import Sequence
 from .cases import CASE_STUDY_IDS, case_study_table
 from .engine import Rule
 from .errors import DegenerateBaseRateError, InvalidTableError, ProspectorEvalError
-from .generate import (
-    DEFAULT_BASE_RATE_MARGIN,
-    DEFAULT_IPF_MAX_ITERATIONS,
-    DEFAULT_IPF_TOLERANCE,
-    DEFAULT_MAX_RESAMPLES,
-    GenerationConfig,
-    generate,
-)
+from .generate import GenerationConfig, generate
 from .oracle import EvidenceUpdate, correct_posterior
 from .study import (
     DEFAULT_SEED,
@@ -119,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=400, help="networks to generate")
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stream seed")
     gen.add_argument("--out", required=True, help="network file to write")
-    gen.add_argument("--base-rate-margin", type=float, default=DEFAULT_BASE_RATE_MARGIN)
-    gen.add_argument("--ipf-tolerance", type=float, default=DEFAULT_IPF_TOLERANCE)
-    gen.add_argument("--ipf-max-iterations", type=int, default=DEFAULT_IPF_MAX_ITERATIONS)
-    gen.add_argument("--max-resamples", type=int, default=DEFAULT_MAX_RESAMPLES)
     gen.set_defaults(handler=_cmd_generate)
 
     ev = commands.add_parser("evaluate", help="write per-update results for a network file")
@@ -202,15 +191,7 @@ def _shown(path: str) -> str:
 
 def _cmd_generate(args, parser) -> int:
     try:
-        config = GenerationConfig(
-            count=args.count,
-            seed=args.seed,
-            kind=args.kind,
-            base_rate_margin=args.base_rate_margin,
-            ipf_tolerance=args.ipf_tolerance,
-            ipf_max_iterations=args.ipf_max_iterations,
-            max_resamples=args.max_resamples,
-        )
+        config = GenerationConfig(count=args.count, seed=args.seed, kind=args.kind)
     except ValueError as exc:
         parser.error(str(exc))
     tables = generate(config)

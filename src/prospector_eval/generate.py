@@ -26,15 +26,16 @@ PCG64 ``_draw_doubles``, checked bit for bit against ``numpy.random`` by
 the tests), and so does the arithmetic after the draws: one array pass
 builds every independent network, and one ``fit_margins`` call (the only
 proportional fit) fits every associated network, each row exactly as if it
-were fitted alone.  Failed
-proportional fits are resampled with the attempt counter bumped (bounded;
-the table records how many resamples it took), and only the resampled
-networks are redrawn and refitted.  The samplers ``independent_cells`` and
-``associated_cells`` return arrays; ``generate*`` wrap them in tables.
+were fitted alone.  Failed proportional fits are resampled with the attempt
+counter bumped (the table records how many resamples it took), and only the
+resampled networks are redrawn and refitted.  The samplers
+``independent_cells`` and ``associated_cells`` return arrays; ``generate*``
+wrap them in tables.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -43,10 +44,13 @@ import numpy as np
 from .errors import GenerationError
 from .table import MARGIN_CELLS, JointTable, Provenance, compose_cells, product_masses
 
-DEFAULT_BASE_RATE_MARGIN = 1e-3
-DEFAULT_IPF_TOLERANCE = 1e-10
-DEFAULT_IPF_MAX_ITERATIONS = 10000
-DEFAULT_MAX_RESAMPLES = 10
+#: Fixed by the method: base rates are drawn from (margin, 1 - margin); a fit
+#: converges at this deviation within this many cycles, and a network is
+#: drawn at most this many times.
+BASE_RATE_MARGIN = 1e-3
+IPF_TOLERANCE = 1e-10
+IPF_MAX_ITERATIONS = 10000
+MAX_RESAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,14 @@ class GenerationConfig:
     count: int
     seed: int
     kind: Literal["independent", "associated"]
-    base_rate_margin: float = DEFAULT_BASE_RATE_MARGIN
-    ipf_tolerance: float = DEFAULT_IPF_TOLERANCE
-    ipf_max_iterations: int = DEFAULT_IPF_MAX_ITERATIONS
-    max_resamples: int = DEFAULT_MAX_RESAMPLES
 
     def __post_init__(self) -> None:
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.count > 2**32:
@@ -70,16 +76,6 @@ class GenerationConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.kind not in ("independent", "associated"):
             raise ValueError(f"kind must be 'independent' or 'associated', got {self.kind!r}")
-        if not 0.0 < self.base_rate_margin < 0.5:
-            raise ValueError("base_rate_margin must lie strictly between 0 and 0.5")
-        # A margin deviation is at most 1, so a tolerance of 1 or more (or
-        # NaN, or inf) would make every fit converge before it starts.
-        if not 0.0 < self.ipf_tolerance < 1.0:
-            raise ValueError(
-                f"ipf_tolerance must lie strictly between 0 and 1, got {self.ipf_tolerance!r}"
-            )
-        if self.ipf_max_iterations < 1 or self.max_resamples < 1:
-            raise ValueError("iteration and resample caps must be at least 1")
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), as uint32
@@ -260,22 +256,21 @@ def associated_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     if config.kind != "associated":
         raise ValueError(f"config.kind is {config.kind!r}, expected 'associated'")
-    eps = config.base_rate_margin
     cells = np.empty((config.count, 8))
     resamples = np.zeros(config.count, dtype=np.int64)
     pending = np.arange(config.count)
-    for attempt in range(config.max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         if not len(pending):
             break
         u = _draw_doubles(config.seed, pending, attempt, 11)
-        targets = _uniform(u[:, :3], eps, 1.0 - eps)
+        targets = _uniform(u[:, :3], BASE_RATE_MARGIN, 1.0 - BASE_RATE_MARGIN)
         raw = u[:, 3:]
         drawable = np.all(raw > 0.0, axis=1)  # else un-normalizable: redraw
         fitted, converged, _ = fit_margins(
             raw[drawable] / raw[drawable].sum(axis=1)[:, None],
             targets[drawable],
-            tolerance=config.ipf_tolerance,
-            max_iterations=config.ipf_max_iterations,
+            tolerance=IPF_TOLERANCE,
+            max_iterations=IPF_MAX_ITERATIONS,
         )
         done = np.zeros(len(pending), dtype=bool)
         done[np.flatnonzero(drawable)[converged]] = True
@@ -285,7 +280,7 @@ def associated_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]:
     if len(pending):
         raise GenerationError(
             f"network {pending[0]} (seed {config.seed}): no converged fit "
-            f"within {config.max_resamples} attempts"
+            f"within {MAX_RESAMPLES} attempts"
         )
     return cells, resamples
 
@@ -299,10 +294,9 @@ def independent_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]
     """
     if config.kind != "independent":
         raise ValueError(f"config.kind is {config.kind!r}, expected 'independent'")
-    eps = config.base_rate_margin
     u = _draw_doubles(config.seed, np.arange(config.count), 0, 6)
-    draws = np.concatenate((_uniform(u[:, :2], eps, 1.0 - eps), u[:, 2:]), axis=1)
-    cells = compose_cells(product_masses(draws[:, 0], draws[:, 1]), draws[:, 2:])
+    p_e = _uniform(u[:, :2], BASE_RATE_MARGIN, 1.0 - BASE_RATE_MARGIN)
+    cells = compose_cells(product_masses(p_e[:, 0], p_e[:, 1]), u[:, 2:])
     return cells, np.zeros(config.count, dtype=np.int64)
 
 

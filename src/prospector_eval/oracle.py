@@ -37,6 +37,7 @@ from .table import (
     check_cells,
     conclusion_cells,
     pair_masses,
+    product_masses,
     rates,
     require_valid,
     scale_pairs,
@@ -179,13 +180,16 @@ def independent_closed_form(table: JointTable, update: EvidenceUpdate) -> float:
 
         P'(C) = sum over (a, b) of P(C | E1=a, E2=b) * w1(a) * w2(b)
 
-    with w_i(true) = P'(E_i).  Raises InvalidTableError (``require_valid``
-    at floor 0) for non-finite, negative or unnormalized cells, and
-    NotIndependentError where ``validate`` would flag kind="independent":
-    an evidence pair off the product of its base rates by more than
-    ``INDEPENDENCE_TOL``.
+    with w_i(true) = P'(E_i), summed in FF, FT, TF, TT order.  Raises
+    InvalidTableError (``require_valid`` at floor 0) for non-finite,
+    negative or unnormalized cells; NotIndependentError where ``validate``
+    would flag kind="independent": an evidence pair off the product of its
+    base rates by more than ``INDEPENDENCE_TOL``; and InfeasibleUpdateError
+    where an evidence state of zero mass would get a weight above
+    ``MATCH_TOL``.
     """
-    checks = check_cells(table.as_array(), np.array([True]), marginal_floor=0.0)
+    cells = table.as_array()
+    checks = check_cells(cells, np.array([True]), marginal_floor=0.0)
     if not checks.finite[0] or checks.negative.any() or checks.not_normalized[0]:
         require_valid(table, marginal_floor=0.0)
     if checks.mismatch.any():
@@ -193,4 +197,11 @@ def independent_closed_form(table: JointTable, update: EvidenceUpdate) -> float:
             f"evidence pair deviates from independence by {float(checks.deviation.max())!r}; "
             "the closed form only applies to independent tables"
         )
-    return correct_posterior(table, update)
+    u1, u2 = update.as_tuple()
+    pairs, weights = pair_masses(cells), product_masses(u1, u2)
+    if ((pairs <= 0.0) & (weights > MATCH_TOL)).any():
+        raise InfeasibleUpdateError(unreachable_message(u1, u2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        profile = np.where(pairs > 0.0, conclusion_cells(cells) / pairs, 0.0)
+    ff, ft, tf, tt = (profile * weights).tolist()
+    return ff + ft + tf + tt

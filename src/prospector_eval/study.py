@@ -34,6 +34,7 @@ import numpy as np
 from . import _serialize
 from .engine import ODDS_CLAMP, Rule
 from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTableError
+from .generate import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
 from .generate import GenerationConfig, associated_cells, independent_cells, network_table
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
@@ -825,10 +826,10 @@ def report_to_dict(report: StudyReport) -> dict:
             generation[kind] = {
                 "count": cfg.count,
                 "seed": cfg.seed,
-                "base_rate_margin": cfg.base_rate_margin,
-                "ipf_tolerance": cfg.ipf_tolerance,
-                "ipf_max_iterations": cfg.ipf_max_iterations,
-                "max_resamples": cfg.max_resamples,
+                "base_rate_margin": BASE_RATE_MARGIN,
+                "ipf_tolerance": IPF_TOLERANCE,
+                "ipf_max_iterations": IPF_MAX_ITERATIONS,
+                "max_resamples": MAX_RESAMPLES,
             }
     classes = {}
     for kind, cls in report.classes.items():

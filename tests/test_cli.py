@@ -310,15 +310,24 @@ class TestUnreadableNetworkFiles:
         )
 
 
-class TestGenerateTolerance:
-    @pytest.mark.parametrize("tolerance", ["inf", "nan", "1"])
-    def test_unusable_ipf_tolerance_is_a_one_line_usage_error(self, tmp_path, capsys, tolerance):
+class TestRemovedGenerateFlags:
+    """The generation constants are fixed by the method, so no flag sets them."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--base-rate-margin", "0.001"),
+            ("--ipf-tolerance", "1e-10"),
+            ("--ipf-max-iterations", "10000"),
+            ("--max-resamples", "10"),
+        ],
+    )
+    def test_is_a_one_line_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "nets.json"
         with pytest.raises(SystemExit) as excinfo:
-            run("generate", "--kind", "associated", "--count", 3, "--ipf-tolerance", tolerance,
-                "--out", out)
+            run("generate", "--kind", "associated", "--count", 3, flag, value, "--out", out)
         assert excinfo.value.code == 2
         messages = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(messages) == 1
-        assert "ipf_tolerance must lie strictly between 0 and 1" in messages[0]
-        assert not out.exists()
+        assert f"unrecognized arguments: {flag} {value}" in messages[0]
+        assert list(tmp_path.iterdir()) == []

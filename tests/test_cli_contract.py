@@ -9,6 +9,7 @@ the README's CLI block as written, and run the commands that echo ``--out``
 in a child process whose stdout is strict UTF-8, with a name that is not.
 """
 
+import argparse
 import contextlib
 import copy
 import io
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prospector_eval import case_study_table, generate
-from prospector_eval.cli import main
+from prospector_eval.cli import build_parser, main
 from prospector_eval.generate import GenerationConfig
 from prospector_eval.table import networks_to_json
 
@@ -149,8 +150,8 @@ def network_files(draw):
 
 
 #: Each flag's strategy for its ordinary values (None for a flag that takes
-#: no value).  Ordinary values include boundary ones: a margin of 0.5, a
-#: tolerance of 1e-300, an update of 1.
+#: no value).  Ordinary values include boundary ones: a seed of 2**64 - 1,
+#: a step of 0.5, an update of 1.
 GRIDS = st.lists(texts(0, 0.25, 0.5, 1, 0.3, 1e-9, ""), min_size=1, max_size=3).map(",".join)
 NETWORK_FLAGS = {"--networks": st.just(NETWORKS), "--index": texts(0, 1, 2)}
 SWEEP_FLAGS = {
@@ -170,10 +171,6 @@ COMMANDS = {
         "--count": texts(1, 3, 5),
         "--seed": texts(0, 30, 2**64 - 1),
         "--out": SWEEP_FLAGS["--out"],
-        "--base-rate-margin": texts(0.001, 0.2, 0.49, 0.5),
-        "--ipf-tolerance": texts(1e-10, 1e-300, 0.5),
-        "--ipf-max-iterations": texts(1, 3, 50),
-        "--max-resamples": texts(1, 3),
     },
     "evaluate": SWEEP_FLAGS,
     "report": SWEEP_FLAGS,
@@ -192,15 +189,35 @@ COMMANDS = {
 }
 REQUIRED = {"--kind", "--out", "--networks", "--id", "--e1", "--e2", "--rule"}
 #: The garbage of flags that random text could ask for much work: a count
-#: or a cap of billions, or a step of 1e-300.  A large --grid is kept out by
+#: of billions, or a step of 1e-300.  A large --grid is kept out by
 #: a limit of three values.
 BOUNDED_GARBAGE = {
     "--count": texts(0, -1, 2**64, 2**32 + 1, "nan", "", 2.5, "é"),
-    "--ipf-max-iterations": texts(0, -1, "nan", "", "x"),
-    "--max-resamples": texts(0, -2, "nan", "", "x"),
     "--step": texts(0.7, 0, -0.1, "nan", "inf", 1e-12, 1e-320, "", "x"),
     "--grid": garbage.filter(lambda text: text.count(",") <= 2),
 }
+
+
+def test_flag_table_is_the_parser():
+    """Every flag of every subcommand is fuzzed, and every fuzzed flag
+    exists: --case, --networks and --index come from ``invocations``."""
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == set(COMMANDS)
+    for command, sub in subparsers.choices.items():
+        options = {
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        expected = set(COMMANDS[command])
+        if command in ("oracle", "surface"):
+            expected |= {"--case", *NETWORK_FLAGS}
+        assert options == expected, command
 
 
 @st.composite

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -18,8 +20,9 @@ from prospector_eval import (
     validate,
 )
 from prospector_eval.generate import (
-    DEFAULT_IPF_MAX_ITERATIONS,
-    DEFAULT_IPF_TOLERANCE,
+    BASE_RATE_MARGIN,
+    IPF_MAX_ITERATIONS,
+    IPF_TOLERANCE,
     _draw_doubles,
     _stream_words,
     fit_margins,
@@ -29,6 +32,10 @@ from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, Provenance, networks
 
 # One-sided Kolmogorov-Smirnov critical value at the 1% level for n = 400.
 KS_CRITICAL_1PCT_400 = 1.62762 / np.sqrt(400)
+
+# The module itself, whose constants a test may patch: the package's
+# ``generate`` attribute is the function of that name.
+generate_module = importlib.import_module("prospector_eval.generate")
 
 
 def margins(table: JointTable) -> tuple[float, float, float]:
@@ -59,11 +66,13 @@ def scalar_fit(cells, targets, tolerance, max_iterations):
 
 
 def scalar_associated(config: GenerationConfig) -> list[JointTable]:
-    """Reference sampler: draw, fit and resample each network in turn."""
-    eps = config.base_rate_margin
+    """Reference sampler: draw, fit and resample each network in turn, with
+    the generator's constants as they are when it is called."""
+    eps = generate_module.BASE_RATE_MARGIN
+    max_resamples = generate_module.MAX_RESAMPLES
     tables = []
     for index in range(config.count):
-        for attempt in range(config.max_resamples):
+        for attempt in range(max_resamples):
             stream = np.random.default_rng(
                 np.random.SeedSequence(entropy=config.seed, spawn_key=(index, attempt))
             )
@@ -72,7 +81,10 @@ def scalar_associated(config: GenerationConfig) -> list[JointTable]:
             if raw.sum() <= 0.0 or np.any(raw <= 0.0):
                 continue
             cells, _ = scalar_fit(
-                raw / raw.sum(), targets, config.ipf_tolerance, config.ipf_max_iterations
+                raw / raw.sum(),
+                targets,
+                generate_module.IPF_TOLERANCE,
+                generate_module.IPF_MAX_ITERATIONS,
             )
             if cells is not None:
                 provenance = Provenance(seed=config.seed, index=index, resamples=attempt)
@@ -81,7 +93,7 @@ def scalar_associated(config: GenerationConfig) -> list[JointTable]:
         else:
             raise GenerationError(
                 f"network {index} (seed {config.seed}): no converged fit "
-                f"within {config.max_resamples} attempts"
+                f"within {max_resamples} attempts"
             )
     return tables
 
@@ -96,20 +108,31 @@ class TestGenerationConfig:
             GenerationConfig(count=2**32 + 1, seed=1, kind="associated")
         with pytest.raises(ValueError):
             GenerationConfig(count=1, seed=1, kind="both")
-        with pytest.raises(ValueError):
-            GenerationConfig(count=1, seed=1, kind="associated", base_rate_margin=0.7)
-        for tolerance in (0.0, 1.0, 2.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="ipf_tolerance"):
-                GenerationConfig(count=1, seed=1, kind="associated", ipf_tolerance=tolerance)
+
+    @pytest.mark.parametrize("field", ["count", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.5, "3"])
+    def test_non_integers_are_refused(self, field, value):
+        given = {"count": 3, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            GenerationConfig(kind="associated", **given)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        config = GenerationConfig(count=np.int64(3), seed=np.uint64(2**64 - 1), kind="associated")
+        assert (type(config.count), type(config.seed)) == (int, int)
+        assert (config.count, config.seed) == (3, 2**64 - 1)
+
+    def test_only_count_seed_and_kind_are_settable(self):
+        names = [field.name for field in dataclasses.fields(GenerationConfig)]
+        assert names == ["count", "seed", "kind"]
 
 
-def fit_one(cells, targets, max_iterations=DEFAULT_IPF_MAX_ITERATIONS):
-    """One table through ``fit_margins`` at the generator's default
+def fit_one(cells, targets, max_iterations=IPF_MAX_ITERATIONS):
+    """One table through ``fit_margins`` at the generator's fixed
     tolerance: (fitted cells, converged, deviation)."""
     fitted, converged, deviation = fit_margins(
         np.array([cells], dtype=float),
         np.array([targets], dtype=float),
-        tolerance=DEFAULT_IPF_TOLERANCE,
+        tolerance=IPF_TOLERANCE,
         max_iterations=max_iterations,
     )
     return fitted[0], converged[0], deviation[0]
@@ -183,14 +206,10 @@ class TestBatchedFit:
         assert [t.cells for t in batched] == [t.cells for t in reference]
         assert [t.provenance for t in batched] == [t.provenance for t in reference]
 
-    def test_small_cap_resamples_match_scalar_loop(self):
-        config = GenerationConfig(
-            count=200,
-            seed=DEFAULT_SEED,
-            kind="associated",
-            ipf_max_iterations=10,
-            max_resamples=8,
-        )
+    def test_small_cap_resamples_match_scalar_loop(self, monkeypatch):
+        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 10)
+        monkeypatch.setattr(generate_module, "MAX_RESAMPLES", 8)
+        config = GenerationConfig(count=200, seed=DEFAULT_SEED, kind="associated")
         batched = generate_associated(config)
         reference = scalar_associated(config)
         assert [t.cells for t in batched] == [t.cells for t in reference]
@@ -198,12 +217,11 @@ class TestBatchedFit:
         assert resamples == [t.provenance.resamples for t in reference]
         # Some fit at once, some after resampling, one on the last attempt.
         assert 0 in resamples and 1 in resamples
-        assert max(resamples) == config.max_resamples - 1
+        assert max(resamples) == 7
 
-    def test_exhausted_budget_names_the_same_network(self):
-        config = GenerationConfig(
-            count=200, seed=DEFAULT_SEED, kind="associated", ipf_max_iterations=8
-        )
+    def test_exhausted_budget_names_the_same_network(self, monkeypatch):
+        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 8)
+        config = GenerationConfig(count=200, seed=DEFAULT_SEED, kind="associated")
         with pytest.raises(GenerationError) as expected:
             scalar_associated(config)
         with pytest.raises(GenerationError) as batched:
@@ -248,13 +266,12 @@ class TestBatchedFit:
 def scalar_independent(config: GenerationConfig) -> list[tuple[float, ...]]:
     """Reference independent sampler: each network's draws from its own
     Generator, its cells built one table at a time."""
-    eps = config.base_rate_margin
     tables = []
     for index in range(config.count):
         stream = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(index, 0))
         )
-        p_e1, p_e2 = stream.uniform(eps, 1.0 - eps, 2)
+        p_e1, p_e2 = stream.uniform(BASE_RATE_MARGIN, 1.0 - BASE_RATE_MARGIN, 2)
         fractions = stream.uniform(0.0, 1.0, 4)
         masses = (
             (1.0 - p_e1) * (1.0 - p_e2),
@@ -289,7 +306,7 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
     def test_independent_matches_scalar_loop(self, seed):
-        config = GenerationConfig(count=300, seed=seed, kind="independent", base_rate_margin=0.02)
+        config = GenerationConfig(count=300, seed=seed, kind="independent")
         batched = generate_independent(config)
         assert [t.cells for t in batched] == scalar_independent(config)
 
@@ -369,15 +386,13 @@ class TestAssociatedGeneration:
             stream = np.random.default_rng(
                 np.random.SeedSequence(entropy=9, spawn_key=(index, 0))
             )
-            eps = config.base_rate_margin
-            targets = stream.uniform(eps, 1.0 - eps, 3)
+            targets = stream.uniform(BASE_RATE_MARGIN, 1.0 - BASE_RATE_MARGIN, 3)
             assert margins(table) == pytest.approx(tuple(targets), abs=1e-10)
 
     def test_base_rates_are_uniform_across_the_sample(self):
         config = GenerationConfig(count=400, seed=DEFAULT_SEED, kind="associated")
         tables = generate_associated(config)
-        eps = config.base_rate_margin
-        distribution = scipy.stats.uniform(loc=eps, scale=1.0 - 2 * eps)
+        distribution = scipy.stats.uniform(loc=BASE_RATE_MARGIN, scale=1.0 - 2 * BASE_RATE_MARGIN)
         for axis in range(3):
             rates = [margins(t)[axis] for t in tables]
             statistic = scipy.stats.kstest(rates, distribution.cdf).statistic
@@ -389,12 +404,11 @@ class TestAssociatedGeneration:
             assert table.provenance.seed == 123
             assert table.provenance.index == index
 
-    def test_exhausted_resamples_raise(self):
+    def test_exhausted_resamples_raise(self, monkeypatch):
         # An iteration cap of 1 cannot fit random targets, so every attempt
         # fails and the budget runs out.
-        config = GenerationConfig(
-            count=1, seed=5, kind="associated", ipf_max_iterations=1
-        )
+        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 1)
+        config = GenerationConfig(count=1, seed=5, kind="associated")
         with pytest.raises(GenerationError):
             generate_associated(config)
 
@@ -421,8 +435,7 @@ class TestIndependentGeneration:
             stream = np.random.default_rng(
                 np.random.SeedSequence(entropy=31, spawn_key=(index, 0))
             )
-            eps = config.base_rate_margin
-            p_e1, p_e2 = stream.uniform(eps, 1.0 - eps, 2)
+            p_e1, p_e2 = stream.uniform(BASE_RATE_MARGIN, 1.0 - BASE_RATE_MARGIN, 2)
             fractions = stream.uniform(0.0, 1.0, 4)
             assert base_rates(table)[:2] == pytest.approx((p_e1, p_e2), abs=1e-15)
             assert conditional_profile(table).as_tuple() == pytest.approx(
@@ -432,8 +445,7 @@ class TestIndependentGeneration:
     def test_evidence_rates_uniform_conclusion_rate_emergent(self):
         config = GenerationConfig(count=400, seed=DEFAULT_SEED, kind="independent")
         tables = generate_independent(config)
-        eps = config.base_rate_margin
-        distribution = scipy.stats.uniform(loc=eps, scale=1.0 - 2 * eps)
+        distribution = scipy.stats.uniform(loc=BASE_RATE_MARGIN, scale=1.0 - 2 * BASE_RATE_MARGIN)
         for axis in range(2):
             rates = [base_rates(t)[axis] for t in tables]
             statistic = scipy.stats.kstest(rates, distribution.cdf).statistic

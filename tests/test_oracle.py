@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -162,6 +163,43 @@ class TestClosedForm:
                 assert independent_closed_form(table, update) == pytest.approx(
                     correct_posterior(table, update), abs=1e-9
                 )
+
+    def test_is_the_four_term_product_sum(self):
+        """P'(C) is q_ab * w1(a) * w2(b) summed in FF, FT, TF, TT order, with
+        q_ab = P(C | E1=a, E2=b) from the cells: the formula itself, not the
+        general projection, which may differ in the last bit."""
+        rng = np.random.default_rng(4215)
+        config = GenerationConfig(count=1000, seed=4214, kind="independent")
+        for table in generate_independent(config):
+            u1, u2 = (float(u) for u in rng.uniform(0.0, 1.0, 2))
+            c = table.cells
+            q = [c[2 * k + 1] / (c[2 * k] + c[2 * k + 1]) for k in range(4)]
+            w = [(1.0 - u1) * (1.0 - u2), (1.0 - u1) * u2, u1 * (1.0 - u2), u1 * u2]
+            expected = q[0] * w[0] + q[1] * w[1] + q[2] * w[2] + q[3] * w[3]
+            assert independent_closed_form(table, EvidenceUpdate(u1, u2)) == expected
+
+    @pytest.mark.parametrize(
+        "p_e1, p_e2", [(0.0, 0.3), (1.0, 0.3), (0.3, 0.0), (0.3, 1.0), (0.0, 1.0), (1.0, 1.0)]
+    )
+    def test_refuses_what_the_oracle_refuses_at_degenerate_rates(self, p_e1, p_e2):
+        masses = ((1.0 - p_e1) * (1.0 - p_e2), (1.0 - p_e1) * p_e2, p_e1 * (1.0 - p_e2), p_e1 * p_e2)
+        table = compose_table(masses, (0.2, 0.4, 0.6, 0.8), kind="independent")
+        outcomes = set()
+        for u1, u2 in itertools.product((0.0, 0.25, 0.5, 1.0), repeat=2):
+            update = EvidenceUpdate(u1, u2)
+            try:
+                expected = correct_posterior(table, update)
+            except InfeasibleUpdateError as refusal:
+                with pytest.raises(InfeasibleUpdateError) as excinfo:
+                    independent_closed_form(table, update)
+                assert str(excinfo.value) == str(refusal)
+                outcomes.add("refused")
+            else:
+                assert independent_closed_form(table, update) == pytest.approx(
+                    expected, abs=1e-15
+                )
+                outcomes.add("answered")
+        assert outcomes == {"refused", "answered"}
 
     def test_rejects_associated_tables(self):
         config = GenerationConfig(count=1, seed=77, kind="associated")

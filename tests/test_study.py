@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import warnings
@@ -334,15 +335,12 @@ class TestRunStudy:
             assert ev.pattern is MonotonicityPattern.REJECTED
 
     @pytest.mark.parametrize("filter_enabled", [True, False])
-    def test_tables_are_the_generated_networks(self, filter_enabled):
-        # A low iteration cap makes some associated networks resample.
-        config = StudyConfig(
-            independent=GenerationConfig(count=200, seed=DEFAULT_SEED, kind="independent"),
-            associated=GenerationConfig(
-                count=200, seed=DEFAULT_SEED, kind="associated", ipf_max_iterations=10
-            ),
-            filter_enabled=filter_enabled,
-        )
+    def test_tables_are_the_generated_networks(self, filter_enabled, monkeypatch):
+        # A low iteration cap makes some associated networks resample.  The
+        # package's ``generate`` attribute is the function, not the module.
+        generate_module = importlib.import_module("prospector_eval.generate")
+        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 10)
+        config = StudyConfig.default(seed=DEFAULT_SEED, count=200, filter_enabled=filter_enabled)
         generated = {
             "independent": generate(config.independent),
             "associated": generate(config.associated),
@@ -360,6 +358,11 @@ class TestRunStudy:
     def test_deterministic_bytes(self):
         config = small_study_config()
         assert report_json_text(run_study(config)) == report_json_text(run_study(config))
+
+    def test_numpy_integer_count_and_seed_write_the_same_report(self):
+        numpy_ints = StudyConfig.default(seed=np.int64(7), count=np.int64(10))
+        python_ints = StudyConfig.default(seed=7, count=10)
+        assert report_json_text(run_study(numpy_ints)) == report_json_text(run_study(python_ints))
 
     def test_grid_is_configurable(self):
         report = run_study(small_study_config(grid=GRID_FIFTH_VALUES))

@@ -48,6 +48,7 @@ from .study import (
     GRID_QUARTERS,
     Diagnostics,
     EvaluationRecord,
+    Evaluations,
     MonotonicityPattern,
     NetworkErrorSummary,
     NetworkEvaluation,

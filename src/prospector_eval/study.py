@@ -22,8 +22,9 @@ it.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import product
@@ -35,12 +36,13 @@ from . import _serialize
 from .engine import ODDS_CLAMP, Rule
 from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTableError
 from .generate import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
-from .generate import GenerationConfig, associated_cells, independent_cells, network_table
+from .generate import GenerationConfig, associated_cells, independent_cells
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
     KINDS,
     ConditionalProfile,
     JointTable,
+    Provenance,
     check_cells,
     conclusion_cells,
     conditional_profile,
@@ -67,8 +69,8 @@ DEFAULT_SEED = 30
 #: Column order for per-rule output.
 RULE_ORDER: tuple[Rule, ...] = (Rule.CONJUNCTIVE, Rule.DISJUNCTIVE, Rule.INDEPENDENT)
 
-#: Each rule with its name in the output files, in RULE_ORDER.
-_RULE_NAMES: tuple[tuple[Rule, str], ...] = tuple((rule, rule.value) for rule in RULE_ORDER)
+#: Each rule's name in the output files, in RULE_ORDER.
+_RULE_NAMES: tuple[str, ...] = tuple(rule.value for rule in RULE_ORDER)
 
 #: Tie-break preference when two rule sets have equal average error.
 BEST_RULE_TIE_ORDER: tuple[Rule, ...] = (Rule.INDEPENDENT, Rule.CONJUNCTIVE, Rule.DISJUNCTIVE)
@@ -87,6 +89,7 @@ FilterMode = Literal["full", "e2-only"]
 
 #: Pattern of each code that ``_pattern_code`` returns.
 _PATTERNS: tuple[MonotonicityPattern, ...] = tuple(MonotonicityPattern)
+_PATTERN_NAMES: tuple[str, ...] = tuple(pattern.value for pattern in _PATTERNS)
 
 
 def _pattern_code(q_ff, q_ft, q_tf, q_tt, mode: FilterMode):
@@ -255,29 +258,25 @@ class NetworkErrorSummary:
     tie: bool
 
 
-def _summaries(network_ids: Sequence[str], errors: np.ndarray) -> list[NetworkErrorSummary]:
-    """Per-network rule statistics and best rule from signed errors of
-    shape (N, 3, P), rules in RULE_ORDER."""
+def _rule_stats(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From signed errors of shape (N, 3, P), rules in RULE_ORDER: each
+    rule's RuleStats fields, (N, 3, 3); the index of the best rule, (N,);
+    and whether another rule ties it, (N,)."""
     absolute = np.abs(errors)
     mean_abs = absolute.mean(axis=-1)
-    rows = np.arange(len(network_ids))
+    rows = np.arange(len(errors))
     tie_order = [RULE_ORDER.index(rule) for rule in BEST_RULE_TIE_ORDER]
-    best = np.full(len(network_ids), tie_order[0])
+    best = np.full(len(errors), tie_order[0])
     for k in tie_order[1:]:
         best = np.where(mean_abs[:, k] < mean_abs[rows, best], k, best)
     tie = (mean_abs == mean_abs[rows, best][:, None]).sum(axis=1) > 1
-    columns = zip(
-        errors.mean(axis=-1).tolist(), mean_abs.tolist(), absolute.max(axis=-1).tolist()
-    )
-    return [
-        NetworkErrorSummary(
-            network_id=network_id,
-            stats={rule: RuleStats(*stats) for rule, *stats in zip(RULE_ORDER, *column)},
-            best=RULE_ORDER[k],
-            tie=bool(tied),
-        )
-        for network_id, column, k, tied in zip(network_ids, columns, best.tolist(), tie)
-    ]
+    return np.stack((errors.mean(axis=-1), mean_abs, absolute.max(axis=-1)), axis=-1), best, tie
+
+
+def _summary(network_id: str, stats: np.ndarray, best, tie) -> NetworkErrorSummary:
+    """One row of ``_rule_stats`` as a summary."""
+    rules = {rule: RuleStats(*row) for rule, row in zip(RULE_ORDER, stats.tolist())}
+    return NetworkErrorSummary(network_id, rules, RULE_ORDER[best], bool(tie))
 
 
 def summarize(records: Sequence[EvaluationRecord]) -> NetworkErrorSummary:
@@ -294,7 +293,8 @@ def summarize(records: Sequence[EvaluationRecord]) -> NetworkErrorSummary:
             f"network {records[0].network_id}: cannot summarize a sweep with "
             "non-finite errors (unreachable updates)"
         )
-    return _summaries([records[0].network_id], errors[None])[0]
+    stats, best, tie = _rule_stats(errors[None])
+    return _summary(records[0].network_id, stats[0], best[0], tie[0])
 
 
 @dataclass(frozen=True)
@@ -326,9 +326,9 @@ def _spread(a, b, c):
     return np.where(c > high, c, high) - np.where(c < low, c, low)
 
 
-def _diagnostics(cells: np.ndarray, profiles: np.ndarray) -> list[Diagnostics]:
-    """Diagnostics of every row of an (N, 8) cell array, given its (N, 4)
-    conditional profiles."""
+def _diagnostics(cells: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    """The Diagnostics fields, (N, 7), of every row of an (N, 8) cell array,
+    given its (N, 4) conditional profiles."""
     q_ff, q_ft, q_tf, q_tt = profiles.T
     x_ff, x_ft, x_tf, x_tt = conclusion_cells(cells).T
     p_e1, p_e2, _ = rates(cells)
@@ -341,7 +341,7 @@ def _diagnostics(cells: np.ndarray, profiles: np.ndarray) -> list[Diagnostics]:
         np.abs(q_ff - (q_ft + q_tf + q_tt) / 3.0),
         np.abs(q_tf - q_tt),
     )
-    return [Diagnostics(*row) for row in np.stack(columns, axis=1).tolist()]
+    return np.stack(columns, axis=1)
 
 
 def diagnostics(table: JointTable) -> Diagnostics:
@@ -350,12 +350,14 @@ def diagnostics(table: JointTable) -> Diagnostics:
     Raises ZeroMarginalError if some evidence state has no mass.
     """
     profile = conditional_profile(table)
-    return _diagnostics(table.as_array()[None], np.array([profile.as_tuple()]))[0]
+    row = _diagnostics(table.as_array()[None], np.array([profile.as_tuple()]))[0]
+    return Diagnostics(*row.tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class NetworkEvaluation:
-    """Everything the study keeps about one evaluated network.
+    """Everything the study keeps about one evaluated network: a view of
+    one row of an Evaluations.
 
     ``answers`` (G, G, 3, rules in RULE_ORDER) and ``oracle`` (G, G) hold
     the sweep over ``grid``, row-major in (e1, e2); ``records`` shows them
@@ -378,27 +380,85 @@ class NetworkEvaluation:
         return _records(self.network_id, self.grid, self.answers, self.oracle)
 
 
+def _table(cells: np.ndarray, kind: int, provenance: list) -> JointTable:
+    """One row's table from its cells, KINDS index and provenance row."""
+    seed, index, resamples = provenance
+    provenance = None if seed is None else Provenance(seed, index, resamples)
+    return JointTable(tuple(cells.tolist()), kind=KINDS[kind], provenance=provenance)
+
+
+@dataclass(frozen=True, eq=False)
+class Evaluations(Sequence):
+    """The evaluated networks of one sweep as aligned columns, row k of
+    each for network ``ids[k]``, over one ``grid``.
+
+    ``provenance`` holds Python ints, so loaded values of any size are
+    written back unchanged, and None rows for tables without it.  Row k
+    reads as a NetworkEvaluation, built on first access and then kept; a
+    slice reads as the Evaluations of its rows.
+    """
+
+    grid: tuple[float, ...]
+    ids: tuple[str, ...]
+    kinds: np.ndarray  # (N,): index into KINDS
+    patterns: np.ndarray  # (N,): index into MonotonicityPattern
+    passes_filter: np.ndarray  # (N,)
+    cells: np.ndarray  # (N, 8)
+    provenance: np.ndarray  # (N, 3) objects: the Provenance fields
+    answers: np.ndarray  # (N, G, G, 3)
+    oracle: np.ndarray  # (N, G, G)
+    stats: np.ndarray  # (N, 3, 3): the RuleStats fields of each rule in RULE_ORDER
+    best: np.ndarray  # (N,): index into RULE_ORDER
+    tie: np.ndarray  # (N,)
+    diagnostics: np.ndarray  # (N, 7): the Diagnostics fields
+    _views: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            columns = (f.name for f in fields(self) if f.init and f.name != "grid")
+            return replace(self, **{name: getattr(self, name)[k] for name in columns})
+        k = range(len(self))[k]
+        if k not in self._views:
+            self._views[k] = self._view(k)
+        return self._views[k]
+
+    def _view(self, k: int) -> NetworkEvaluation:
+        network_id, kind = self.ids[k], self.kinds[k]
+        return NetworkEvaluation(
+            network_id, KINDS[kind], _PATTERNS[self.patterns[k]], bool(self.passes_filter[k]),
+            self.grid, self.answers[k], self.oracle[k],
+            _summary(network_id, self.stats[k], self.best[k], self.tie[k]),
+            Diagnostics(*self.diagnostics[k].tolist()),
+            _table(self.cells[k], kind, self.provenance[k].tolist()),
+        )
+
+
 def _evaluate(
     cells: np.ndarray,
-    independent: np.ndarray,
-    network: Callable[[int], tuple[str, JointTable]],
+    kinds: np.ndarray,
+    labels: Callable[[np.ndarray], tuple[list[str], np.ndarray]],
     *,
     grid: Sequence[float],
     filter_enabled: bool,
     filter_mode: FilterMode,
-) -> list[NetworkEvaluation]:
+) -> Evaluations:
     """The array evaluation behind ``evaluate_tables`` and ``run_study``.
 
-    ``cells`` is (N, 8) and ``independent`` (N,) marks the rows whose table
-    claims ``kind="independent"``.  ``network(i)`` gives row ``i``'s id and
-    table; it is called only for the kept rows and for the first invalid
-    one.  Validation, the screen, the sweep, the summaries and the
-    diagnostics each run as one array pass over all (kept) rows.
+    ``cells`` is (N, 8) and ``kinds`` (N,) holds each row's index into
+    KINDS.  ``labels(rows)`` gives the ids and the provenance column (as
+    in Evaluations) of the given rows; it is called for the kept rows, and
+    for the first invalid row if there is one.  Validation, the screen,
+    the sweep, the rule statistics and the diagnostics each run as one
+    array pass over all (kept) rows.
     """
-    checks = check_cells(cells, independent)
-    invalid = np.flatnonzero(~checks.ok)
+    checks = check_cells(cells, kinds == KINDS.index("independent"))
+    invalid = np.flatnonzero(~checks.ok)[:1]
     if invalid.size:
-        network_id, table = network(int(invalid[0]))
+        (network_id,), provenance = labels(invalid)
+        table = _table(cells[invalid[0]], kinds[invalid[0]], provenance[0].tolist())
         try:
             require_valid(table)
         except InvalidTableError as exc:
@@ -411,37 +471,18 @@ def _evaluate(
     codes = _pattern_code(*profiles.T, filter_mode)
     passes = codes != _PATTERNS.index(MonotonicityPattern.REJECTED)
     kept = np.flatnonzero(passes) if filter_enabled else np.arange(len(cells))
-    networks = [network(i) for i in kept.tolist()]
-    kept_ids = [network_id for network_id, _ in networks]
+    ids, provenance = labels(kept)
 
     grid = tuple(float(v) for v in grid)
-    answers, oracle = sweep(cells[kept], grid, ids=kept_ids)
+    answers, oracle = sweep(cells[kept], grid, ids=ids)
     # Contiguous per (network, rule), so each mean sums in the order
     # summarize(records) uses.
     errors = np.ascontiguousarray(np.moveaxis(oracle[..., None] - answers, -1, 1))
-    errors = errors.reshape(len(kept), 3, len(grid) ** 2)
-    rows = zip(
-        networks,
-        codes[kept].tolist(),
-        passes[kept].tolist(),
-        _summaries(kept_ids, errors),
-        _diagnostics(cells[kept], profiles[kept]),
+    stats = _rule_stats(errors.reshape(len(kept), 3, len(grid) ** 2))
+    return Evaluations(
+        grid, tuple(ids), kinds[kept], codes[kept], passes[kept], cells[kept], provenance,
+        answers, oracle, *stats, _diagnostics(cells[kept], profiles[kept]),
     )
-    return [
-        NetworkEvaluation(
-            network_id=network_id,
-            kind=table.kind,
-            pattern=_PATTERNS[code],
-            passes_filter=passed,
-            grid=grid,
-            answers=answers[k],
-            oracle=oracle[k],
-            summary=summary,
-            diagnostics=diagnostic,
-            table=table,
-        )
-        for k, ((network_id, table), code, passed, summary, diagnostic) in enumerate(rows)
-    ]
 
 
 def evaluate_tables(
@@ -452,7 +493,7 @@ def evaluate_tables(
     filter_enabled: bool = True,
     filter_mode: FilterMode = "full",
     workers: int = 1,
-) -> list[NetworkEvaluation]:
+) -> Evaluations:
     """Validate, screen, and sweep a collection of networks.
 
     With the filter on, rejected networks are screened out before
@@ -460,18 +501,23 @@ def evaluate_tables(
     ``passes_filter`` flag records what the filter would have done.  Output
     order follows input order, and the first invalid network in input order
     raises InvalidTableError naming it.  The tables are stacked into one
-    array for the batch evaluation ``run_study`` uses too.  ``workers`` has
-    no effect; it stays only because the benchmark script ``bench/run.py``
-    passes it.
+    cell array for the evaluation ``run_study`` runs too, and the result is
+    the kept rows' Evaluations columns.  ``workers`` has no effect; it
+    stays only because the benchmark script ``bench/run.py`` passes it.
     """
     if ids is None:
         ids = [f"net-{i:04d}" for i in range(len(tables))]
     if len(ids) != len(tables):
         raise ValueError("need exactly one id per table")
+    provenance = [table.provenance for table in tables]
+    provenance = np.array(
+        [(None,) * 3 if p is None else (p.seed, p.index, p.resamples) for p in provenance],
+        dtype=object,
+    ).reshape(-1, 3)
     return _evaluate(
         np.array([table.cells for table in tables], dtype=float).reshape(-1, 8),
-        np.array([table.kind == "independent" for table in tables], dtype=bool),
-        lambda i: (ids[i], tables[i]),
+        np.array([KINDS.index(table.kind) for table in tables], dtype=int),
+        lambda rows: ([ids[i] for i in rows.tolist()], provenance[rows]),
         grid=grid,
         filter_enabled=filter_enabled,
         filter_mode=filter_mode,
@@ -501,6 +547,10 @@ class StudyConfig:
     filter_mode: FilterMode = "full"
 
     def __post_init__(self) -> None:
+        for value in self.grid:
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise ValueError(f"grid values must be real numbers, got {value!r}")
+        object.__setattr__(self, "grid", tuple(float(value) for value in self.grid))
         if len(self.grid) == 0:
             raise ValueError("update grid must not be empty")
         for value in self.grid:
@@ -525,7 +575,7 @@ class StudyReport:
     filter_enabled: bool
     filter_mode: str
     classes: dict[str, ClassReport]
-    networks: tuple[NetworkEvaluation, ...]
+    networks: Evaluations
     strength_error_pairs: tuple[tuple[float, float], ...]
     spearman_strength_error: float | None
     generation: StudyConfig | None = None
@@ -559,7 +609,7 @@ def spearman_strength_error(
 
 
 def build_report(
-    evaluations: Sequence[NetworkEvaluation],
+    evaluations: Evaluations,
     generated_counts: Mapping[str, int],
     *,
     grid: Sequence[float],
@@ -567,39 +617,35 @@ def build_report(
     filter_mode: FilterMode,
     generation: StudyConfig | None = None,
 ) -> StudyReport:
-    """Aggregate per-network evaluations into the study report."""
+    """Aggregate the evaluated networks into the study report: per class of
+    ``generated_counts``, a count of best rules and the means of the best
+    rules' average and maximum errors, each over the class's rows."""
+    best_stats = evaluations.stats[np.arange(len(evaluations)), evaluations.best]  # (N, 3)
     classes = {}
-    for kind in KINDS:
+    for code, kind in enumerate(KINDS):
         if kind not in generated_counts:
             continue
-        kept = [ev for ev in evaluations if ev.kind == kind]
-        counts = {rule: 0 for rule in RULE_ORDER}
-        for ev in kept:
-            counts[ev.summary.best] += 1
-        if kept:
-            average = float(np.mean([ev.summary.stats[ev.summary.best].mean_abs for ev in kept]))
-            maximum = float(np.mean([ev.summary.stats[ev.summary.best].max_abs for ev in kept]))
-        else:
-            average = None
-            maximum = None
+        kept = evaluations.kinds == code
+        counts = np.bincount(evaluations.best[kept], minlength=len(RULE_ORDER)).tolist()
+        average = maximum = None
+        if kept.any():
+            average = float(np.mean(best_stats[kept, 1]))
+            maximum = float(np.mean(best_stats[kept, 2]))
         classes[kind] = ClassReport(
             kind=kind,
             generated=generated_counts[kind],
-            filtered_in=len(kept),
-            best_rule_counts=counts,
+            filtered_in=int(kept.sum()),
+            best_rule_counts=dict(zip(RULE_ORDER, counts)),
             overall_average_error=average,
             overall_maximum_error=maximum,
         )
-    pairs = tuple(
-        (ev.diagnostics.associative_strength, ev.summary.stats[ev.summary.best].mean_abs)
-        for ev in evaluations
-    )
+    pairs = tuple(zip(evaluations.diagnostics[:, -1].tolist(), best_stats[:, 1].tolist()))
     return StudyReport(
         grid=tuple(grid),
         filter_enabled=filter_enabled,
         filter_mode=filter_mode,
         classes=classes,
-        networks=tuple(evaluations),
+        networks=evaluations,
         strength_error_pairs=pairs,
         spearman_strength_error=spearman_strength_error(pairs),
         generation=generation,
@@ -612,29 +658,30 @@ def run_study(config: StudyConfig) -> StudyReport:
     Networks are identified as ``independent-0000`` … / ``associated-0000``
     …; the independent class comes first everywhere, including the pooled
     (strength, error) list.  Both classes stay one cell array from the
-    samplers to the sweep; a table is built only for each kept network.
+    samplers to the sweep, and the report's ``networks`` are the kept rows'
+    Evaluations columns: no object is built per network.
     """
-    samples = independent_cells(config.independent), associated_cells(config.associated)
+    batches = config.independent, config.associated
+    samples = independent_cells(batches[0]), associated_cells(batches[1])
     cells, resamples = map(np.concatenate, zip(*samples))
-    first = config.independent.count  # row of associated-0000
+    kinds = np.repeat([0, 1], [batch.count for batch in batches])  # KINDS index
+    indices = np.arange(len(cells)) - batches[0].count * kinds
 
-    def network(i: int) -> tuple[str, JointTable]:
-        batch, index = (config.associated, i - first) if i >= first else (config.independent, i)
-        table = network_table(batch, index, cells[i].tolist(), int(resamples[i]))
-        return f"{batch.kind}-{index:04d}", table
+    def labels(rows: np.ndarray) -> tuple[list[str], np.ndarray]:
+        columns = kinds[rows].tolist(), indices[rows].tolist(), resamples[rows].tolist()
+        ids = [f"{KINDS[k]}-{i:04d}" for k, i, _ in zip(*columns)]
+        provenance = [(batches[k].seed, i, r) for k, i, r in zip(*columns)]
+        return ids, np.array(provenance, dtype=object).reshape(-1, 3)
 
     evaluations = _evaluate(
         cells,
-        np.arange(len(cells)) < first,
-        network,
+        kinds,
+        labels,
         grid=config.grid,
         filter_enabled=config.filter_enabled,
         filter_mode=config.filter_mode,
     )
-    generated_counts = {
-        "independent": config.independent.count,
-        "associated": config.associated.count,
-    }
+    generated_counts = {batch.kind: batch.count for batch in batches}
     return build_report(
         evaluations,
         generated_counts,
@@ -741,52 +788,49 @@ SURFACE_HEADER = ("e1", "e2", "signed_error")
 _CSV_CHUNK = 128
 
 
-def results_csv_text(evaluations: Sequence[NetworkEvaluation]) -> str:
+def _names(names: Sequence[str], codes: np.ndarray) -> list[str]:
+    """The name of each code, as an index into ``names``."""
+    return np.array(names, dtype=object)[codes].tolist()
+
+
+def results_csv_text(evaluations: Evaluations) -> str:
     """Per-update results, one row per (network, grid point).
 
     Byte-identical to ``_serialize.csv_text`` on the same rows (pinned by
-    the tests).  The networks are written in chunks of ``_CSV_CHUNK`` as
-    ``_serialize.csv_rows`` of three parts: the network's text fields,
-    repeated over its grid points; the "e1,e2" fields, formatted once per
-    distinct grid; and the seven float columns, whose ``%.17g`` text
-    ``_serialize.float_fields`` renders in numpy.  A non-finite float or a
-    text field that would need quoting is refused with the generic writer's
-    error for the first one in document order.
+    the tests).  The networks are written in chunks of ``_CSV_CHUNK`` rows
+    of the columns, as ``_serialize.csv_rows`` of three parts: the
+    network's text fields, repeated over its grid points; the "e1,e2"
+    fields of the grid, formatted once for the file; and the seven float
+    columns, whose ``%.17g`` text ``_serialize.float_fields`` renders in
+    numpy.  A non-finite float or a text field that would need quoting is
+    refused with the generic writer's error for the first one in document
+    order.
     """
-    evaluations = list(evaluations)
-    grids: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
+    points = tuple(product(evaluations.grid, evaluations.grid))
+    grid_fields = _serialize.float_fields(np.array(points, dtype=float).reshape(-1, 2))
+    kinds = _names(KINDS, evaluations.kinds)
+    patterns = _names(_PATTERN_NAMES, evaluations.patterns)
     pieces = [",".join(RESULTS_HEADER) + "\n"]
     for start in range(0, len(evaluations), _CSV_CHUNK):
-        chunk = evaluations[start : start + _CSV_CHUNK]
-        answers = np.concatenate([ev.answers.reshape(-1, 3) for ev in chunk])
-        oracle = np.concatenate([ev.oracle.reshape(-1, 1) for ev in chunk])
+        rows = slice(start, start + _CSV_CHUNK)
+        heads = tuple(zip(evaluations.ids[rows], kinds[rows], patterns[rows]))
+        answers = evaluations.answers[rows].reshape(-1, 3)
+        oracle = evaluations.oracle[rows].reshape(-1, 1)
         values = np.hstack((answers, oracle, oracle - answers))
         try:
-            for ev in chunk:
-                if ev.grid not in grids:
-                    points = np.array(list(product(ev.grid, ev.grid)), dtype=float)
-                    grids[ev.grid] = _serialize.float_fields(points.reshape(-1, 2))
-            texts = _serialize.text_fields([
-                ",".join(map(_serialize.format_cell, (ev.network_id, ev.kind, ev.pattern.value)))
-                + ","
-                for ev in chunk
-            ])
-            sizes = [ev.oracle.size for ev in chunk]
-            grid_slots, grid_mask = zip(*(grids[ev.grid] for ev in chunk))
+            texts = _serialize.text_fields(
+                [",".join(map(_serialize.format_cell, head)) + "," for head in heads]
+            )
             pieces.append(_serialize.csv_rows(
-                tuple(np.repeat(part, sizes, axis=0) for part in texts),
-                (np.concatenate(grid_slots), np.concatenate(grid_mask)),
+                tuple(np.repeat(part, len(points), axis=0) for part in texts),
+                tuple(np.tile(part, (len(heads), 1)) for part in grid_fields),
                 _serialize.float_fields(values),
             ))
         except ValueError:
             # Each part above is checked on its own; the generic writer
             # raises the chunk's first refusal in document order.
-            heads = (
-                (ev.network_id, ev.kind, ev.pattern.value, *point)
-                for ev in chunk
-                for point in product(ev.grid, ev.grid)
-            )
-            _serialize.csv_text((), (head + tuple(row) for head, row in zip(heads, values.tolist())))
+            fronts = (head + point for head, point in product(heads, points))
+            _serialize.csv_text((), (f + tuple(row) for f, row in zip(fronts, values.tolist())))
             raise
     return "".join(pieces)
 
@@ -795,25 +839,48 @@ def surface_csv_text(points: Sequence[tuple[float, float, float]]) -> str:
     return _serialize.csv_text(SURFACE_HEADER, points)
 
 
-def _network_dict(ev: NetworkEvaluation) -> dict:
-    """One element of the report's ``networks`` list.  The provenance, rule
-    statistics and diagnostics blocks hold their dataclass's fields in
-    field order."""
-    provenance = ev.table.provenance
-    summary = ev.summary
-    return {
-        "id": ev.network_id,
-        "kind": ev.kind,
-        "pattern": ev.pattern.value,
-        "passes_filter": ev.passes_filter,
-        "provenance": None if provenance is None else vars(provenance).copy(),
-        "summary": {
-            "best": summary.best.value,
-            "tie": summary.tie,
-            "rules": {name: vars(summary.stats[rule]).copy() for rule, name in _RULE_NAMES},
-        },
-        "diagnostics": vars(ev.diagnostics).copy(),
-    }
+#: The field names of the provenance and of the diagnostics, in the order
+#: of the last axis of their Evaluations column.
+_PROVENANCE_NAMES = tuple(Provenance.__dataclass_fields__)
+_DIAGNOSTIC_NAMES = tuple(Diagnostics.__dataclass_fields__)
+
+
+def _network_dicts(ev: Evaluations) -> list[dict]:
+    """The report's ``networks`` list, one dict per row of the columns.
+    The provenance, rule statistics and diagnostics blocks hold their
+    dataclass's fields in field order."""
+    rows = zip(
+        ev.ids,
+        _names(KINDS, ev.kinds),
+        _names(_PATTERN_NAMES, ev.patterns),
+        ev.passes_filter.tolist(),
+        ev.provenance.tolist(),
+        _names(_RULE_NAMES, ev.best),
+        ev.tie.tolist(),
+        ev.stats.tolist(),
+        ev.diagnostics.tolist(),
+    )
+    return [
+        {
+            "id": network_id,
+            "kind": kind,
+            "pattern": pattern,
+            "passes_filter": passed,
+            "provenance": (
+                None if provenance[0] is None else dict(zip(_PROVENANCE_NAMES, provenance))
+            ),
+            "summary": {
+                "best": best,
+                "tie": tie,
+                "rules": {
+                    name: {"mean_signed": signed, "mean_abs": average, "max_abs": maximum}
+                    for name, (signed, average, maximum) in zip(_RULE_NAMES, stats)
+                },
+            },
+            "diagnostics": dict(zip(_DIAGNOSTIC_NAMES, diagnostics)),
+        }
+        for network_id, kind, pattern, passed, provenance, best, tie, stats, diagnostics in rows
+    ]
 
 
 def report_to_dict(report: StudyReport) -> dict:
@@ -837,7 +904,7 @@ def report_to_dict(report: StudyReport) -> dict:
             "generated": cls.generated,
             "filtered_in": cls.filtered_in,
             "best_rule_counts": {
-                name: cls.best_rule_counts[rule] for rule, name in _RULE_NAMES
+                name: cls.best_rule_counts[rule] for rule, name in zip(RULE_ORDER, _RULE_NAMES)
             },
             "overall_average_error": cls.overall_average_error,
             "overall_maximum_error": cls.overall_maximum_error,
@@ -852,7 +919,7 @@ def report_to_dict(report: StudyReport) -> dict:
         "classes": classes,
         "spearman_strength_error": report.spearman_strength_error,
         "strength_error_pairs": [list(pair) for pair in report.strength_error_pairs],
-        "networks": [_network_dict(ev) for ev in report.networks],
+        "networks": _network_dicts(report.networks),
     }
 
 

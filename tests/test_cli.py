@@ -138,6 +138,49 @@ class TestReport:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+#: Provenance of a loaded network is any JSON integer: no fixed width.
+UNBOUNDED_PROVENANCE = {"seed": 2**70, "index": -3, "resamples": 2**64}
+
+
+def unbounded_provenance_file(tmp_path, *, cells=None):
+    """Six associated networks; the second has UNBOUNDED_PROVENANCE and, if
+    given, ``cells``."""
+    path = make_networks_file(tmp_path)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    document["networks"][1]["provenance"] = UNBOUNDED_PROVENANCE
+    if cells is not None:
+        document["networks"][1]["cells"] = cells
+    changed = tmp_path / "unbounded-networks.json"
+    changed.write_text(json.dumps(document), encoding="utf-8")
+    return path, changed
+
+
+class TestUnboundedProvenance:
+    def test_report_and_evaluate_write_it_unchanged(self, tmp_path):
+        original, path = unbounded_provenance_file(tmp_path)
+        for source, name in ((original, "original"), (path, "unbounded")):
+            for command, suffix in (("report", "json"), ("evaluate", "csv")):
+                out = tmp_path / f"{name}.{suffix}"
+                assert run(command, "--networks", source, "--no-filter", "--out", out) == 0
+        text = (tmp_path / "unbounded.json").read_text(encoding="utf-8")
+        assert json.loads(text)["networks"][1]["provenance"] == UNBOUNDED_PROVENANCE
+        assert (
+            '"provenance": {\n        "seed": 1180591620717411303424,\n        "index": -3,\n'
+            '        "resamples": 18446744073709551616\n      },'
+        ) in text
+        assert (tmp_path / "unbounded.csv").read_bytes() == (tmp_path / "original.csv").read_bytes()
+
+    def test_an_invalid_network_is_named_with_it(self, tmp_path, capsys):
+        _, path = unbounded_provenance_file(tmp_path, cells=[0.2] * 8)
+        with pytest.raises(SystemExit) as excinfo:
+            run("evaluate", "--networks", path, "--out", tmp_path / "r.csv")
+        assert excinfo.value.code == 2
+        assert (
+            "network net-0001 (provenance Provenance(seed=1180591620717411303424, index=-3, "
+            "resamples=18446744073709551616)): invalid table: cells sum to 1.6"
+        ) in capsys.readouterr().err
+
+
 class TestCaseStudy:
     def test_benchmark_summary_and_surface(self, tmp_path, capsys):
         out = tmp_path / "surface.csv"

@@ -19,6 +19,7 @@ from prospector_eval import (
     GenerationConfig,
     JointTable,
     MonotonicityPattern,
+    NetworkErrorSummary,
     NetworkEvaluation,
     Rule,
     StudyConfig,
@@ -27,6 +28,8 @@ from prospector_eval import (
     conditional_profile,
     diagnostics,
     generate,
+    generate_associated,
+    generate_independent,
     error_surface,
     evaluate_network,
     infer,
@@ -45,6 +48,7 @@ from prospector_eval.study import (
     RESULTS_HEADER,
     RULE_ORDER,
     EvaluationRecord,
+    RuleStats,
     build_report,
     evaluate_tables,
     format_class_table,
@@ -381,6 +385,22 @@ class TestRunStudy:
                 associated=GenerationConfig(count=1, seed=1, kind="associated"),
             )
 
+    def test_numpy_float_grid_is_stored_as_floats(self):
+        config = small_study_config(grid=(np.float32(0.5), np.float32(0.25)))
+        assert config.grid == (0.5, 0.25) and all(type(v) is float for v in config.grid)
+        expected = report_json_text(run_study(small_study_config(grid=(0.5, 0.25))))
+        assert report_json_text(run_study(config)) == expected
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None])
+    def test_grid_values_that_are_not_real_numbers_are_refused(self, value):
+        with pytest.raises(ValueError, match=f"grid values must be real numbers, got {value!r}"):
+            small_study_config(grid=(value, 0.5))
+
+    def test_list_grid_is_stored_as_a_tuple(self):
+        config = small_study_config(grid=[0.0, 0.5, 1.0])
+        assert config.grid == (0.0, 0.5, 1.0)
+        assert hash(config) == hash(small_study_config(grid=(0.0, 0.5, 1.0)))
+
 
 def reference_pattern(profile: ConditionalProfile, mode: str) -> MonotonicityPattern:
     """The one-profile screen the array pass replaced."""
@@ -483,6 +503,67 @@ class TestPinnedStudyBytes:
             "fb1aa68c1fa3413ad8c85b6790106f6cdf1b03de62a35f8b63da840aa6550c43",
         ]
 
+    def test_sha256_of_a_case_study_surface(self, case2):
+        """A ``case-study`` surface file, pinned before its writer changes."""
+        text = surface_csv_text(error_surface(case2, Rule.INDEPENDENT, 0.02))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "47f6577a9401495bdc7fd29938bd8c9b9826b5c51e8a03e03f2620ba96c9da72"
+        )
+
+
+class TestColumns:
+    """The study result is one set of columns; a network's object is built
+    only when asked for."""
+
+    def test_a_valid_study_builds_no_object_per_network(self, monkeypatch):
+        calls = []
+        for cls in (JointTable, NetworkEvaluation, NetworkErrorSummary, RuleStats, Diagnostics):
+
+            def counted(self, *args, init=cls.__init__, **kwargs):
+                calls.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        report = run_study(StudyConfig.default(count=400))
+        report_json_text(report)
+        results_csv_text(report.networks)
+        assert calls == []
+        report.networks[-1]  # the counters count
+        assert sorted(calls) == [
+            "Diagnostics", "JointTable", "NetworkErrorSummary", "NetworkEvaluation",
+            "RuleStats", "RuleStats", "RuleStats",
+        ]
+
+    @pytest.mark.parametrize("filter_enabled", [True, False])
+    def test_evaluate_tables_and_build_report_write_the_run_study_bytes(self, filter_enabled):
+        config = StudyConfig.default(seed=2**64 - 1, count=40, filter_enabled=filter_enabled)
+        tables = generate_independent(config.independent) + generate_associated(config.associated)
+        ids = [f"{table.kind}-{table.provenance.index:04d}" for table in tables]
+        evaluations = evaluate_tables(
+            tables, ids=ids, grid=config.grid, filter_enabled=filter_enabled, filter_mode="full"
+        )
+        report = build_report(
+            evaluations,
+            {"independent": 40, "associated": 40},
+            grid=config.grid,
+            filter_enabled=filter_enabled,
+            filter_mode="full",
+            generation=config,
+        )
+        direct = run_study(config)
+        assert report_json_text(report) == report_json_text(direct)
+        assert results_csv_text(evaluations) == results_csv_text(direct.networks)
+
+    def test_rows_read_as_the_same_view_and_slices_as_columns(self):
+        networks = run_study(small_study_config(filter_enabled=False)).networks
+        assert networks[-1] is networks[len(networks) - 1] is list(networks)[-1]
+        with pytest.raises(IndexError):
+            networks[len(networks)]
+        head = networks[2:5]
+        assert isinstance(head, study.Evaluations) and head.grid == networks.grid
+        assert [ev.network_id for ev in head] == [ev.network_id for ev in list(networks)[2:5]]
+        assert bits(head.answers) == bits(networks.answers[2:5])
+
 
 def generic_results_csv(evaluations) -> str:
     """The results CSV written field by field from the records."""
@@ -521,59 +602,95 @@ def value_error(write, *args) -> str:
 ODD_IDS = ("back\\slash", "n\u00e9t-\u03b1\u2603", "tab\tbell\x07", "50%-odd%s")
 
 
+def with_oddities(report):
+    """The report with ODD_IDS at every third network from the first, a
+    flagged tie at network 7 and no provenance on networks 40 to 59."""
+    networks = report.networks
+    ids = list(networks.ids)
+    ids[: 3 * len(ODD_IDS) : 3] = ODD_IDS
+    tie = networks.tie.copy()
+    tie[7] = True
+    provenance = networks.provenance.copy()
+    provenance[40:60] = None
+    networks = dataclasses.replace(networks, ids=tuple(ids), tie=tie, provenance=provenance)
+    return dataclasses.replace(report, networks=networks)
+
+
+def reference_network_dict(ev) -> dict:
+    """One element of the report's ``networks`` list, from a network's view."""
+    provenance = ev.table.provenance
+    return {
+        "id": ev.network_id,
+        "kind": ev.kind,
+        "pattern": ev.pattern.value,
+        "passes_filter": ev.passes_filter,
+        "provenance": None if provenance is None else vars(provenance),
+        "summary": {
+            "best": ev.summary.best.value,
+            "tie": ev.summary.tie,
+            "rules": {rule.value: vars(ev.summary.stats[rule]) for rule in RULE_ORDER},
+        },
+        "diagnostics": vars(ev.diagnostics),
+    }
+
+
 class TestArrayWriters:
     """The array writers against the generic writers they replace."""
 
     @pytest.fixture(scope="class")
     def mixed(self):
-        """More than one CSV chunk of networks: both grids, odd ids, networks
-        with and without provenance, and a flagged tie."""
-        quarters = run_study(StudyConfig.default(count=80, filter_enabled=False))
-        tables = [ev.table for ev in quarters.networks[:40]]
-        fifths = evaluate_tables(
-            [JointTable(t.cells, kind=t.kind) for t in tables],
-            ids=[f"fifth-{i}" for i in range(len(tables))],
+        """One report per grid, each more than one CSV chunk of networks:
+        odd ids, networks with and without provenance, and a flagged tie."""
+        quarters = run_study(StudyConfig.default(count=90, filter_enabled=False))
+        tables = [ev.table for ev in quarters.networks]
+        fifths = build_report(
+            evaluate_tables(
+                tables,
+                ids=[f"fifth-{i}" for i in range(len(tables))],
+                grid=GRID_FIFTH_VALUES,
+                filter_enabled=False,
+            ),
+            {"independent": 90, "associated": 90},
             grid=GRID_FIFTH_VALUES,
             filter_enabled=False,
+            filter_mode="full",
         )
-        evaluations = list(quarters.networks)
-        evaluations[5:5] = fifths
-        for k, network_id in enumerate(ODD_IDS):
-            evaluations[3 * k] = dataclasses.replace(evaluations[3 * k], network_id=network_id)
-        evaluations[7] = dataclasses.replace(
-            evaluations[7], summary=dataclasses.replace(evaluations[7].summary, tie=True)
-        )
-        assert len(evaluations) > study._CSV_CHUNK
-        assert {ev.grid for ev in evaluations} == {GRID_QUARTERS, GRID_FIFTH_VALUES}
-        return dataclasses.replace(
-            quarters,
-            networks=tuple(evaluations),
-            strength_error_pairs=tuple(
-                (ev.diagnostics.associative_strength, ev.summary.stats[ev.summary.best].mean_abs)
-                for ev in evaluations
-            ),
-        )
+        reports = (with_oddities(quarters), with_oddities(fifths))
+        assert [report.networks.grid for report in reports] == [GRID_QUARTERS, GRID_FIFTH_VALUES]
+        assert all(len(report.networks) > study._CSV_CHUNK for report in reports)
+        return reports
 
     def test_results_csv_matches_the_generic_writer(self, mixed):
-        assert results_csv_text(mixed.networks) == generic_results_csv(mixed.networks)
-        assert results_csv_text([]) == generic_results_csv([])
+        for report in mixed:
+            assert results_csv_text(report.networks) == generic_results_csv(report.networks)
+        assert results_csv_text(mixed[0].networks[:0]) == generic_results_csv([])
 
     def test_report_json_matches_the_generic_writer(self, mixed):
-        networks = list(mixed.networks)
-        networks[1] = dataclasses.replace(networks[1], network_id='say "hi"')
-        report = dataclasses.replace(mixed, networks=tuple(networks))
-        text = report_json_text(report)
-        assert text == generic_report_json(report)
-        document = json.loads(text)
-        assert [n["id"] for n in document["networks"][: 3 * len(ODD_IDS) : 3]] == list(ODD_IDS)
-        assert document["networks"][1]["id"] == 'say "hi"'
-        assert {n["provenance"] is None for n in document["networks"]} == {True, False}
-        assert document["networks"][7]["summary"]["tie"] is True
+        for report in mixed:
+            ids = list(report.networks.ids)
+            ids[1] = 'say "hi"'
+            report = dataclasses.replace(
+                report, networks=dataclasses.replace(report.networks, ids=tuple(ids))
+            )
+            networks = report_to_dict(report)["networks"]
+            assert networks == [reference_network_dict(ev) for ev in report.networks]
+            text = report_json_text(report)
+            assert text == generic_report_json(report)
+            document = json.loads(text)
+            assert [n["id"] for n in document["networks"][: 3 * len(ODD_IDS) : 3]] == list(ODD_IDS)
+            assert document["networks"][1]["id"] == 'say "hi"'
+            assert {n["provenance"] is None for n in document["networks"]} == {True, False}
+            assert document["networks"][7]["summary"]["tie"] is True
 
     def test_empty_reports_match_the_generic_writer(self):
         emptied = run_study(small_study_config(filter_mode="full", grid=(0.5,)))
-        emptied = dataclasses.replace(emptied, networks=(), strength_error_pairs=())
-        bare = build_report([], {}, grid=(0.5,), filter_enabled=True, filter_mode="full")
+        emptied = dataclasses.replace(
+            emptied, networks=emptied.networks[:0], strength_error_pairs=()
+        )
+        bare = build_report(
+            evaluate_tables([], grid=(0.5,)), {}, grid=(0.5,), filter_enabled=True,
+            filter_mode="full",
+        )
         for report in (emptied, bare):
             assert report_json_text(report) == generic_report_json(report)
 
@@ -589,14 +706,15 @@ class TestArrayWriters:
         ids=["inf-then-nan", "answer-before-oracle", "earlier-row-first", "later-chunk"],
     )
     def test_results_csv_raises_at_the_first_non_finite_value(self, mixed, poison):
-        evaluations = list(mixed.networks)
-        for k, name, flat, value in poison:
-            array = getattr(evaluations[k], name).copy()
-            array.flat[flat] = value
-            evaluations[k] = dataclasses.replace(evaluations[k], **{name: array})
-        expected = value_error(generic_results_csv, evaluations)
-        assert expected.startswith("non-finite value cannot be serialized")
-        assert value_error(results_csv_text, evaluations) == expected
+        for report in mixed:
+            evaluations = report.networks
+            for k, name, flat, value in poison:
+                array = getattr(evaluations, name).copy()
+                array[k].flat[flat] = value
+                evaluations = dataclasses.replace(evaluations, **{name: array})
+            expected = value_error(generic_results_csv, evaluations)
+            assert expected.startswith("non-finite value cannot be serialized")
+            assert value_error(results_csv_text, evaluations) == expected
 
     @pytest.mark.parametrize(
         "networks, pairs, spearman",
@@ -614,30 +732,30 @@ class TestArrayWriters:
     ):
         """``networks`` poisons a diagnostic, or else a disjunctive rule
         statistic, of a network; ``pairs`` poisons one value of a pair."""
-        evaluations = list(mixed.networks)
-        for k, field, value in networks:
-            ev = evaluations[k]
-            if field in Diagnostics.__dataclass_fields__:
-                diagnostics = dataclasses.replace(ev.diagnostics, **{field: value})
-                evaluations[k] = dataclasses.replace(ev, diagnostics=diagnostics)
-            else:
-                stats = dict(ev.summary.stats)
-                disjunctive = stats[Rule.DISJUNCTIVE]
-                stats[Rule.DISJUNCTIVE] = dataclasses.replace(disjunctive, **{field: value})
-                summary = dataclasses.replace(ev.summary, stats=stats)
-                evaluations[k] = dataclasses.replace(ev, summary=summary)
-        strength_error_pairs = [list(pair) for pair in mixed.strength_error_pairs]
-        for k, column, value in pairs:
-            strength_error_pairs[k][column] = value
-        report = dataclasses.replace(
-            mixed,
-            networks=tuple(evaluations),
-            strength_error_pairs=tuple(map(tuple, strength_error_pairs)),
-            spearman_strength_error=spearman,
-        )
-        expected = value_error(generic_report_json, report)
-        assert expected.startswith("non-finite value cannot be serialized")
-        assert value_error(report_json_text, report) == expected
+        for report in mixed:
+            stats = report.networks.stats.copy()
+            diagnostic_values = report.networks.diagnostics.copy()
+            for k, field, value in networks:
+                if field in Diagnostics.__dataclass_fields__:
+                    column = list(Diagnostics.__dataclass_fields__).index(field)
+                    diagnostic_values[k, column] = value
+                else:
+                    rule = RULE_ORDER.index(Rule.DISJUNCTIVE)
+                    stats[k, rule, list(RuleStats.__dataclass_fields__).index(field)] = value
+            strength_error_pairs = [list(pair) for pair in report.strength_error_pairs]
+            for k, column, value in pairs:
+                strength_error_pairs[k][column] = value
+            report = dataclasses.replace(
+                report,
+                networks=dataclasses.replace(
+                    report.networks, stats=stats, diagnostics=diagnostic_values
+                ),
+                strength_error_pairs=tuple(map(tuple, strength_error_pairs)),
+                spearman_strength_error=spearman,
+            )
+            expected = value_error(generic_report_json, report)
+            assert expected.startswith("non-finite value cannot be serialized")
+            assert value_error(report_json_text, report) == expected
 
 
 class TestReportOutputs:
@@ -689,26 +807,25 @@ class TestReportOutputs:
     def test_results_csv_matches_the_generic_writer(self):
         """The row-pattern writer is byte-identical to formatting field by
         field, signed zeros, subnormals and 17-digit values included."""
-        evaluations = list(run_study(small_study_config()).networks[:3])
-        special = evaluations[0]
-        answers = special.answers.copy()
-        answers.flat[:4] = (-0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2)
-        evaluations.append(
-            NetworkEvaluation(**{**vars(special), "network_id": "odd%id", "answers": answers})
+        evaluations = run_study(small_study_config(filter_enabled=False)).networks[:4]
+        answers = evaluations.answers.copy()
+        answers[3].flat[:4] = (-0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2)
+        evaluations = dataclasses.replace(
+            evaluations, ids=evaluations.ids[:3] + ("odd%id",), answers=answers
         )
         expected = generic_results_csv(evaluations)
         assert results_csv_text(evaluations) == expected
         assert ",-0," in expected and ",4.9406564584124654e-324," in expected
 
     def test_results_csv_refuses_non_finite_and_quoting(self):
-        ev = run_study(small_study_config()).networks[0]
-        oracle = ev.oracle.copy()
+        evaluations = run_study(small_study_config()).networks[:1]
+        oracle = evaluations.oracle.copy()
         oracle.flat[3] = np.nan
         with pytest.raises(ValueError, match="non-finite value cannot be serialized: nan"):
-            results_csv_text([NetworkEvaluation(**{**vars(ev), "oracle": oracle})])
+            results_csv_text(dataclasses.replace(evaluations, oracle=oracle))
         for text in ("a,b", 'say "x"', "two\nlines", "carriage\rreturn"):
             with pytest.raises(ValueError, match="CSV field would need quoting"):
-                results_csv_text([NetworkEvaluation(**{**vars(ev), "network_id": text})])
+                results_csv_text(dataclasses.replace(evaluations, ids=(text,)))
 
     @pytest.mark.parametrize(
         "bad_id, nan_oracle",
@@ -719,13 +836,13 @@ class TestReportOutputs:
         """A text field that needs quoting and a non-finite float are both
         refused, and the one whose row comes first is named; within a row
         the text fields come first."""
-        evaluations = list(run_study(StudyConfig.default(count=40)).networks[:4])
+        evaluations = run_study(StudyConfig.default(count=40)).networks[:4]
         assert len(evaluations) == 4
-        ev = evaluations[nan_oracle]
-        oracle = ev.oracle.copy()
-        oracle.flat[3] = np.nan
-        evaluations[nan_oracle] = dataclasses.replace(ev, oracle=oracle)
-        evaluations[bad_id] = dataclasses.replace(evaluations[bad_id], network_id="a,b")
+        oracle = evaluations.oracle.copy()
+        oracle[nan_oracle].flat[3] = np.nan
+        ids = list(evaluations.ids)
+        ids[bad_id] = "a,b"
+        evaluations = dataclasses.replace(evaluations, oracle=oracle, ids=tuple(ids))
         expected = value_error(generic_results_csv, evaluations)
         assert value_error(results_csv_text, evaluations) == expected
 
@@ -869,7 +986,7 @@ NEVER_C = compose_table((0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 0.0))
 class TestEdgeSamples:
     def test_sample_the_filter_empties(self):
         evaluations = evaluate_tables([NON_MONOTONE, NON_MONOTONE])
-        assert evaluations == []
+        assert len(evaluations) == 0
         assert results_csv_text(evaluations).splitlines() == [",".join(RESULTS_HEADER)]
         report = build_report(
             evaluations,

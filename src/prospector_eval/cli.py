@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args
 
 from .cases import CASE_STUDY_IDS, case_study_table
 from .engine import Rule
@@ -32,6 +33,7 @@ from .study import (
     DEFAULT_SEED,
     DEFAULT_UPDATE_GRID,
     RULE_ORDER,
+    FilterMode,
     build_report,
     error_surface,
     evaluate_network,
@@ -41,6 +43,7 @@ from .study import (
     results_csv_text,
     summarize,
     surface_csv_text,
+    sweep_settings,
 )
 from .table import (
     MARGINAL_FLOOR,
@@ -58,9 +61,10 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]
         values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         parser.error(f"--grid must be a comma-separated list of numbers, got {text!r}")
-    if not values or any(not 0.0 <= v <= 1.0 for v in values):
-        parser.error("--grid values must lie in [0, 1] and the list must be nonempty")
-    return values
+    try:
+        return sweep_settings(values)[0]
+    except ValueError as exc:
+        parser.error(f"--grid: {exc}")
 
 
 def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
@@ -79,7 +83,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--filter-mode",
-        choices=("full", "e2-only"),
+        choices=get_args(FilterMode),
         default="full",
         help="monotonicity comparisons: each evidence variable, or E2 only",
     )
@@ -212,17 +216,7 @@ def _run_sweep(args, parser):
         )
     except (InvalidTableError, DegenerateBaseRateError) as exc:
         parser.error(f"unusable network file {args.networks}: {exc}")
-    counts: dict[str, int] = {}
-    for table in tables:
-        counts[table.kind] = counts.get(table.kind, 0) + 1
-    report = build_report(
-        evaluations,
-        counts,
-        grid=grid,
-        filter_enabled=args.filter,
-        filter_mode=args.filter_mode,
-    )
-    return evaluations, report
+    return evaluations, build_report(evaluations, Counter(table.kind for table in tables))
 
 
 def _cmd_evaluate(args, parser) -> int:
@@ -306,8 +300,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (ProspectorEvalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ProspectorEvalError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from typing import Literal, Mapping
+from typing import Literal, Mapping, get_args
 
 import numpy as np
 
@@ -85,6 +85,30 @@ class MonotonicityPattern(Enum):
 
 
 FilterMode = Literal["full", "e2-only"]
+
+#: The sweep settings, in the order ``sweep_settings`` takes and returns.
+SWEEP_SETTINGS = ("grid", "filter_enabled", "filter_mode")
+
+
+def sweep_settings(
+    grid: Sequence[float], filter_enabled: bool = True, filter_mode: FilterMode = "full"
+) -> tuple[tuple[float, ...], bool, FilterMode]:
+    """The one check of the sweep settings, raising ValueError for a value
+    the sweep cannot use; returns the grid as Python floats (-0.0 as 0.0)
+    and the flag as a bool.  Floats skip the slow ``numbers.Real`` test."""
+    grid = tuple(grid)
+    for value in grid:
+        if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+            raise ValueError(f"grid values must be real numbers, got {value!r}")
+        if not 0 <= value <= 1:
+            raise ValueError(f"grid value {value!r} lies outside [0, 1]")
+    if not grid:
+        raise ValueError("update grid must not be empty")
+    if not isinstance(filter_enabled, (bool, np.bool_)):
+        raise ValueError(f"filter_enabled must be a bool, got {filter_enabled!r}")
+    if not isinstance(filter_mode, str) or filter_mode not in get_args(FilterMode):
+        raise ValueError(f"filter_mode must be one of {get_args(FilterMode)}, got {filter_mode!r}")
+    return tuple(float(value) + 0.0 for value in grid), bool(filter_enabled), filter_mode
 
 
 #: Pattern of each code that ``_pattern_code`` returns.
@@ -158,13 +182,9 @@ def sweep(
     product with probabilities clamped into [ODDS_CLAMP, 1 - ODDS_CLAMP].
     Raises DegenerateBaseRateError if some table has P(C), P(E1) or P(E2)
     at 0 or 1: the links and the odds product are undefined there, and the
-    engine refuses such a table as well.
+    engine refuses such a table as well; ``sweep_settings`` checks ``grid``.
     """
-    u = np.asarray(grid, dtype=float)
-    if u.ndim != 1 or u.size == 0:
-        raise ValueError("update grid must be a nonempty sequence of numbers")
-    if not np.all((u >= 0.0) & (u <= 1.0)):
-        raise ValueError(f"grid values must lie in [0, 1], got {tuple(grid)!r}")
+    u = np.array(sweep_settings(grid)[0])
     # One network per row, broadcast against the (G, G) update grid.
     tables = np.asarray(cells, dtype=float).reshape(-1, 1, 1, 8)
     p_e1, p_e2, p_c = rates(tables)
@@ -226,8 +246,8 @@ def evaluate_network(
     Raises InfeasibleUpdateError for the first unreachable update in
     row-major order.
     """
+    grid = sweep_settings(grid)[0]
     answers, oracle = sweep([table.cells], grid, ids=[network_id])
-    grid = [float(v) for v in grid]
     _require_reachable(grid, oracle[0])
     return _records(network_id, grid, answers[0], oracle[0])
 
@@ -389,16 +409,18 @@ def _table(cells: np.ndarray, kind: int, provenance: list) -> JointTable:
 
 @dataclass(frozen=True, eq=False)
 class Evaluations(Sequence):
-    """The evaluated networks of one sweep as aligned columns, row k of
-    each for network ``ids[k]``, over one ``grid``.
+    """One sweep's ``grid``, ``filter_enabled`` and ``filter_mode``, and its
+    evaluated networks as aligned columns, row k of each for ``ids[k]``.
 
     ``provenance`` holds Python ints, so loaded values of any size are
     written back unchanged, and None rows for tables without it.  Row k
     reads as a NetworkEvaluation, built on first access and then kept; a
-    slice reads as the Evaluations of its rows.
+    slice reads as the Evaluations of its rows, with the same settings.
     """
 
     grid: tuple[float, ...]
+    filter_enabled: bool
+    filter_mode: FilterMode
     ids: tuple[str, ...]
     kinds: np.ndarray  # (N,): index into KINDS
     patterns: np.ndarray  # (N,): index into MonotonicityPattern
@@ -418,7 +440,7 @@ class Evaluations(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            columns = (f.name for f in fields(self) if f.init and f.name != "grid")
+            columns = (f.name for f in fields(self) if f.init and f.name not in SWEEP_SETTINGS)
             return replace(self, **{name: getattr(self, name)[k] for name in columns})
         k = range(len(self))[k]
         if k not in self._views:
@@ -454,6 +476,7 @@ def _evaluate(
     the sweep, the rule statistics and the diagnostics each run as one
     array pass over all (kept) rows.
     """
+    grid, filter_enabled, filter_mode = sweep_settings(grid, filter_enabled, filter_mode)
     checks = check_cells(cells, kinds == KINDS.index("independent"))
     invalid = np.flatnonzero(~checks.ok)[:1]
     if invalid.size:
@@ -473,15 +496,14 @@ def _evaluate(
     kept = np.flatnonzero(passes) if filter_enabled else np.arange(len(cells))
     ids, provenance = labels(kept)
 
-    grid = tuple(float(v) for v in grid)
     answers, oracle = sweep(cells[kept], grid, ids=ids)
     # Contiguous per (network, rule), so each mean sums in the order
     # summarize(records) uses.
     errors = np.ascontiguousarray(np.moveaxis(oracle[..., None] - answers, -1, 1))
     stats = _rule_stats(errors.reshape(len(kept), 3, len(grid) ** 2))
     return Evaluations(
-        grid, tuple(ids), kinds[kept], codes[kept], passes[kept], cells[kept], provenance,
-        answers, oracle, *stats, _diagnostics(cells[kept], profiles[kept]),
+        grid, filter_enabled, filter_mode, tuple(ids), kinds[kept], codes[kept], passes[kept],
+        cells[kept], provenance, answers, oracle, *stats, _diagnostics(cells[kept], profiles[kept]),
     )
 
 
@@ -538,7 +560,7 @@ class ClassReport:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything one study run depends on."""
+    """Everything one study run depends on; see ``sweep_settings``."""
 
     independent: GenerationConfig
     associated: GenerationConfig
@@ -547,15 +569,9 @@ class StudyConfig:
     filter_mode: FilterMode = "full"
 
     def __post_init__(self) -> None:
-        for value in self.grid:
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-                raise ValueError(f"grid values must be real numbers, got {value!r}")
-        object.__setattr__(self, "grid", tuple(float(value) for value in self.grid))
-        if len(self.grid) == 0:
-            raise ValueError("update grid must not be empty")
-        for value in self.grid:
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"grid values must lie in [0, 1], got {value!r}")
+        settings = sweep_settings(self.grid, self.filter_enabled, self.filter_mode)
+        for name, value in zip(SWEEP_SETTINGS, settings):
+            object.__setattr__(self, name, value)
         if self.independent.kind != "independent" or self.associated.kind != "associated":
             raise ValueError("generation configs must match their class slots")
 
@@ -571,9 +587,6 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyReport:
-    grid: tuple[float, ...]
-    filter_enabled: bool
-    filter_mode: str
     classes: dict[str, ClassReport]
     networks: Evaluations
     strength_error_pairs: tuple[tuple[float, float], ...]
@@ -612,14 +625,20 @@ def build_report(
     evaluations: Evaluations,
     generated_counts: Mapping[str, int],
     *,
-    grid: Sequence[float],
-    filter_enabled: bool,
-    filter_mode: FilterMode,
+    grid: Sequence[float] | None = None,
+    filter_enabled: bool | None = None,
+    filter_mode: FilterMode | None = None,
     generation: StudyConfig | None = None,
 ) -> StudyReport:
     """Aggregate the evaluated networks into the study report: per class of
     ``generated_counts``, a count of best rules and the means of the best
-    rules' average and maximum errors, each over the class's rows."""
+    rules' average and maximum errors, each over the class's rows.  The
+    setting keywords exist only for ``bench/run.py`` and must repeat the
+    evaluations' settings, or ValueError is raised."""
+    own = tuple(getattr(evaluations, name) for name in SWEEP_SETTINGS)
+    stated = (grid, filter_enabled, filter_mode)
+    if sweep_settings(*(o if s is None else s for o, s in zip(own, stated))) != own:
+        raise ValueError(f"settings {stated!r} differ from the evaluations' {own!r}")
     best_stats = evaluations.stats[np.arange(len(evaluations)), evaluations.best]  # (N, 3)
     classes = {}
     for code, kind in enumerate(KINDS):
@@ -641,9 +660,6 @@ def build_report(
         )
     pairs = tuple(zip(evaluations.diagnostics[:, -1].tolist(), best_stats[:, 1].tolist()))
     return StudyReport(
-        grid=tuple(grid),
-        filter_enabled=filter_enabled,
-        filter_mode=filter_mode,
         classes=classes,
         networks=evaluations,
         strength_error_pairs=pairs,
@@ -682,14 +698,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         filter_mode=config.filter_mode,
     )
     generated_counts = {batch.kind: batch.count for batch in batches}
-    return build_report(
-        evaluations,
-        generated_counts,
-        grid=config.grid,
-        filter_enabled=config.filter_enabled,
-        filter_mode=config.filter_mode,
-        generation=config,
-    )
+    return build_report(evaluations, generated_counts, generation=config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -911,9 +920,9 @@ def report_to_dict(report: StudyReport) -> dict:
         }
     return {
         "config": {
-            "grid": list(report.grid),
-            "filter_enabled": report.filter_enabled,
-            "filter_mode": report.filter_mode,
+            "grid": list(report.networks.grid),
+            "filter_enabled": report.networks.filter_enabled,
+            "filter_mode": report.networks.filter_mode,
             "generation": generation,
         },
         "classes": classes,

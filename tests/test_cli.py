@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from prospector_eval import load_networks, save_networks
+from prospector_eval import cli, load_networks, save_networks
 from prospector_eval.cli import main
 from prospector_eval.table import JointTable, compose_table
 
@@ -50,6 +50,18 @@ class TestGenerate:
         with pytest.raises(SystemExit) as excinfo:
             run("generate", "--kind", "associated", "--count", 0, "--out", tmp_path / "x.json")
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB for an array", ""])
+    def test_running_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, message):
+        def exhausted(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate", exhausted)
+        out = tmp_path / "x.json"
+        assert run("generate", "--kind", "independent", "--count", 10**9, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {message or 'MemoryError'}"]
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -115,6 +127,18 @@ class TestEvaluate:
         with pytest.raises(SystemExit) as excinfo:
             run("surface", "--networks", path, "--rule", "independent", "--out", tmp_path / "s.csv")
         assert excinfo.value.code == 2
+
+
+class TestSweepFlags:
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_negative_zero_grid_writes_the_zero_bytes(self, tmp_path, command):
+        networks = make_networks_file(tmp_path)
+        written = []
+        for name, grid in (("signed", "-0,1"), ("plain", "0,1")):
+            out = tmp_path / f"{name}.out"
+            assert run(command, "--networks", networks, f"--grid={grid}", "--out", out) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestReport:

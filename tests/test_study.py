@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import math
 import warnings
@@ -39,7 +41,7 @@ from prospector_eval import (
     summarize,
     validate,
 )
-from prospector_eval import study
+from prospector_eval import cli, study
 from prospector_eval.study import (
     DEFAULT_SEED,
     DEFAULT_UPDATE_GRID,
@@ -370,7 +372,7 @@ class TestRunStudy:
 
     def test_grid_is_configurable(self):
         report = run_study(small_study_config(grid=GRID_FIFTH_VALUES))
-        assert report.grid == (0.0, 0.2, 0.5, 0.8, 1.0)
+        assert report.networks.grid == (0.0, 0.2, 0.5, 0.8, 1.0)
         updates = {r.update.as_tuple() for ev in report.networks for r in ev.records}
         assert (0.2, 0.8) in updates
 
@@ -400,6 +402,128 @@ class TestRunStudy:
         config = small_study_config(grid=[0.0, 0.5, 1.0])
         assert config.grid == (0.0, 0.5, 1.0)
         assert hash(config) == hash(small_study_config(grid=(0.0, 0.5, 1.0)))
+
+
+#: Grid values of every kind: in range, out of range, NaN, signed zero, the
+#: float just above 1, NumPy floats, and values that are not real numbers.
+GRID_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1.0, 2.0, width=32).map(np.float32),
+    st.sampled_from([-0.0, 1 + 2**-52, math.nan, -math.inf, True, False, np.True_, "0.5", None]),
+)
+
+
+def outcome(call):
+    """("ok", the call's value) or ("refused", its ValueError message)."""
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+class TestSweepSettings:
+    """``study.sweep_settings`` is the one check of the grid, the filter
+    flag and the filter mode: every entry point keeps or refuses alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=st.lists(GRID_VALUES, max_size=4).map(tuple))
+    @example(grid=(True, 0.5))
+    @example(grid=(-0.0, 1.0))
+    @example(grid=(np.float32(0.1), 1 + 2**-52))
+    @example(grid=())
+    def test_every_entry_point_keeps_or_refuses_a_grid_alike(self, grid, case1):
+        def records_grid():
+            records = evaluate_network(case1, grid)
+            return tuple(r.update.p_new_e1 for r in records[:: math.isqrt(len(records))])
+
+        def swept_grid():
+            answers, _ = sweep([case1.cells], grid)
+            return len(answers[0])
+
+        def cli_grid():
+            text = ",".join(repr(float(value)) for value in grid)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    return cli._parse_grid(text, cli.build_parser())
+                except SystemExit:
+                    raise ValueError(err.getvalue().rsplit("error: --grid: ", 1)[-1].strip())
+
+        results = [
+            outcome(lambda: small_study_config(grid=grid).grid),
+            outcome(lambda: evaluate_tables([case1], grid=grid, filter_enabled=False).grid),
+            outcome(records_grid),
+        ]
+        if all(type(value) in (float, np.float32) for value in grid):
+            # The command line reads the values' text, so it sees Python floats.
+            floats = tuple(map(float, grid))
+            expected = outcome(lambda: small_study_config(grid=floats).grid)
+            assert repr(outcome(cli_grid)) == repr(expected)
+        valid = bool(grid) and all(
+            not isinstance(value, (bool, np.bool_, str, type(None))) and 0.0 <= value <= 1.0
+            for value in grid
+        )
+        if valid:
+            stored = tuple(float(value) + 0.0 for value in grid)
+            assert [repr(result) for result in results] == [repr(("ok", stored))] * len(results)
+            assert outcome(swept_grid) == ("ok", len(stored))
+        else:
+            assert {kind for kind, _ in results} == {"refused"}
+            assert len({message for _, message in results + [outcome(swept_grid)]}) == 1
+
+    @pytest.mark.parametrize("flag", ["no", 1])
+    def test_filter_flag_that_is_not_a_bool_is_refused(self, flag, case1):
+        with pytest.raises(ValueError, match=f"filter_enabled must be a bool, got {flag!r}"):
+            StudyConfig.default(count=5, filter_enabled=flag)
+        with pytest.raises(ValueError, match=f"filter_enabled must be a bool, got {flag!r}"):
+            evaluate_tables([case1], filter_enabled=flag)
+
+    def test_numpy_bool_flag_is_stored_as_a_bool(self):
+        config = small_study_config(filter_enabled=np.False_)
+        assert config.filter_enabled is False
+        report = run_study(config)
+        assert report.networks.filter_enabled is False
+        expected = report_json_text(run_study(small_study_config(filter_enabled=False)))
+        assert report_json_text(report) == expected
+
+    def test_unknown_filter_mode_is_refused_on_construction(self):
+        with pytest.raises(ValueError, match="filter_mode must be one of"):
+            StudyConfig.default(count=5, filter_mode="bogus")
+
+    @pytest.fixture(scope="class")
+    def swept(self):
+        """Networks swept on (0.5,) with the filter off in "e2-only" mode,
+        and their generated counts."""
+        tables = generate(GenerationConfig(count=8, seed=4, kind="associated"))
+        evaluations = evaluate_tables(
+            tables, grid=(0.5,), filter_enabled=False, filter_mode="e2-only"
+        )
+        return evaluations, {"associated": 8}
+
+    @pytest.mark.parametrize(
+        "stated",
+        [
+            {"grid": (0.0, 1.0)},
+            {"filter_enabled": True},
+            {"filter_mode": "full"},
+            {"grid": (0.0, 1.0), "filter_enabled": True, "filter_mode": "full"},
+        ],
+        ids=["grid", "filter_enabled", "filter_mode", "all"],
+    )
+    def test_build_report_refuses_settings_the_sweep_did_not_use(self, swept, stated):
+        with pytest.raises(ValueError, match="differ from the evaluations'"):
+            build_report(*swept, **stated)
+
+    def test_build_report_states_the_settings_of_its_evaluations(self, swept):
+        evaluations, counts = swept
+        stated = dict(grid=[0.5], filter_enabled=np.False_, filter_mode="e2-only")
+        bare = report_json_text(build_report(evaluations, counts))
+        assert bare == report_json_text(build_report(evaluations, counts, **stated))
+        assert json.loads(bare)["config"] == {
+            "grid": [0.5], "filter_enabled": False, "filter_mode": "e2-only", "generation": None
+        }
+        part = evaluations[2:5]
+        assert (part.grid, part.filter_enabled, part.filter_mode) == ((0.5,), False, "e2-only")
 
 
 def reference_pattern(profile: ConditionalProfile, mode: str) -> MonotonicityPattern:

@@ -49,6 +49,7 @@ from .table import (
     link_conditionals,
     rates,
     require_valid,
+    table_columns,
 )
 
 #: Default update grid per evidence variable: quarter steps, endpoints
@@ -531,14 +532,10 @@ def evaluate_tables(
         ids = [f"net-{i:04d}" for i in range(len(tables))]
     if len(ids) != len(tables):
         raise ValueError("need exactly one id per table")
-    provenance = [table.provenance for table in tables]
-    provenance = np.array(
-        [(None,) * 3 if p is None else (p.seed, p.index, p.resamples) for p in provenance],
-        dtype=object,
-    ).reshape(-1, 3)
+    cells, kinds, provenance = table_columns(tables)
     return _evaluate(
-        np.array([table.cells for table in tables], dtype=float).reshape(-1, 8),
-        np.array([KINDS.index(table.kind) for table in tables], dtype=int),
+        cells,
+        np.array([KINDS.index(kind) for kind in kinds], dtype=int),
         lambda rows: ([ids[i] for i in rows.tolist()], provenance[rows]),
         grid=grid,
         filter_enabled=filter_enabled,
@@ -848,48 +845,56 @@ def surface_csv_text(points: Sequence[tuple[float, float, float]]) -> str:
     return _serialize.csv_text(SURFACE_HEADER, points)
 
 
-#: The field names of the provenance and of the diagnostics, in the order
-#: of the last axis of their Evaluations column.
+#: The field names of the provenance, of a rule's statistics and of the
+#: diagnostics, in the order of the last axis of their Evaluations column.
 _PROVENANCE_NAMES = tuple(Provenance.__dataclass_fields__)
+_STAT_NAMES = tuple(RuleStats.__dataclass_fields__)
 _DIAGNOSTIC_NAMES = tuple(Diagnostics.__dataclass_fields__)
 
 
-def _network_dicts(ev: Evaluations) -> list[dict]:
-    """The report's ``networks`` list, one dict per row of the columns.
-    The provenance, rule statistics and diagnostics blocks hold their
-    dataclass's fields in field order."""
-    rows = zip(
+def _network_dict(network_id, kind, pattern, passed, seed, index, resamples, best, tie, *values):
+    """One element of the report's ``networks`` list from its leaves, in the
+    order of ``_network_columns``.  The provenance, rule statistics and
+    diagnostics blocks hold their dataclass's fields in field order."""
+    provenance = (seed, index, resamples)
+    return {
+        "id": network_id,
+        "kind": kind,
+        "pattern": pattern,
+        "passes_filter": passed,
+        "provenance": None if seed is None else dict(zip(_PROVENANCE_NAMES, provenance)),
+        "summary": {
+            "best": best,
+            "tie": tie,
+            "rules": {
+                name: dict(zip(_STAT_NAMES, values[3 * i : 3 * i + 3]))
+                for i, name in enumerate(_RULE_NAMES)
+            },
+        },
+        "diagnostics": dict(zip(_DIAGNOSTIC_NAMES, values[9:])),
+    }
+
+
+def _network_columns(ev: Evaluations) -> tuple:
+    """One column per leaf of the report's ``networks`` elements."""
+    return (
         ev.ids,
         _names(KINDS, ev.kinds),
         _names(_PATTERN_NAMES, ev.patterns),
-        ev.passes_filter.tolist(),
-        ev.provenance.tolist(),
+        ev.passes_filter,
+        *ev.provenance.T,
         _names(_RULE_NAMES, ev.best),
-        ev.tie.tolist(),
-        ev.stats.tolist(),
-        ev.diagnostics.tolist(),
+        ev.tie,
+        *ev.stats.reshape(len(ev), 9).T,
+        *ev.diagnostics.T,
     )
-    return [
-        {
-            "id": network_id,
-            "kind": kind,
-            "pattern": pattern,
-            "passes_filter": passed,
-            "provenance": (
-                None if provenance[0] is None else dict(zip(_PROVENANCE_NAMES, provenance))
-            ),
-            "summary": {
-                "best": best,
-                "tie": tie,
-                "rules": {
-                    name: {"mean_signed": signed, "mean_abs": average, "max_abs": maximum}
-                    for name, (signed, average, maximum) in zip(_RULE_NAMES, stats)
-                },
-            },
-            "diagnostics": dict(zip(_DIAGNOSTIC_NAMES, diagnostics)),
-        }
-        for network_id, kind, pattern, passed, provenance, best, tie, stats, diagnostics in rows
-    ]
+
+
+def _network_dicts(ev: Evaluations) -> list[dict]:
+    """The report's ``networks`` list, one dict per row of the columns."""
+    columns = _network_columns(ev)
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return [_network_dict(*row) for row in rows]
 
 
 def report_to_dict(report: StudyReport) -> dict:
@@ -933,11 +938,21 @@ def report_to_dict(report: StudyReport) -> dict:
 
 
 def report_json_text(report: StudyReport) -> str:
-    """The report as deterministic JSON: ``_serialize.dumps`` of
-    ``report_to_dict``, whose templating writer renders the long
-    ``strength_error_pairs`` and ``networks`` lists from one template per
-    element shape."""
-    return _serialize.dumps(report_to_dict(report))
+    """The report as deterministic JSON: the bytes ``_serialize.dumps``
+    writes for ``report_to_dict``, with the two long lists given as
+    ``_serialize.Rows`` of their columns, so no dict is built per network."""
+    ev = report.networks
+    document = report_to_dict(replace(report, networks=ev[:0], strength_error_pairs=()))
+    pairs = np.array(report.strength_error_pairs, dtype=float).reshape(-1, 2)
+    document["strength_error_pairs"] = _serialize.Rows(([0.0, 0.0],), pairs.T)
+    # The 9 rule statistics and the 7 diagnostics are floats.
+    example = _network_dict("", "", "", False, 0, 0, 0, "", False, *[0.0] * 16)
+    document["networks"] = _serialize.Rows(
+        (example, {**example, "provenance": None}),
+        _network_columns(ev),
+        [seed is None for seed in ev.provenance[:, 0]],
+    )
+    return _serialize.dumps(document)
 
 
 def format_class_table(report: StudyReport) -> str:

@@ -397,21 +397,34 @@ def require_valid(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) 
 # ---------------------------------------------------------------------------
 
 
+def table_columns(tables: Sequence[JointTable]) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """The cells (N, 8), kinds and provenance fields (N, 3) of tables.  The
+    provenance holds Python ints, so values of any size stay exact, and None
+    rows for tables without one."""
+    provenance = [table.provenance for table in tables]
+    fields = [(None,) * 3 if p is None else (p.seed, p.index, p.resamples) for p in provenance]
+    return (
+        np.array([table.cells for table in tables], dtype=float).reshape(-1, 8),
+        [table.kind for table in tables],
+        np.array(fields, dtype=object).reshape(-1, 3),
+    )
+
+
 def networks_to_json(tables: Iterable[JointTable]) -> str:
-    """Serialize tables to the network file format (deterministic bytes)."""
-    entries = []
-    for table in tables:
-        provenance = None
-        if table.provenance is not None:
-            provenance = {
-                "seed": table.provenance.seed,
-                "index": table.provenance.index,
-                "resamples": table.provenance.resamples,
-            }
-        entries.append(
-            {"kind": table.kind, "provenance": provenance, "cells": list(table.cells)}
-        )
-    return _serialize.dumps({"networks": entries})
+    """Serialize tables to the network file format (deterministic bytes).
+    The entries are rendered from their columns as ``_serialize.Rows``."""
+    cells, kinds, provenance = table_columns(list(tables))
+    example = {
+        "kind": "",
+        "provenance": {"seed": 0, "index": 0, "resamples": 0},
+        "cells": [0.0] * 8,
+    }
+    rows = _serialize.Rows(
+        (example, {**example, "provenance": None}),
+        (kinds, *provenance.T, *cells.T),
+        [seed is None for seed in provenance[:, 0]],
+    )
+    return _serialize.dumps({"networks": rows})
 
 
 def networks_from_json(text: str) -> list[JointTable]:

@@ -7,6 +7,7 @@ fresh interpreter.  Only ``table`` decodes the eight-cell layout, so no
 other module imports its masks or cell-index pairs.  Deleting code must not
 leave dead code behind: no module imports a name it never uses, and every
 module-level private function or constant is referenced in the package.
+Importing the CLI builds none of the serializer's lazy tables or templates.
 """
 
 import ast
@@ -48,6 +49,37 @@ def test_generate_and_run_study_leave_numpy_random_unimported(tmp_path):
         env={"PYTHONPATH": str(SRC)},
     )
     assert child.stdout.splitlines()[-1] == ""
+
+
+COLD_START = """
+import sys
+from inspect import CO_OPTIMIZED  # set on functions, not on module or class bodies
+called = set()
+
+def record(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename == sys.argv[1] and code.co_flags & CO_OPTIMIZED:
+        called.add(code.co_name)
+
+sys.setprofile(record)
+import prospector_eval.cli
+sys.setprofile(None)
+from prospector_eval import _serialize
+print(_serialize._tables.cache_info().currsize, *sorted(called))
+"""
+
+
+def test_importing_the_cli_builds_no_serializer_tables_or_templates():
+    """Every CLI query is a cold start: importing runs no function of
+    ``_serialize``."""
+    child = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(PACKAGE / "_serialize.py")],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert child.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("module", ["study", "oracle", "generate", "cases", "engine"])

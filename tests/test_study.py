@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -68,7 +69,7 @@ from prospector_eval.errors import (
     InvalidTableError,
 )
 from prospector_eval.oracle import unreachable_message
-from prospector_eval.table import MARGINAL_FLOOR, require_valid
+from prospector_eval.table import MARGINAL_FLOOR, networks_to_json, require_valid
 
 
 def profile(q_ff, q_ft, q_tf, q_tt) -> ConditionalProfile:
@@ -635,6 +636,25 @@ class TestPinnedStudyBytes:
         )
 
 
+def serialize_calls(write, *args) -> int:
+    """The Python calls into ``_serialize`` that ``write(*args)`` makes,
+    after one call that lets lazy tables fill."""
+    write(*args)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_filename == _serialize.__file__
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        write(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 class TestColumns:
     """The study result is one set of columns; a network's object is built
     only when asked for."""
@@ -657,6 +677,18 @@ class TestColumns:
             "Diagnostics", "JointTable", "NetworkErrorSummary", "NetworkEvaluation",
             "RuleStats", "RuleStats", "RuleStats",
         ]
+        # Nor does either JSON writer walk the networks leaf by leaf: ten
+        # times the networks (one fill chunk either way) take no more Python
+        # calls into _serialize.
+        small = run_study(StudyConfig.default(count=40))
+        assert len(report.networks) > 5 * len(small.networks) > 0
+        assert serialize_calls(report_json_text, small) == serialize_calls(
+            report_json_text, report
+        )
+        tables = [generate(GenerationConfig(count=n, seed=3, kind="associated")) for n in (40, 400)]
+        assert serialize_calls(networks_to_json, tables[0]) == serialize_calls(
+            networks_to_json, tables[1]
+        )
 
     @pytest.mark.parametrize("filter_enabled", [True, False])
     def test_evaluate_tables_and_build_report_write_the_run_study_bytes(self, filter_enabled):

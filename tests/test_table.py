@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import json_reference
 from prospector_eval import (
     ConditionalProfile,
     EvidenceUpdate,
@@ -589,6 +590,83 @@ class TestNetworkFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_networks(tmp_path / "absent.json")
+
+
+#: Cells at the edges of the float renderer: zeros, the smallest subnormal,
+#: a value below its fast path, one and the largest decade.
+FILE_CELLS = (0.0, -0.0, 5e-324, 1e-5, 1.0, 1e308, 0.25, -0.5)
+
+#: Provenance at and past 2**64, negative, and absent.
+FILE_PROVENANCE = (
+    Provenance(seed=2**64, index=2**70 + 1, resamples=3),
+    None,
+    Provenance(seed=0, index=-7, resamples=2**64 - 1),
+    None,
+    Provenance(seed=30, index=4, resamples=0),
+)
+
+
+def file_tables(poison=()) -> list[JointTable]:
+    """One table per (kind, provenance) pair, each a rotation of FILE_CELLS,
+    with (table, cell, value) of ``poison`` written in."""
+    tables = []
+    for i, (kind, provenance) in enumerate(
+        (kind, provenance) for kind in KINDS for provenance in FILE_PROVENANCE
+    ):
+        cells = list(FILE_CELLS[i % 8 :] + FILE_CELLS[: i % 8])
+        for table, cell, value in poison:
+            if table == i:
+                cells[cell] = value
+        tables.append(JointTable(tuple(cells), kind=kind, provenance=provenance))
+    return tables
+
+
+def reference_network_file(tables) -> str:
+    """The network file written leaf by leaf."""
+    entries = [
+        {
+            "kind": table.kind,
+            "provenance": None if table.provenance is None else vars(table.provenance),
+            "cells": list(table.cells),
+        }
+        for table in tables
+    ]
+    return json_reference.dumps({"networks": entries})
+
+
+class TestNetworkFileWriter:
+    """``networks_to_json`` renders the entries from their columns; the
+    leaf-by-leaf reference writes the same bytes and refuses the same
+    values."""
+
+    def test_matches_the_reference(self):
+        tables = file_tables()
+        text = networks_to_json(tables)
+        assert text == reference_network_file(tables)
+        assert networks_from_json(text) == tables
+        assert networks_to_json([]) == reference_network_file([]) == '{\n  "networks": []\n}\n'
+        for kind in KINDS:  # every row of one layout
+            subset = [t for t in tables if t.kind == kind and t.provenance is None]
+            assert networks_to_json(subset) == reference_network_file(subset)
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            [(3, 5, math.nan)],
+            [(2, 7, math.inf), (3, 0, math.nan)],
+            [(4, 6, -math.inf), (4, 2, math.nan)],
+            [(14, 0, math.nan), (14, 1, math.inf)],
+        ],
+        ids=["nan", "earlier-table-first", "earlier-cell-first", "last-table"],
+    )
+    def test_raises_at_the_first_non_finite_cell(self, poison):
+        tables = file_tables(poison)
+        with pytest.raises(ValueError) as expected:
+            reference_network_file(tables)
+        assert str(expected.value).startswith("non-finite value cannot be serialized")
+        with pytest.raises(ValueError) as excinfo:
+            networks_to_json(tables)
+        assert str(excinfo.value) == str(expected.value)
 
 
 #: Any JSON value, NaN and infinities included (Python's json writes and

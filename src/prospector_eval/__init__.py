@@ -6,74 +6,60 @@ with the classic rule-based engine (conjunctive, disjunctive, and
 independent rule sets), computes the statistically correct answer by
 minimum cross-entropy projection, and ships a Monte Carlo harness that
 compares the two across randomly generated network populations.
+
+Every public name, and every submodule as an attribute, loads on first use
+(PEP 562): ``import prospector_eval`` itself loads neither numpy nor any
+submodule, so a command-line query pays only for the modules it runs.
 """
 
-from .cases import case_study_table, independent_table_from_profile, solve_link_constraints
-from .engine import (
-    InferenceTrace,
-    LinkParams,
-    Rule,
-    combine_independent,
-    infer,
-    propagate,
-)
-from .errors import (
-    DegenerateBaseRateError,
-    EmptyEvidenceError,
-    GenerationError,
-    InfeasibleConstraintsError,
-    InfeasibleUpdateError,
-    InvalidTableError,
-    NotIndependentError,
-    ProspectorEvalError,
-    ZeroMarginalError,
-)
-from .generate import (
-    GenerationConfig,
-    generate,
-    generate_associated,
-    generate_independent,
-)
-from .oracle import (
-    EvidenceUpdate,
-    UpdatedTable,
-    correct_posterior,
-    independent_closed_form,
-    mce_update,
-)
-from .study import (
-    DEFAULT_SEED,
-    DEFAULT_UPDATE_GRID,
-    GRID_FIFTH_VALUES,
-    GRID_QUARTERS,
-    Diagnostics,
-    EvaluationRecord,
-    Evaluations,
-    MonotonicityPattern,
-    NetworkErrorSummary,
-    NetworkEvaluation,
-    StudyConfig,
-    StudyReport,
-    diagnostics,
-    error_surface,
-    evaluate_network,
-    evaluate_tables,
-    monotonicity_pattern,
-    run_study,
-    summarize,
-)
-from .table import (
-    ConditionalProfile,
-    JointTable,
-    NetworkView,
-    Provenance,
-    base_rates,
-    compose_table,
-    conditional_profile,
-    load_networks,
-    network_view,
-    save_networks,
-    validate,
-)
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
+
+#: Each submodule and the public names it gives the package.
+_EXPORTS = {
+    "cases": "case_study_table independent_table_from_profile solve_link_constraints",
+    "engine": "InferenceTrace LinkParams Rule combine_independent infer propagate",
+    "errors": """DegenerateBaseRateError EmptyEvidenceError GenerationError
+        InfeasibleConstraintsError InfeasibleUpdateError InvalidTableError NotIndependentError
+        ProspectorEvalError ZeroMarginalError""",
+    "generate": "GenerationConfig generate generate_associated generate_independent",
+    "oracle": "EvidenceUpdate UpdatedTable correct_posterior independent_closed_form mce_update",
+    "study": """DEFAULT_SEED DEFAULT_UPDATE_GRID GRID_FIFTH_VALUES GRID_QUARTERS Diagnostics
+        EvaluationRecord Evaluations MonotonicityPattern NetworkErrorSummary NetworkEvaluation
+        StudyConfig StudyReport diagnostics error_surface evaluate_network evaluate_tables
+        monotonicity_pattern run_study summarize""",
+    "table": """ConditionalProfile JointTable NetworkView Provenance base_rates compose_table
+        conditional_profile load_networks network_view save_networks validate""",
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+        return value
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    """Keeps ``generate``, the one public name a submodule shares, bound to
+    the function when the import system binds the loaded submodule here."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in _HOME or not isinstance(value, ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

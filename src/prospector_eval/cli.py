@@ -14,6 +14,9 @@ generation, I/O), 2 usage error (bad flags or unusable inputs, such as a
 malformed network file, an invalid table, or a base rate of 0 or 1).
 Human-readable numbers are printed with 6 significant digits; files always
 carry 17.
+
+Each subcommand imports the modules it runs, so ``oracle`` loads neither the
+samplers nor the study harness.
 """
 
 from __future__ import annotations
@@ -27,26 +30,10 @@ from typing import Sequence, get_args
 from .cases import CASE_STUDY_IDS, case_study_table
 from .engine import Rule
 from .errors import DegenerateBaseRateError, InvalidTableError, ProspectorEvalError
-from .generate import GenerationConfig, generate
 from .oracle import EvidenceUpdate, correct_posterior
-from .study import (
-    DEFAULT_SEED,
-    DEFAULT_UPDATE_GRID,
-    RULE_ORDER,
-    FilterMode,
-    build_report,
-    error_surface,
-    evaluate_network,
-    evaluate_tables,
-    format_class_table,
-    report_json_text,
-    results_csv_text,
-    summarize,
-    surface_csv_text,
-    sweep_settings,
-)
 from .table import (
     MARGINAL_FLOOR,
+    FilterMode,
     JointTable,
     conditional_profile,
     load_networks,
@@ -56,7 +43,12 @@ from .table import (
 )
 
 
-def _parse_grid(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
+def _parse_grid(text: str | None, parser: argparse.ArgumentParser) -> tuple[float, ...]:
+    """The --grid values; ``DEFAULT_UPDATE_GRID`` when the flag is absent."""
+    from .study import DEFAULT_UPDATE_GRID, sweep_settings
+
+    if text is None:
+        return DEFAULT_UPDATE_GRID
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
@@ -70,11 +62,7 @@ def _parse_grid(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]
 def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--networks", required=True, help="network file to read")
     sub.add_argument("--out", required=True, help="output file to write")
-    sub.add_argument(
-        "--grid",
-        default=",".join(str(v) for v in DEFAULT_UPDATE_GRID),
-        help="comma-separated per-axis update values (default quarter steps)",
-    )
+    sub.add_argument("--grid", help="comma-separated per-axis update values (default quarter steps)")
     sub.add_argument(
         "--filter",
         action=argparse.BooleanOptionalAction,
@@ -114,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = commands.add_parser("generate", help="write a batch of random networks")
     gen.add_argument("--kind", required=True, choices=("independent", "associated"))
     gen.add_argument("--count", type=int, default=400, help="networks to generate")
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED, help="stream seed")
+    gen.add_argument("--seed", type=int, help="stream seed")
     gen.add_argument("--out", required=True, help="network file to write")
     gen.set_defaults(handler=_cmd_generate)
 
@@ -130,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument("--id", type=int, required=True, choices=CASE_STUDY_IDS)
     case.add_argument("--out", required=True, help="error-surface CSV to write")
     case.add_argument("--step", type=float, default=0.05, help="surface lattice step")
-    case.add_argument(
-        "--grid",
-        default=",".join(str(v) for v in DEFAULT_UPDATE_GRID),
-        help="update grid for the printed summary statistics",
-    )
+    case.add_argument("--grid", help="update grid for the printed summary statistics")
     case.set_defaults(handler=_cmd_case_study)
 
     orc = commands.add_parser("oracle", help="print the correct posterior for one update")
@@ -145,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     surf = commands.add_parser("surface", help="write one rule set's error surface")
     _add_network_selection(surf)
-    surf.add_argument(
-        "--rule", required=True, choices=tuple(rule.value for rule in RULE_ORDER)
-    )
+    surf.add_argument("--rule", required=True, choices=tuple(rule.value for rule in Rule))
     surf.add_argument("--step", type=float, default=0.05, help="surface lattice step")
     surf.add_argument("--out", required=True, help="error-surface CSV to write")
     surf.set_defaults(handler=_cmd_surface)
@@ -193,9 +175,20 @@ def _shown(path: str) -> str:
     return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
+def generate(config):
+    """``generate.generate``, imported on first use."""
+    from .generate import generate as sample
+
+    return sample(config)
+
+
 def _cmd_generate(args, parser) -> int:
+    from .generate import GenerationConfig
+    from .study import DEFAULT_SEED
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     try:
-        config = GenerationConfig(count=args.count, seed=args.seed, kind=args.kind)
+        config = GenerationConfig(count=args.count, seed=seed, kind=args.kind)
     except ValueError as exc:
         parser.error(str(exc))
     tables = generate(config)
@@ -205,6 +198,8 @@ def _cmd_generate(args, parser) -> int:
 
 
 def _run_sweep(args, parser):
+    from .study import build_report, evaluate_tables
+
     tables = _load_networks_checked(args.networks, parser)
     grid = _parse_grid(args.grid, parser)
     try:
@@ -220,6 +215,8 @@ def _run_sweep(args, parser):
 
 
 def _cmd_evaluate(args, parser) -> int:
+    from .study import results_csv_text
+
     evaluations, report = _run_sweep(args, parser)
     Path(args.out).write_text(results_csv_text(evaluations), encoding="utf-8")
     kept = sum(cls.filtered_in for cls in report.classes.values())
@@ -229,6 +226,8 @@ def _cmd_evaluate(args, parser) -> int:
 
 
 def _cmd_report(args, parser) -> int:
+    from .study import format_class_table, report_json_text
+
     _, report = _run_sweep(args, parser)
     Path(args.out).write_text(report_json_text(report), encoding="utf-8")
     print(format_class_table(report), end="")
@@ -237,6 +236,8 @@ def _cmd_report(args, parser) -> int:
 
 
 def _cmd_case_study(args, parser) -> int:
+    from .study import RULE_ORDER, error_surface, evaluate_network, summarize, surface_csv_text
+
     table = case_study_table(args.id)
     grid = _parse_grid(args.grid, parser)
     view = network_view(table)
@@ -283,6 +284,8 @@ def _cmd_oracle(args, parser) -> int:
 
 
 def _cmd_surface(args, parser) -> int:
+    from .study import error_surface, surface_csv_text
+
     table = _select_network(args, parser)
     try:
         points = error_surface(table, Rule(args.rule), args.step)

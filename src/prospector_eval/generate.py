@@ -35,7 +35,6 @@ wrap them in tables.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -43,6 +42,7 @@ import numpy as np
 
 from .errors import GenerationError
 from .table import MARGIN_CELLS, JointTable, Provenance, compose_cells, product_masses
+from .table import require_int
 
 #: Fixed by the method: base rates are drawn from (margin, 1 - margin); a fit
 #: converges at this deviation within this many cycles, and a network is
@@ -63,11 +63,7 @@ class GenerationConfig:
 
     def __post_init__(self) -> None:
         for name in ("count", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.count > 2**32:

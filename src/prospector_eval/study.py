@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import product
-from typing import Literal, Mapping, get_args
+from typing import Mapping, get_args
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
     KINDS,
     ConditionalProfile,
+    FilterMode,
     JointTable,
     Provenance,
     check_cells,
@@ -84,8 +85,6 @@ class MonotonicityPattern(Enum):
     NONINCREASING = "nonincreasing"
     REJECTED = "rejected"
 
-
-FilterMode = Literal["full", "e2-only"]
 
 #: The sweep settings, in the order ``sweep_settings`` takes and returns.
 SWEEP_SETTINGS = ("grid", "filter_enabled", "filter_mode")

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from . import _serialize
 from .errors import DegenerateBaseRateError, InvalidTableError, ZeroMarginalError
 
 Kind = Literal["independent", "associated", "unspecified"]
@@ -134,13 +134,29 @@ def scale_pairs(cells, factors) -> np.ndarray:
     return np.asarray(cells, dtype=float) * np.repeat(factors, 2, axis=-1)
 
 
+def require_int(value, name: str) -> int:
+    """``value`` as a Python int; ValueError for a bool or a non-integer."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Provenance:
-    """How a generated network came to be: stream seed, index, resample count."""
+    """How a generated network came to be: stream seed, index, resample
+    count, each stored as a Python int (ValueError for any other value)."""
 
     seed: int
     index: int
     resamples: int = 0
+
+    def __post_init__(self) -> None:
+        if not type(self.seed) is type(self.index) is type(self.resamples) is int:
+            for name in ("seed", "index", "resamples"):
+                object.__setattr__(self, name, require_int(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -188,6 +204,9 @@ class ConditionalProfile:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.q_ff, self.q_ft, self.q_tf, self.q_tt)
+
+
+FilterMode = Literal["full", "e2-only"]
 
 
 @dataclass(frozen=True)
@@ -413,6 +432,8 @@ def table_columns(tables: Sequence[JointTable]) -> tuple[np.ndarray, list[str], 
 def networks_to_json(tables: Iterable[JointTable]) -> str:
     """Serialize tables to the network file format (deterministic bytes).
     The entries are rendered from their columns as ``_serialize.Rows``."""
+    from . import _serialize
+
     cells, kinds, provenance = table_columns(list(tables))
     example = {
         "kind": "",
@@ -463,13 +484,13 @@ def _provenance_from_json(raw, i: int) -> Provenance | None:
         return None
     if type(raw) is not dict:
         raise InvalidTableError(f'network {i}: "provenance" must be an object or null')
-    values = (raw.get("seed"), raw.get("index"), raw.get("resamples", 0))
-    if any(type(v) is not int for v in values):
+    try:
+        return Provenance(raw.get("seed"), raw.get("index"), raw.get("resamples", 0))
+    except ValueError:
         raise InvalidTableError(
             f'network {i}: provenance needs integer "seed", "index" and "resamples" '
             f"(0 if absent), got {raw!r}"
-        )
-    return Provenance(*values)
+        ) from None
 
 
 def save_networks(tables: Iterable[JointTable], path: str | Path) -> None:

@@ -116,6 +116,13 @@ class TestGenerationConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             GenerationConfig(kind="associated", **given)
 
+    @pytest.mark.parametrize("field", ["count", "seed"])
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bools_are_refused(self, field, value):
+        given = {"count": 3, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            GenerationConfig(kind="associated", **given)
+
     def test_numpy_integers_are_stored_as_python_ints(self):
         config = GenerationConfig(count=np.int64(3), seed=np.uint64(2**64 - 1), kind="associated")
         assert (type(config.count), type(config.seed)) == (int, int)

@@ -8,6 +8,12 @@ other module imports its masks or cell-index pairs.  Deleting code must not
 leave dead code behind: no module imports a name it never uses, and every
 module-level private function or constant is referenced in the package.
 Importing the CLI builds none of the serializer's lazy tables or templates.
+
+The package namespace loads on first use: ``import prospector_eval`` loads
+no submodule and no numpy, and an ``oracle`` query loads neither the study
+harness, the samplers nor the serializer.  Every name the package exported
+when it imported all of its submodules up front still resolves, to the same
+object.
 """
 
 import ast
@@ -19,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import prospector_eval
+from prospector_eval import GenerationConfig, generate, save_networks
 
 PACKAGE = Path(prospector_eval.__file__).resolve().parent
 SRC = PACKAGE.parent
@@ -26,6 +33,19 @@ TREES = {
     path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for path in sorted(PACKAGE.glob("*.py"))
 }
+
+
+def run_fresh(code: str, *args) -> list[str]:
+    """stdout lines of ``code`` run in a fresh interpreter."""
+    child = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    return child.stdout.splitlines()
+
 
 CHILD = """
 import sys
@@ -41,14 +61,7 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("numpy.ran
 
 
 def test_generate_and_run_study_leave_numpy_random_unimported(tmp_path):
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path / "networks.json")],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={"PYTHONPATH": str(SRC)},
-    )
-    assert child.stdout.splitlines()[-1] == ""
+    assert run_fresh(CHILD, tmp_path / "networks.json")[-1] == ""
 
 
 COLD_START = """
@@ -72,14 +85,138 @@ print(_serialize._tables.cache_info().currsize, *sorted(called))
 def test_importing_the_cli_builds_no_serializer_tables_or_templates():
     """Every CLI query is a cold start: importing runs no function of
     ``_serialize``."""
-    child = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(PACKAGE / "_serialize.py")],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={"PYTHONPATH": str(SRC)},
-    )
-    assert child.stdout.split() == ["0"]
+    assert run_fresh(COLD_START, PACKAGE / "_serialize.py") == ["0"]
+
+
+LOADED = """
+import sys
+print(*sorted(name for name in sys.modules if name.startswith(("prospector_eval.", "numpy"))))
+"""
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    assert run_fresh("import prospector_eval" + LOADED) == [""]
+
+
+ORACLE = """
+import sys
+from prospector_eval.cli import main
+assert main(sys.argv[1:]) == 0
+""" + LOADED
+
+
+@pytest.mark.parametrize("by_file", [False, True])
+def test_an_oracle_query_loads_no_study_sampler_or_serializer(tmp_path, by_file):
+    path = tmp_path / "networks.json"
+    save_networks(generate(GenerationConfig(count=3, seed=5, kind="associated")), path)
+    select = ["--networks", path, "--index", "2"] if by_file else ["--case", "1"]
+    posterior, loaded = run_fresh(ORACLE, "oracle", *select, "--e1", "0.3", "--e2", "0.9")
+    loaded = set(loaded.split())
+    assert float(posterior) > 0 and {"prospector_eval.oracle", "numpy"} <= loaded
+    assert not loaded & {f"prospector_eval.{name}" for name in ("study", "generate", "_serialize")}
+
+
+#: The package's public names, as module.name, each importable from the
+#: package itself.
+PUBLIC = [
+    "cases.case_study_table",
+    "cases.independent_table_from_profile",
+    "cases.solve_link_constraints",
+    "engine.InferenceTrace",
+    "engine.LinkParams",
+    "engine.Rule",
+    "engine.combine_independent",
+    "engine.infer",
+    "engine.propagate",
+    "errors.DegenerateBaseRateError",
+    "errors.EmptyEvidenceError",
+    "errors.GenerationError",
+    "errors.InfeasibleConstraintsError",
+    "errors.InfeasibleUpdateError",
+    "errors.InvalidTableError",
+    "errors.NotIndependentError",
+    "errors.ProspectorEvalError",
+    "errors.ZeroMarginalError",
+    "generate.GenerationConfig",
+    "generate.generate",
+    "generate.generate_associated",
+    "generate.generate_independent",
+    "oracle.EvidenceUpdate",
+    "oracle.UpdatedTable",
+    "oracle.correct_posterior",
+    "oracle.independent_closed_form",
+    "oracle.mce_update",
+    "study.DEFAULT_SEED",
+    "study.DEFAULT_UPDATE_GRID",
+    "study.GRID_FIFTH_VALUES",
+    "study.GRID_QUARTERS",
+    "study.Diagnostics",
+    "study.EvaluationRecord",
+    "study.Evaluations",
+    "study.MonotonicityPattern",
+    "study.NetworkErrorSummary",
+    "study.NetworkEvaluation",
+    "study.StudyConfig",
+    "study.StudyReport",
+    "study.diagnostics",
+    "study.error_surface",
+    "study.evaluate_network",
+    "study.evaluate_tables",
+    "study.monotonicity_pattern",
+    "study.run_study",
+    "study.summarize",
+    "table.ConditionalProfile",
+    "table.JointTable",
+    "table.NetworkView",
+    "table.Provenance",
+    "table.base_rates",
+    "table.compose_table",
+    "table.conditional_profile",
+    "table.load_networks",
+    "table.network_view",
+    "table.save_networks",
+    "table.validate",
+]
+
+
+@pytest.mark.parametrize("qualified", PUBLIC)
+def test_each_public_name_is_its_submodule_object(qualified):
+    module, name = qualified.split(".")
+    value = getattr(importlib.import_module(f"prospector_eval.{module}"), name)
+    assert getattr(prospector_eval, name) is value
+    assert name in dir(prospector_eval)
+    assert name in prospector_eval.__all__
+
+
+def test_all_is_the_public_names_and_the_version():
+    names = [qualified.split(".")[1] for qualified in PUBLIC]
+    assert len(PUBLIC) == 57
+    assert sorted(prospector_eval.__all__) == sorted([*names, "__version__"])
+    star = {}
+    exec("from prospector_eval import *", star)
+    assert all(star[name] is getattr(prospector_eval, name) for name in names)
+    assert star["__version__"] == prospector_eval.__version__
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'prospector_eval' has no attribute 'nope'$"):
+        prospector_eval.nope
+    assert not hasattr(prospector_eval, "nope")
+
+
+FIRST_USE = """
+import prospector_eval
+print(prospector_eval.study.results_csv_text.__module__)
+import prospector_eval.generate
+from prospector_eval import generate
+print(generate.__module__, generate.__name__)
+"""
+
+
+def test_submodules_resolve_and_do_not_shadow_a_public_name():
+    """A submodule is an attribute on first use; loading the ``generate``
+    module keeps the package's ``generate`` the function."""
+    assert run_fresh(FIRST_USE) == ["prospector_eval.study", "prospector_eval.generate generate"]
 
 
 @pytest.mark.parametrize("module", ["study", "oracle", "generate", "cases", "engine"])
@@ -99,7 +236,7 @@ def loaded_names(tree: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+@pytest.mark.parametrize("module", sorted(TREES))
 def test_every_imported_name_is_used(module):
     tree = TREES[module]
     imported = {

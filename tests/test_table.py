@@ -20,12 +20,14 @@ from prospector_eval import (
     base_rates,
     compose_table,
     conditional_profile,
+    evaluate_tables,
     generate,
     independent_closed_form,
     network_view,
     validate,
 )
 from prospector_eval.errors import DegenerateBaseRateError, InfeasibleUpdateError
+from prospector_eval.study import build_report, report_json_text
 from prospector_eval.table import (
     EVIDENCE_STATES,
     INDEPENDENCE_TOL,
@@ -590,6 +592,47 @@ class TestNetworkFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_networks(tmp_path / "absent.json")
+
+
+class TestProvenance:
+    """A provenance holds only what a network file and a report can write
+    and read back: Python ints."""
+
+    @pytest.mark.parametrize("field", ["seed", "index", "resamples"])
+    @pytest.mark.parametrize(
+        "value", ["x", "3", True, False, np.True_, 1.5, 2.0, np.float64(2.0), None, [1]]
+    )
+    def test_non_integers_are_refused(self, field, value):
+        given = {"seed": 1, "index": 2, "resamples": 0, field: value}
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            Provenance(**given)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (np.int64(-3), np.uint64(2**64 - 1), np.int8(7)),
+            (2**64, 2**70 + 1, 0),
+            (-1, -(2**65), 2**64 - 1),
+        ],
+        ids=["numpy", "past-2**64", "negative"],
+    )
+    def test_integers_are_stored_as_python_ints_and_read_back(self, fields):
+        provenance = Provenance(*fields)
+        stored = (provenance.seed, provenance.index, provenance.resamples)
+        assert [type(v) for v in stored] == [int, int, int]
+        assert stored == tuple(int(v) for v in fields)
+
+        table = JointTable(
+            compose_table((0.25,) * 4, (0.2, 0.4, 0.5, 0.8)).cells,
+            kind="associated",
+            provenance=provenance,
+        )
+        (read,) = networks_from_json(networks_to_json([table]))
+        assert read.provenance == provenance
+        report = build_report(evaluate_tables([table]), {"associated": 1})
+        (network,) = json.loads(report_json_text(report))["networks"]
+        assert tuple(network["provenance"].values()) == stored
 
 
 #: Cells at the edges of the float renderer: zeros, the smallest subnormal,

@@ -16,10 +16,12 @@ each chunk, are formatted by one ``float_fields`` call.  Errors come in
 document order, so the first unsupported value, non-string key or
 non-finite float raises as rendering leaf by leaf would.
 
-Array CSV rows are byte slots and masks.  ``float_fields`` writes ``%.17g``
-of each finite x with 1e-4 <= |x| < 1 (``[-]0.``, 0-3 zeros, 17 significant
-digits less trailing zeros) from the exact product of its 53-bit significand
-and 5**(16 - k), k = floor(log10 |x|), rounded half to even; others use ``%``.
+Array CSV rows are byte slots and masks, joined in one buffer by
+``csv_rows``.  ``float_fields`` writes ``%.17g`` of each finite x with
+1e-4 <= |x| < 1 (``[-]0.``, 0-3 zeros, 17 significant digits less trailing
+zeros) from the exact product of its 53-bit significand and 5**(16 - k),
+k = floor(log10 |x|), rounded half to even, in four 8-byte words spelt by
+SWAR (Warren, Hacker's Delight, ch. 10); others use ``%``.
 """
 
 from __future__ import annotations
@@ -213,36 +215,39 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Bytes per field of ``float_fields``: the longest ``%.17g`` text of a
-#: double, ``-2.2250738585072014e-308``, then its separator.
-FIELD = 25
+#: Bytes per field of ``float_fields``, four little-endian words: a fast-path
+#: field's ``[-]0.``, zeros and lead digit right-aligned, its 16 other digits,
+#: its comma last; any other value's text (at most 24 bytes) starts the field.
+FIELD = 32
 
 _LOW32 = np.uint64(0xFFFFFFFF)
-#: 5**(16 - k) at index k, for the decimal exponents k = -4 ... -1.
+#: 5**(16 - k) at index k + 4, for the decimal exponents k = -4 ... -1.
 _POW5 = np.array([5**20, 5**19, 5**18, 5**17], dtype=np.uint64)
+#: SWAR steps (m, shift, mask, bits, divisor) that spell v < 10**8 as 8 digit
+#: bytes, most significant first: each lane becomes q = v * m >> shift & mask
+#: (exact there) plus, in its upper half, v - q * divisor, in one subtraction.
+_SPLITS = ((3518437209, 45, 0x3FFF, 32, 10**4), (5243, 19, 0x7F0000007F, 16, 100),
+           (103, 10, 0xF000F000F000F, 8, 10))
 
 
 @cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Built on first use, not at import: the four ASCII digits of each of
-    0 ... 9999 as one uint32; the number of trailing zeros among them; and
-    the kept bytes of a fast-path field, at index 68 * negative + 17 * zeros
-    after the point + significant digits - 1."""
-    quad = np.ix_(*[np.arange(10, dtype=np.uint8)] * 4)
-    text = (np.stack(np.broadcast_arrays(*quad), axis=-1) + 48).view(np.uint32).ravel()
-    trailing = (quad[3] == 0) * (1 + (quad[2] == 0) * (1 + (quad[1] == 0) * (1 + (quad[0] == 0))))
-    sign, zeros, digits = (i[..., None] for i in np.ix_(range(2), range(4), range(1, 18)))
-    pos = np.arange(FIELD)
-    masks = (pos < sign) | ((pos >= 1) & (pos < 3 + zeros)) | ((pos >= 6) & (pos < 6 + digits))
-    return text, trailing.ravel(), masks.reshape(-1, FIELD) | (pos == FIELD - 1)
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """Built on first use, not at import: word 0 of a fast-path field less
+    its lead digit, at index 4 * negative + k + 4; and the kept bytes of a
+    fast-path field, at index 17 * that + its kept digits after the lead."""
+    prefixes = [b"-" * neg + b"0." + b"0" * (3 - c) for neg in (0, 1) for c in range(4)]
+    words = np.frombuffer(b"".join(p.rjust(7) + b"\0" for p in prefixes), dtype="<u8")
+    start, pos = 7 - np.array([len(p) for p in prefixes])[:, None, None], np.arange(FIELD)
+    kept = (pos >= start) & (pos < 8) | (pos >= 8) & (pos < 8 + np.arange(17)[:, None])
+    return words, (kept | (pos == FIELD - 1)).reshape(-1, FIELD)
 
 
 def float_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``%.17g`` text of a 2-D float array as CSV fields: byte slots of
-    shape (rows, columns * FIELD), each value's text followed by a comma,
+    """The ``%.17g`` text of a float array as CSV fields: byte slots of
+    shape (..., columns * FIELD), each value's text followed by a comma,
     and the mask of their kept bytes.  A non-finite value raises
     ``format_float``'s ValueError for the first one in row-major order."""
-    quad_text, quad_zeros, masks = _tables()
+    prefixes, masks = _tables()
     values = np.ascontiguousarray(values, dtype=float)
     flat = values.ravel()
     size = np.abs(flat)
@@ -250,31 +255,32 @@ def float_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size = np.where(fast, size, 0.5)  # keeps the other rows' arithmetic defined
     mantissa, exponent = np.frexp(size)
     mantissa = (mantissa * 2.0**53).astype(np.uint64)
-    # The doubles 1e-3, 1e-2 and 0.1 each lie above that power of ten.
-    k = (size >= 1e-3).astype(np.int64) + (size >= 1e-2) + (size >= 0.1) - 4
+    # k + 4; the doubles 1e-3, 1e-2 and 0.1 each lie above that power of ten.
+    k4 = (size >= 1e-3).astype(np.int64) + (size >= 1e-2) + (size >= 0.1)
     # round-half-even(mantissa * 5**(16 - k) / 2**shift): the 17 digits.
-    power, shift = _POW5[k], (37 + k - exponent).astype(np.uint64)
+    power, shift = _POW5[k4], (33 + k4 - exponent).astype(np.uint64)
     m0, m1, p0, p1 = mantissa & _LOW32, mantissa >> 32, power & _LOW32, power >> 32
     low, middle = m0 * p0, m0 * p1 + m1 * p0
     carry = (low >> 32) + (middle & _LOW32)
     lo = (low & _LOW32) | (carry << 32)
     hi = m1 * p1 + (middle >> 32) + (carry >> 32)
-    digits = (hi << (64 - shift)) | (lo >> shift)
-    rest, half = lo & ((1 << shift) - 1), np.uint64(1) << (shift - 1)
-    digits += (rest > half) | ((rest == half) & (digits & 1).astype(bool))
-    lead, digits = np.divmod(digits, 10**16)
-    quads = np.empty((flat.size, 4), dtype=np.int64)
-    quads[:, 0], quads[:, 1] = np.divmod(digits // 10**8, 10**4)
-    quads[:, 2], quads[:, 3] = np.divmod(digits % 10**8, 10**4)
-    slots = np.empty((flat.size, FIELD), dtype=np.uint8)
-    slots[:, :6] = np.frombuffer(b"-0.000", dtype=np.uint8)
-    slots[:, 6] = lead + 48
-    slots[:, 7:23] = quad_text[quads].view(np.uint8)
-    slots[:, -1] = ord(",")
-    trailing = 0  # zeros among the last 16 digits; the lead digit is never 0
-    for quad in quads.T:
-        trailing = quad_zeros[quad] + (quad == 0) * trailing
-    mask = masks[68 * (flat < 0) - 17 * (k + 1) + 16 - trailing]
+    back = 64 - shift
+    digits = (hi << back) | (lo >> shift)
+    # Half to even: the bits shifted out, left-aligned and | odd, exceed a half.
+    digits += ((lo << back) | (digits & 1)) > np.uint64(1 << 63)
+    top, lead = digits // 10**8, digits // 10**16  # floor divides: divmod is slower
+    eights = np.stack((top - lead * 10**8, digits - top * 10**8))  # the other 16 digits
+    for m, right, lanes, bits, divisor in _SPLITS:
+        eights = (eights << bits) - (eights * m >> right & lanes) * ((divisor << bits) - 1)
+    # Digits kept after the lead: the byte length of the 16 digit bytes as one
+    # number, from a double's exponent (no byte exceeds 9, so rounding stays).
+    kept = (np.frexp(eights[1] * 2.0**64 + eights[0])[1] + 7) // 8
+    variant = 4 * (flat < 0) + k4
+    words = np.empty((flat.size, 4), dtype="<u8")
+    words[:, 0] = prefixes[variant] | (lead + 48) << 56
+    words[:, 1], words[:, 2] = eights | 0x3030303030303030
+    words[:, 3] = ord(",") << 56
+    slots, mask = words.view(np.uint8), np.take(masks, 17 * variant + kept, axis=0)
     other = np.flatnonzero(~fast)
     rare = flat[other]
     if not np.isfinite(rare).all():
@@ -282,7 +288,7 @@ def float_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text = np.array(("%.17g " * rare.size % tuple(rare.tolist())).split(), dtype=f"S{FIELD - 1}")
     slots[other, :-1] = text.view(np.uint8).reshape(-1, FIELD - 1)
     mask[other, :-1] = slots[other, :-1] != 0
-    shape = (len(values), values.shape[1] * FIELD)
+    shape = (*values.shape[:-1], values.shape[-1] * FIELD)
     return slots.reshape(shape), mask.reshape(shape)
 
 
@@ -297,10 +303,14 @@ def text_fields(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def csv_rows(*parts: tuple[np.ndarray, np.ndarray]) -> str:
-    """The text of CSV rows given as (slots, mask) parts of equal row count,
-    joined left to right.  Each row ends in a kept separator byte, which
-    becomes the row's newline."""
-    slots = np.concatenate([part[0] for part in parts], axis=1)
-    mask = np.concatenate([part[1] for part in parts], axis=1)
-    slots[:, -1] = ord("\n")
-    return slots[mask].tobytes().decode("utf-8")
+    """The text of CSV rows given as (slots, mask) parts, joined left to
+    right in one buffer: the parts' leading axes broadcast to the rows'.
+    Each row ends in a kept separator byte, which becomes the row's
+    newline."""
+    shape = np.broadcast_shapes(*(slots.shape[:-1] for slots, _ in parts))
+    slots, mask = (
+        np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1)
+        for arrays in zip(*parts)
+    )
+    slots[..., -1] = ord("\n")
+    return str(slots[mask], "utf-8")

@@ -183,8 +183,7 @@ def generate(config):
 
 
 def _cmd_generate(args, parser) -> int:
-    from .generate import GenerationConfig
-    from .study import DEFAULT_SEED
+    from .generate import DEFAULT_SEED, GenerationConfig
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     try:

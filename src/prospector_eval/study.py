@@ -36,7 +36,7 @@ from . import _serialize
 from .engine import ODDS_CLAMP, Rule
 from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTableError
 from .generate import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
-from .generate import GenerationConfig, associated_cells, independent_cells
+from .generate import DEFAULT_SEED, GenerationConfig, associated_cells, independent_cells
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
     KINDS,
@@ -61,12 +61,6 @@ GRID_QUARTERS: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
 GRID_FIFTH_VALUES: tuple[float, ...] = (0.0, 0.2, 0.5, 0.8, 1.0)
 
 DEFAULT_UPDATE_GRID = GRID_QUARTERS
-
-#: Seed used when none is given.  The shipped default yields the expected
-#: qualitative outcome of the comparison (independent rule dominant in both
-#: classes, larger errors on associated networks, positive strength/error
-#: rank correlation) with a comfortable margin.
-DEFAULT_SEED = 30
 
 #: Column order for per-rule output.
 RULE_ORDER: tuple[Rule, ...] = (Rule.CONJUNCTIVE, Rule.DISJUNCTIVE, Rule.INDEPENDENT)
@@ -788,9 +782,9 @@ RESULTS_HEADER = (
 SURFACE_HEADER = ("e1", "e2", "signed_error")
 
 
-#: Networks per formatting call of ``results_csv_text``: one call for the
-#: whole file raised a 4000+4000 study's peak RSS by 10-30 %.
-_CSV_CHUNK = 128
+#: Networks per chunk of ``results_csv_text``.  A chunk's buffers stay below
+#: the text already written, so the writer peaks at the final join.
+_CSV_CHUNK = 64
 
 
 def _names(names: Sequence[str], codes: np.ndarray) -> list[str]:
@@ -803,40 +797,39 @@ def results_csv_text(evaluations: Evaluations) -> str:
 
     Byte-identical to ``_serialize.csv_text`` on the same rows (pinned by
     the tests).  The networks are written in chunks of ``_CSV_CHUNK`` rows
-    of the columns, as ``_serialize.csv_rows`` of three parts: the
-    network's text fields, repeated over its grid points; the "e1,e2"
-    fields of the grid, formatted once for the file; and the seven float
-    columns, whose ``%.17g`` text ``_serialize.float_fields`` renders in
-    numpy.  A non-finite float or a text field that would need quoting is
-    refused with the generic writer's error for the first one in document
-    order.
+    of the columns, each one ``_serialize.csv_rows`` buffer that broadcasts
+    three parts: the networks' text fields and the "e1,e2" fields of the
+    grid, both formatted once for the file, and the seven float columns,
+    whose ``%.17g`` text ``_serialize.float_fields`` renders in numpy.  A
+    non-finite float or a text field that would need quoting is refused
+    with the generic writer's error for the first one in document order.
     """
     points = tuple(product(evaluations.grid, evaluations.grid))
-    grid_fields = _serialize.float_fields(np.array(points, dtype=float).reshape(-1, 2))
-    kinds = _names(KINDS, evaluations.kinds)
-    patterns = _names(_PATTERN_NAMES, evaluations.patterns)
+    kinds, patterns = _names(KINDS, evaluations.kinds), _names(_PATTERN_NAMES, evaluations.patterns)
+    heads = tuple(zip(evaluations.ids, kinds, patterns))
+    answers, oracle = evaluations.answers, evaluations.oracle[..., None]
     pieces = [",".join(RESULTS_HEADER) + "\n"]
-    for start in range(0, len(evaluations), _CSV_CHUNK):
-        rows = slice(start, start + _CSV_CHUNK)
-        heads = tuple(zip(evaluations.ids[rows], kinds[rows], patterns[rows]))
-        answers = evaluations.answers[rows].reshape(-1, 3)
-        oracle = evaluations.oracle[rows].reshape(-1, 1)
-        values = np.hstack((answers, oracle, oracle - answers))
-        try:
-            texts = _serialize.text_fields(
-                [",".join(map(_serialize.format_cell, head)) + "," for head in heads]
-            )
+    try:
+        # Only the ids can need quoting: kinds and patterns are fixed names.
+        texts = _serialize.text_fields(
+            [f"{_serialize.format_cell(i)},{k},{p}," for i, k, p in heads]
+        )
+        grid = _serialize.float_fields(np.array(points, dtype=float).reshape(-1, 2))
+        for start in range(0, len(heads), _CSV_CHUNK):
+            rows = slice(start, start + _CSV_CHUNK)
+            values = np.concatenate((answers[rows], oracle[rows], oracle[rows] - answers[rows]), -1)
             pieces.append(_serialize.csv_rows(
-                tuple(np.repeat(part, len(points), axis=0) for part in texts),
-                tuple(np.tile(part, (len(heads), 1)) for part in grid_fields),
-                _serialize.float_fields(values),
+                tuple(part[rows, None] for part in texts),
+                grid,
+                _serialize.float_fields(values.reshape(len(values), len(points), 7)),
             ))
-        except ValueError:
-            # Each part above is checked on its own; the generic writer
-            # raises the chunk's first refusal in document order.
-            fronts = (head + point for head, point in product(heads, points))
-            _serialize.csv_text((), (f + tuple(row) for f, row in zip(fronts, values.tolist())))
-            raise
+    except ValueError:
+        # Each part above is checked on its own; the generic writer raises
+        # the file's first refusal in document order.
+        values = np.concatenate((answers, oracle, oracle - answers), -1).reshape(-1, 7)
+        fronts = (head + point for head, point in product(heads, points))
+        _serialize.csv_text((), (f + tuple(row) for f, row in zip(fronts, values.tolist())))
+        raise
     return "".join(pieces)
 
 

@@ -22,7 +22,6 @@ last axis: ``rates``, ``pair_masses``, ``conclusion_cells``,
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -450,6 +449,7 @@ def networks_to_json(tables: Iterable[JointTable]) -> str:
 
 def networks_from_json(text: str) -> list[JointTable]:
     """Parse a network file, preserving cell values exactly."""
+    import json  # here, not at import: an oracle query on a built-in case needs no JSON
     try:
         document = json.loads(text)
     # ValueError: malformed JSON, or an integer too long to convert;

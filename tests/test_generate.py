@@ -258,6 +258,42 @@ class TestBatchedFit:
         assert not converged.all()
         assert 0 in cycles and len(cycles) >= 3
 
+    def test_fewer_rows_than_the_tail_from_the_first_cycle(self, rng):
+        raw = rng.uniform(0.01, 1.0, (10, 8))
+        cells, targets = raw / raw.sum(axis=1)[:, None], rng.uniform(0.05, 0.95, (10, 3))
+        assert len(cells) < generate_module._TAIL_ROWS
+        fitted, converged, _ = fit_margins(cells, targets, tolerance=1e-10, max_iterations=10000)
+        assert converged.all()
+        for row in range(len(cells)):
+            expected, _ = scalar_fit(cells[row], targets[row], 1e-10, 10000)
+            assert tuple(fitted[row].tolist()) == expected
+
+    def test_no_rows(self):
+        fitted, converged, deviation = fit_margins(
+            np.empty((0, 8)), np.empty((0, 3)), tolerance=1e-10, max_iterations=10
+        )
+        assert fitted.shape == (0, 8) and converged.shape == deviation.shape == (0,)
+
+    def test_cap_reached_in_the_tail(self, rng, case1):
+        """Twenty rows already fit and leave at the first check, so the
+        other ten finish in the tail, where the cap stops some of them."""
+        raw = rng.uniform(0.01, 1.0, (10, 8))
+        cells = np.vstack((np.tile(case1.as_array(), (20, 1)), raw / raw.sum(axis=1)[:, None]))
+        targets = np.vstack((np.tile(base_rates(case1), (20, 1)), rng.uniform(0.05, 0.95, (10, 3))))
+        assert len(cells) > generate_module._TAIL_ROWS >= 10
+        cap = 12
+        fitted, converged, deviation = fit_margins(
+            cells, targets, tolerance=1e-10, max_iterations=cap
+        )
+        for row in range(len(cells)):
+            expected, detail = scalar_fit(cells[row], targets[row], 1e-10, cap)
+            assert converged[row] == (expected is not None)
+            if expected is None:
+                assert deviation[row] == detail > 1e-10
+            else:
+                assert tuple(fitted[row].tolist()) == expected
+        assert converged[:20].all() and converged[20:].any() and not converged[20:].all()
+
     @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, 1.0, -1.0])
     def test_refuses_a_tolerance_outside_the_unit_interval(self, rng, tolerance):
         raw = rng.uniform(0.01, 1.0, (3, 8))

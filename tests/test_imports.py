@@ -10,10 +10,11 @@ module-level private function or constant is referenced in the package.
 Importing the CLI builds none of the serializer's lazy tables or templates.
 
 The package namespace loads on first use: ``import prospector_eval`` loads
-no submodule and no numpy, and an ``oracle`` query loads neither the study
-harness, the samplers nor the serializer.  Every name the package exported
-when it imported all of its submodules up front still resolves, to the same
-object.
+no submodule and no numpy, an ``oracle`` query loads neither the study
+harness, the samplers nor the serializer (nor, on a built-in case, the JSON
+parser), and ``generate`` does not load the study harness.  Every name the
+package exported when it imported all of its submodules up front still
+resolves, to the same object.
 """
 
 import ast
@@ -90,7 +91,8 @@ def test_importing_the_cli_builds_no_serializer_tables_or_templates():
 
 LOADED = """
 import sys
-print(*sorted(name for name in sys.modules if name.startswith(("prospector_eval.", "numpy"))))
+prefixes = ("prospector_eval.", "numpy", "json")
+print(*sorted(name for name in sys.modules if name.startswith(prefixes)))
 """
 
 
@@ -114,6 +116,23 @@ def test_an_oracle_query_loads_no_study_sampler_or_serializer(tmp_path, by_file)
     loaded = set(loaded.split())
     assert float(posterior) > 0 and {"prospector_eval.oracle", "numpy"} <= loaded
     assert not loaded & {f"prospector_eval.{name}" for name in ("study", "generate", "_serialize")}
+    # Only the network file is JSON: a built-in case loads no JSON parser.
+    assert ("json" in loaded) is by_file
+
+
+GENERATE = """
+import sys
+from prospector_eval.cli import main
+assert main(["generate", "--kind", "associated", "--count", "3", "--out", sys.argv[1]]) == 0
+""" + LOADED
+
+
+def test_generating_networks_loads_no_study(tmp_path):
+    """``generate`` without ``--seed`` takes the default seed from the
+    sampler's module, so the study harness stays unloaded."""
+    *_, loaded = run_fresh(GENERATE, tmp_path / "networks.json")
+    assert {"prospector_eval.generate", "prospector_eval.table"} <= set(loaded.split())
+    assert "prospector_eval.study" not in loaded.split()
 
 
 #: The package's public names, as module.name, each importable from the

@@ -198,6 +198,44 @@ class TestFloatFields:
         values = 10.0 ** rng.uniform(-4.0, 0.0, 100_000) * rng.choice((-1.0, 1.0), 100_000)
         assert_fields_match(values)
 
+    def test_digits_ending_at_a_word_boundary(self):
+        """A field keeps 16, 8 or no digits after the lead, so its last kept
+        byte ends the second digit word, the first or the prefix word; 7
+        and 1 kept digits stop one byte before and after such an end."""
+        values = [0.1, 0.3, 0.123456789, 0.0123456789, 0.000123456789, 0.12345678,
+                  0.5, 0.02, 0.002, 0.0001, 0.75]
+        significant = {len(format(v, ".17g")[2:].lstrip("0").rstrip("0")) for v in values}
+        assert significant == {17, 9, 8, 1, 2}
+        assert_fields_match(values + [-v for v in values])
+
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("zeros", [0, 1, 2, 3])
+    def test_each_prefix(self, negative, zeros):
+        """Sign and leading zeros pick one of the eight prefixes, here with
+        short and full digit strings and the decade's ends."""
+        low = 10.0 ** -(zeros + 1)
+        values = np.array(
+            [low, 1.5 * low, 5 * low, np.nextafter(10 * low, 0.0), 0.123456789 * 10 * low]
+        )
+        assert_fields_match(-values if negative else values)
+        prefix = "-" * negative + "0." + "0" * zeros
+        texts = [format(v, ".17g") for v in (-values if negative else values)]
+        assert {text[: len(prefix) + 1] for text in texts} <= {prefix + d for d in "123456789"}
+
+    def test_rows_mixing_fast_and_other_values(self):
+        """Every row holds values of both paths, so the other path's fields
+        sit between fast-path fields in one row."""
+        values = np.array([
+            [0.25, 1.0, -0.003, 0.0, 0.1, -1e-5],
+            [1e300, -0.5, 2.5, 0.0001, -0.0, 0.98765432099999995],
+            [-5e-324, 0.07, 1e16, -0.3, 123.456, 0.000123456789],
+        ])
+        slots, mask = _serialize.float_fields(values)
+        assert slots.shape == mask.shape == (3, 6 * _serialize.FIELD)
+        rows = [",".join(format(v, ".17g") for v in row) for row in values.tolist()]
+        expected = "".join(row + "\n" for row in rows)
+        assert _serialize.csv_rows((slots, mask)) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(floats | fast_floats | fast_floats.map(lambda x: -x), min_size=1, max_size=40))
     def test_any_finite_floats(self, values):

@@ -32,11 +32,12 @@ from .engine import Rule
 from .errors import DegenerateBaseRateError, InvalidTableError, ProspectorEvalError
 from .oracle import EvidenceUpdate, correct_posterior
 from .table import (
+    KINDS,
     MARGINAL_FLOOR,
     FilterMode,
     JointTable,
+    NetworkBatch,
     conditional_profile,
-    load_networks,
     network_view,
     require_valid,
     save_networks,
@@ -137,16 +138,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_networks_checked(path: str, parser: argparse.ArgumentParser) -> list[JointTable]:
+def _load_networks_checked(path: str, parser: argparse.ArgumentParser) -> NetworkBatch:
     try:
-        tables = load_networks(path)
+        batch = NetworkBatch.load(path)
     except FileNotFoundError:
         parser.error(f"network file not found: {path}")
+    except IsADirectoryError:
+        parser.error(f"network file is a directory: {path}")
     except ProspectorEvalError as exc:
         parser.error(f"unusable network file {path}: {exc}")
-    if not tables:
+    if not len(batch):
         parser.error(f"network file {path} contains no networks")
-    return tables
+    return batch
 
 
 def _select_network(
@@ -157,10 +160,10 @@ def _select_network(
     if args.case is not None:
         table = case_study_table(args.case)
     else:
-        tables = _load_networks_checked(args.networks, parser)
-        if not 0 <= args.index < len(tables):
-            parser.error(f"--index {args.index} out of range (file has {len(tables)} networks)")
-        table = tables[args.index]
+        batch = _load_networks_checked(args.networks, parser)
+        if not 0 <= args.index < len(batch):
+            parser.error(f"--index {args.index} out of range (file has {len(batch)} networks)")
+        table = batch[args.index]
     try:
         require_valid(table, marginal_floor=marginal_floor)
     except InvalidTableError as exc:
@@ -175,11 +178,11 @@ def _shown(path: str) -> str:
     return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
-def generate(config):
-    """``generate.generate``, imported on first use."""
-    from .generate import generate as sample
+def generate(config) -> NetworkBatch:
+    """``generate.network_batch``, imported on first use."""
+    from .generate import network_batch
 
-    return sample(config)
+    return network_batch(config)
 
 
 def _cmd_generate(args, parser) -> int:
@@ -190,27 +193,28 @@ def _cmd_generate(args, parser) -> int:
         config = GenerationConfig(count=args.count, seed=seed, kind=args.kind)
     except ValueError as exc:
         parser.error(str(exc))
-    tables = generate(config)
-    save_networks(tables, args.out)
-    print(f"wrote {len(tables)} {args.kind} networks to {_shown(args.out)}")
+    batch = generate(config)
+    save_networks(batch, args.out)
+    print(f"wrote {len(batch)} {args.kind} networks to {_shown(args.out)}")
     return 0
 
 
 def _run_sweep(args, parser):
     from .study import build_report, evaluate_tables
 
-    tables = _load_networks_checked(args.networks, parser)
+    batch = _load_networks_checked(args.networks, parser)
     grid = _parse_grid(args.grid, parser)
     try:
         evaluations = evaluate_tables(
-            tables,
+            batch,
             grid=grid,
             filter_enabled=args.filter,
             filter_mode=args.filter_mode,
         )
     except (InvalidTableError, DegenerateBaseRateError) as exc:
         parser.error(f"unusable network file {args.networks}: {exc}")
-    return evaluations, build_report(evaluations, Counter(table.kind for table in tables))
+    counts = Counter(batch.kinds.tolist())
+    return evaluations, build_report(evaluations, {KINDS[k]: n for k, n in counts.items()})
 
 
 def _cmd_evaluate(args, parser) -> int:

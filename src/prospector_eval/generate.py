@@ -29,8 +29,9 @@ proportional fit) fits every associated network, each row exactly as if it
 were fitted alone.  Failed proportional fits are resampled with the attempt
 counter bumped (the table records how many resamples it took), and only the
 resampled networks are redrawn and refitted.  The samplers
-``independent_cells`` and ``associated_cells`` return arrays; ``generate*``
-wrap them in tables.
+``independent_cells`` and ``associated_cells`` return arrays;
+``network_batch`` gives them as one ``table.NetworkBatch``, with each
+network's provenance, and ``generate*`` as tables.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import GenerationError
-from .table import MARGIN_CELLS, JointTable, Provenance, compose_cells, product_masses
+from .table import MARGIN_CELLS, JointTable, NetworkBatch, compose_cells, product_masses
 from .table import rates, require_int
 
 #: Fixed by the method: base rates are drawn from (margin, 1 - margin); a fit
@@ -314,33 +315,24 @@ def independent_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]
     return cells, np.zeros(config.count, dtype=np.int64)
 
 
-def network_table(
-    config: GenerationConfig, index: int, cells: list[float], resamples: int
-) -> JointTable:
-    """Network ``index`` of the batch that ``config`` describes."""
-    provenance = Provenance(seed=config.seed, index=index, resamples=resamples)
-    return JointTable(tuple(cells), kind=config.kind, provenance=provenance)
-
-
-def _tables(config: GenerationConfig, cells: np.ndarray, resamples: np.ndarray) -> list:
-    rows = enumerate(zip(cells.tolist(), resamples.tolist()))
-    return [network_table(config, index, row, count) for index, (row, count) in rows]
+def network_batch(config: GenerationConfig) -> NetworkBatch:
+    """The ``config.count`` networks of ``config`` as one batch."""
+    sampler = independent_cells if config.kind == "independent" else associated_cells
+    return NetworkBatch.generated(config.kind, config.seed, *sampler(config))
 
 
 def generate_associated(config: GenerationConfig) -> list[JointTable]:
     """Generate ``config.count`` associated-evidence networks
     (``associated_cells`` as tables)."""
-    return _tables(config, *associated_cells(config))
+    return NetworkBatch.generated(config.kind, config.seed, *associated_cells(config)).tables()
 
 
 def generate_independent(config: GenerationConfig) -> list[JointTable]:
     """Generate ``config.count`` independent-evidence networks
     (``independent_cells`` as tables)."""
-    return _tables(config, *independent_cells(config))
+    return NetworkBatch.generated(config.kind, config.seed, *independent_cells(config)).tables()
 
 
 def generate(config: GenerationConfig) -> list[JointTable]:
     """Dispatch on ``config.kind``."""
-    if config.kind == "independent":
-        return generate_independent(config)
-    return generate_associated(config)
+    return network_batch(config).tables()

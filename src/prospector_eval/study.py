@@ -36,13 +36,14 @@ from . import _serialize
 from .engine import ODDS_CLAMP, Rule
 from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTableError
 from .generate import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
-from .generate import DEFAULT_SEED, GenerationConfig, associated_cells, independent_cells
+from .generate import DEFAULT_SEED, GenerationConfig, network_batch
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
     KINDS,
     ConditionalProfile,
     FilterMode,
     JointTable,
+    NetworkBatch,
     Provenance,
     check_cells,
     conclusion_cells,
@@ -50,7 +51,6 @@ from .table import (
     link_conditionals,
     rates,
     require_valid,
-    table_columns,
 )
 
 #: Default update grid per evidence variable: quarter steps, endpoints
@@ -394,22 +394,15 @@ class NetworkEvaluation:
         return _records(self.network_id, self.grid, self.answers, self.oracle)
 
 
-def _table(cells: np.ndarray, kind: int, provenance: list) -> JointTable:
-    """One row's table from its cells, KINDS index and provenance row."""
-    seed, index, resamples = provenance
-    provenance = None if seed is None else Provenance(seed, index, resamples)
-    return JointTable(tuple(cells.tolist()), kind=KINDS[kind], provenance=provenance)
-
-
 @dataclass(frozen=True, eq=False)
 class Evaluations(Sequence):
     """One sweep's ``grid``, ``filter_enabled`` and ``filter_mode``, and its
     evaluated networks as aligned columns, row k of each for ``ids[k]``.
 
-    ``provenance`` holds Python ints, so loaded values of any size are
-    written back unchanged, and None rows for tables without it.  Row k
-    reads as a NetworkEvaluation, built on first access and then kept; a
-    slice reads as the Evaluations of its rows, with the same settings.
+    ``kinds``, ``cells`` and ``provenance`` are the kept rows of the
+    evaluated NetworkBatch, in its layout.  Row k reads as a
+    NetworkEvaluation, built on first access and then kept; a slice reads
+    as the Evaluations of its rows, with the same settings.
     """
 
     grid: tuple[float, ...]
@@ -442,20 +435,19 @@ class Evaluations(Sequence):
         return self._views[k]
 
     def _view(self, k: int) -> NetworkEvaluation:
-        network_id, kind = self.ids[k], self.kinds[k]
+        network_id = self.ids[k]
         return NetworkEvaluation(
-            network_id, KINDS[kind], _PATTERNS[self.patterns[k]], bool(self.passes_filter[k]),
-            self.grid, self.answers[k], self.oracle[k],
+            network_id, KINDS[self.kinds[k]], _PATTERNS[self.patterns[k]],
+            bool(self.passes_filter[k]), self.grid, self.answers[k], self.oracle[k],
             _summary(network_id, self.stats[k], self.best[k], self.tie[k]),
             Diagnostics(*self.diagnostics[k].tolist()),
-            _table(self.cells[k], kind, self.provenance[k].tolist()),
+            NetworkBatch(self.cells, self.kinds, self.provenance)[k],
         )
 
 
 def _evaluate(
-    cells: np.ndarray,
-    kinds: np.ndarray,
-    labels: Callable[[np.ndarray], tuple[list[str], np.ndarray]],
+    batch: NetworkBatch,
+    name: Callable[[np.ndarray], list[str]],
     *,
     grid: Sequence[float],
     filter_enabled: bool,
@@ -463,19 +455,18 @@ def _evaluate(
 ) -> Evaluations:
     """The array evaluation behind ``evaluate_tables`` and ``run_study``.
 
-    ``cells`` is (N, 8) and ``kinds`` (N,) holds each row's index into
-    KINDS.  ``labels(rows)`` gives the ids and the provenance column (as
-    in Evaluations) of the given rows; it is called for the kept rows, and
-    for the first invalid row if there is one.  Validation, the screen,
-    the sweep, the rule statistics and the diagnostics each run as one
-    array pass over all (kept) rows.
+    ``name(rows)`` gives the ids of the given rows of ``batch``; it is
+    called for the kept rows, and for the first invalid row if there is
+    one.  Validation, the screen, the sweep, the rule statistics and the
+    diagnostics each run as one array pass over all (kept) rows.
     """
     grid, filter_enabled, filter_mode = sweep_settings(grid, filter_enabled, filter_mode)
-    checks = check_cells(cells, kinds == KINDS.index("independent"))
+    cells = batch.cells
+    checks = check_cells(cells, batch.kinds == KINDS.index("independent"))
     invalid = np.flatnonzero(~checks.ok)[:1]
     if invalid.size:
-        (network_id,), provenance = labels(invalid)
-        table = _table(cells[invalid[0]], kinds[invalid[0]], provenance[0].tolist())
+        (network_id,) = name(invalid)
+        table = batch[int(invalid[0])]
         try:
             require_valid(table)
         except InvalidTableError as exc:
@@ -488,7 +479,7 @@ def _evaluate(
     codes = _pattern_code(*profiles.T, filter_mode)
     passes = codes != _PATTERNS.index(MonotonicityPattern.REJECTED)
     kept = np.flatnonzero(passes) if filter_enabled else np.arange(len(cells))
-    ids, provenance = labels(kept)
+    ids = name(kept)
 
     answers, oracle = sweep(cells[kept], grid, ids=ids)
     # Contiguous per (network, rule), so each mean sums in the order
@@ -496,13 +487,14 @@ def _evaluate(
     errors = np.ascontiguousarray(np.moveaxis(oracle[..., None] - answers, -1, 1))
     stats = _rule_stats(errors.reshape(len(kept), 3, len(grid) ** 2))
     return Evaluations(
-        grid, filter_enabled, filter_mode, tuple(ids), kinds[kept], codes[kept], passes[kept],
-        cells[kept], provenance, answers, oracle, *stats, _diagnostics(cells[kept], profiles[kept]),
+        grid, filter_enabled, filter_mode, tuple(ids), batch.kinds[kept], codes[kept],
+        passes[kept], cells[kept], batch.provenance[kept], answers, oracle, *stats,
+        _diagnostics(cells[kept], profiles[kept]),
     )
 
 
 def evaluate_tables(
-    tables: Sequence[JointTable],
+    tables: Sequence[JointTable] | NetworkBatch,
     *,
     ids: Sequence[str] | None = None,
     grid: Sequence[float] = DEFAULT_UPDATE_GRID,
@@ -516,20 +508,20 @@ def evaluate_tables(
     evaluation; with it off, every network is evaluated and its
     ``passes_filter`` flag records what the filter would have done.  Output
     order follows input order, and the first invalid network in input order
-    raises InvalidTableError naming it.  The tables are stacked into one
-    cell array for the evaluation ``run_study`` runs too, and the result is
-    the kept rows' Evaluations columns.  ``workers`` has no effect; it
-    stays only because the benchmark script ``bench/run.py`` passes it.
+    raises InvalidTableError naming it.  ``tables`` is a NetworkBatch or
+    tables to make one of, for the evaluation ``run_study`` runs too, and
+    the result is the kept rows' Evaluations columns.
+    ``workers`` has no effect; it stays only because the benchmark script
+    ``bench/run.py`` passes it.
     """
+    batch = NetworkBatch.of(tables)
     if ids is None:
-        ids = [f"net-{i:04d}" for i in range(len(tables))]
-    if len(ids) != len(tables):
+        ids = [f"net-{i:04d}" for i in range(len(batch))]
+    if len(ids) != len(batch):
         raise ValueError("need exactly one id per table")
-    cells, kinds, provenance = table_columns(tables)
     return _evaluate(
-        cells,
-        np.array([KINDS.index(kind) for kind in kinds], dtype=int),
-        lambda rows: ([ids[i] for i in rows.tolist()], provenance[rows]),
+        batch,
+        lambda rows: [ids[i] for i in rows.tolist()],
         grid=grid,
         filter_enabled=filter_enabled,
         filter_mode=filter_mode,
@@ -663,31 +655,25 @@ def run_study(config: StudyConfig) -> StudyReport:
 
     Networks are identified as ``independent-0000`` … / ``associated-0000``
     …; the independent class comes first everywhere, including the pooled
-    (strength, error) list.  Both classes stay one cell array from the
+    (strength, error) list.  Both classes stay one NetworkBatch from the
     samplers to the sweep, and the report's ``networks`` are the kept rows'
     Evaluations columns: no object is built per network.
     """
-    batches = config.independent, config.associated
-    samples = independent_cells(batches[0]), associated_cells(batches[1])
-    cells, resamples = map(np.concatenate, zip(*samples))
-    kinds = np.repeat([0, 1], [batch.count for batch in batches])  # KINDS index
-    indices = np.arange(len(cells)) - batches[0].count * kinds
+    configs = config.independent, config.associated
+    batch = NetworkBatch.concatenate([network_batch(c) for c in configs])
 
-    def labels(rows: np.ndarray) -> tuple[list[str], np.ndarray]:
-        columns = kinds[rows].tolist(), indices[rows].tolist(), resamples[rows].tolist()
-        ids = [f"{KINDS[k]}-{i:04d}" for k, i, _ in zip(*columns)]
-        provenance = [(batches[k].seed, i, r) for k, i, r in zip(*columns)]
-        return ids, np.array(provenance, dtype=object).reshape(-1, 3)
+    def name(rows: np.ndarray) -> list[str]:
+        columns = batch.kinds[rows].tolist(), batch.provenance[rows, 1].tolist()
+        return [f"{KINDS[k]}-{i:04d}" for k, i in zip(*columns)]
 
     evaluations = _evaluate(
-        cells,
-        kinds,
-        labels,
+        batch,
+        name,
         grid=config.grid,
         filter_enabled=config.filter_enabled,
         filter_mode=config.filter_mode,
     )
-    generated_counts = {batch.kind: batch.count for batch in batches}
+    generated_counts = {c.kind: c.count for c in configs}
     return build_report(evaluations, generated_counts, generation=config)
 
 

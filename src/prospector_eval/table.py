@@ -18,6 +18,11 @@ last axis: ``rates``, ``pair_masses``, ``conclusion_cells``,
 ``link_conditionals``, ``product_masses``, ``compose_cells`` and
 ``scale_pairs``, plus ``MARGIN_CELLS`` for the margin fit.  ``base_rates``,
 ``network_view``, ``compose_table`` and ``validate`` are one-table calls.
+
+A batch of networks is a ``NetworkBatch``, the one owner of the batch
+layout: (N, 8) cells, kind codes and provenance fields as columns, from the
+samplers and the network file to the sweep.  Row k becomes a JointTable
+only when asked for.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -411,44 +417,105 @@ def require_valid(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) 
 
 
 # ---------------------------------------------------------------------------
-# Network files: an ordered list of tables as deterministic JSON.
+# Batches of networks as columns, and the network files that hold them.
 # ---------------------------------------------------------------------------
 
 
-def table_columns(tables: Sequence[JointTable]) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """The cells (N, 8), kinds and provenance fields (N, 3) of tables.  The
-    provenance holds Python ints, so values of any size stay exact, and None
-    rows for tables without one."""
-    provenance = [table.provenance for table in tables]
-    fields = [(None,) * 3 if p is None else (p.seed, p.index, p.resamples) for p in provenance]
-    return (
-        np.array([table.cells for table in tables], dtype=float).reshape(-1, 8),
-        [table.kind for table in tables],
-        np.array(fields, dtype=object).reshape(-1, 3),
-    )
+@dataclass(frozen=True, eq=False)
+class NetworkBatch:
+    """Networks as aligned columns, row k for network k: the only owner of
+    the batch layout.  ``cells`` is (N, 8), ``kinds`` (N,) indices into
+    KINDS, and ``provenance`` (N, 3) objects: the Provenance fields as
+    Python ints, so values of any size stay exact, or None rows for tables
+    without one.  ``batch[k]`` is row k's JointTable."""
+
+    cells: np.ndarray
+    kinds: np.ndarray
+    provenance: np.ndarray
+
+    @classmethod
+    def of(cls, tables: Iterable[JointTable]) -> NetworkBatch:
+        """The columns of ``tables``; a NetworkBatch is returned as it is."""
+        if isinstance(tables, NetworkBatch):
+            return tables
+        tables = list(tables)
+        provenance = [table.provenance for table in tables]
+        fields = [(None,) * 3 if p is None else (p.seed, p.index, p.resamples) for p in provenance]
+        return cls(
+            np.array([table.cells for table in tables], dtype=float).reshape(-1, 8),
+            np.array([KINDS.index(table.kind) for table in tables], dtype=int),
+            np.array(fields, dtype=object).reshape(-1, 3),
+        )
+
+    @classmethod
+    def generated(cls, kind: Kind, seed: int, cells: np.ndarray, resamples) -> NetworkBatch:
+        """Networks 0, 1, … of a ``kind`` batch from stream ``seed``, given
+        their (N, 8) cells and (N,) resample counts."""
+        count = len(cells)
+        seeds = np.full(count, seed, dtype=object)
+        provenance = np.column_stack((seeds, np.arange(count), resamples))
+        return cls(cells, np.full(count, KINDS.index(kind)), provenance)
+
+    @classmethod
+    def concatenate(cls, batches: Sequence[NetworkBatch]) -> NetworkBatch:
+        columns = ((batch.cells, batch.kinds, batch.provenance) for batch in batches)
+        return cls(*map(np.concatenate, zip(*columns)))
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, k: int) -> JointTable:
+        k = range(len(self))[k]
+        return self.tables(slice(k, k + 1))[0]
+
+    def tables(self, rows: slice = slice(None)) -> list[JointTable]:
+        """The tables of ``rows``, built from one ``tolist`` per column."""
+        cells, kinds = self.cells[rows].tolist(), self.kinds[rows].tolist()
+        seeds, indices, resamples = self.provenance[rows].T.tolist()
+        return [
+            JointTable(tuple(c), KINDS[k], None if s is None else Provenance(s, i, r))
+            for c, k, s, i, r in zip(cells, kinds, seeds, indices, resamples)
+        ]
+
+    def to_json(self) -> str:
+        """The network file of the batch (deterministic bytes), its entries
+        rendered from the columns as ``_serialize.Rows``."""
+        from . import _serialize
+
+        example = {
+            "kind": "",
+            "provenance": {"seed": 0, "index": 0, "resamples": 0},
+            "cells": [0.0] * 8,
+        }
+        rows = _serialize.Rows(
+            (example, {**example, "provenance": None}),
+            (np.array(KINDS, dtype=object)[self.kinds].tolist(), *self.provenance.T, *self.cells.T),
+            [seed is None for seed in self.provenance[:, 0]],
+        )
+        return _serialize.dumps({"networks": rows})
+
+    @classmethod
+    def from_json(cls, text: str) -> NetworkBatch:
+        """Parse a network file, preserving cell values exactly.  The entries
+        are checked as columns; if a check fails, they are checked one by one
+        as ``networks_from_json`` checks them, which names the first bad one."""
+        entries = _network_entries(text)
+        batch = _entry_columns(entries)
+        return cls.of(_entry_tables(entries)) if batch is None else batch
+
+    @classmethod
+    def load(cls, path: str | Path) -> NetworkBatch:
+        """Read a network file; InvalidTableError unless it is UTF-8 JSON in
+        the network file format."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidTableError(f"network file is not UTF-8 text: {exc}") from exc
+        return cls.from_json(text)
 
 
-def networks_to_json(tables: Iterable[JointTable]) -> str:
-    """Serialize tables to the network file format (deterministic bytes).
-    The entries are rendered from their columns as ``_serialize.Rows``."""
-    from . import _serialize
-
-    cells, kinds, provenance = table_columns(list(tables))
-    example = {
-        "kind": "",
-        "provenance": {"seed": 0, "index": 0, "resamples": 0},
-        "cells": [0.0] * 8,
-    }
-    rows = _serialize.Rows(
-        (example, {**example, "provenance": None}),
-        (kinds, *provenance.T, *cells.T),
-        [seed is None for seed in provenance[:, 0]],
-    )
-    return _serialize.dumps({"networks": rows})
-
-
-def networks_from_json(text: str) -> list[JointTable]:
-    """Parse a network file, preserving cell values exactly."""
+def _network_entries(text: str) -> list:
+    """The ``networks`` list of a network file."""
     import json  # here, not at import: an oracle query on a built-in case needs no JSON
     try:
         document = json.loads(text)
@@ -461,6 +528,45 @@ def networks_from_json(text: str) -> list[JointTable]:
     entries = document["networks"]
     if not isinstance(entries, list):
         raise InvalidTableError('"networks" must be a list')
+    return entries
+
+
+def _entry_columns(entries: list) -> NetworkBatch | None:
+    """The batch of ``entries``, checked a column at a time as
+    ``_entry_tables`` checks each entry; None if some entry fails."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    cells = [entry.get("cells") for entry in entries]
+    kinds = [entry.get("kind", "unspecified") for entry in entries]
+    provenance = [entry.get("provenance") for entry in entries]
+    if not set(map(type, cells)) <= {list} or not set(map(type, provenance)) <= {dict, type(None)}:
+        return None
+    values = list(chain.from_iterable(cells))
+    rows = [
+        (None,) * 3 if raw is None else (raw.get("seed"), raw.get("index"), raw.get("resamples", 0))
+        for raw in provenance
+    ]
+    fields = list(chain.from_iterable(rows))
+    if (
+        not set(map(len, cells)) <= {8}
+        or not set(map(type, values)) <= {int, float}
+        or not set(map(type, kinds)) <= {str}
+        or not set(kinds) <= set(KINDS)
+        or not set(map(type, fields)) <= {int, type(None)}
+        or fields.count(None) != 3 * provenance.count(None)  # a field of null
+    ):
+        return None
+    try:
+        values = np.array(values, dtype=float).reshape(-1, 8)
+    except OverflowError:  # an integer past the float range
+        return None
+    codes = np.array(list(map(KINDS.index, kinds)), dtype=int)
+    return NetworkBatch(values, codes, np.array(fields, dtype=object).reshape(-1, 3))
+
+
+def _entry_tables(entries: list) -> list[JointTable]:
+    """The tables of ``entries``, checked one by one; InvalidTableError
+    names the first bad entry."""
     tables = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "cells" not in entry:
@@ -493,6 +599,17 @@ def _provenance_from_json(raw, i: int) -> Provenance | None:
         ) from None
 
 
+def networks_to_json(tables: Iterable[JointTable]) -> str:
+    """Serialize tables to the network file format (deterministic bytes)."""
+    return NetworkBatch.of(tables).to_json()
+
+
+def networks_from_json(text: str) -> list[JointTable]:
+    """Parse a network file, preserving cell values exactly, one entry at
+    a time."""
+    return _entry_tables(_network_entries(text))
+
+
 def save_networks(tables: Iterable[JointTable], path: str | Path) -> None:
     Path(path).write_text(networks_to_json(tables), encoding="utf-8")
 
@@ -500,8 +617,4 @@ def save_networks(tables: Iterable[JointTable], path: str | Path) -> None:
 def load_networks(path: str | Path) -> list[JointTable]:
     """Read a network file; InvalidTableError unless it is UTF-8 JSON in the
     network file format."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidTableError(f"network file is not UTF-8 text: {exc}") from exc
-    return networks_from_json(text)
+    return NetworkBatch.load(path).tables()

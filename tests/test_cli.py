@@ -5,12 +5,13 @@ files land in tmp_path, so the suite stays fast and deterministic.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from prospector_eval import cli, load_networks, save_networks
 from prospector_eval.cli import main
-from prospector_eval.table import JointTable, compose_table
+from prospector_eval.table import JointTable, Provenance, compose_table
 
 # Rejected by the monotonicity screen.
 NON_MONOTONE = compose_table((0.25, 0.25, 0.25, 0.25), (0.9, 0.1, 0.1, 0.9))
@@ -375,6 +376,56 @@ class TestUnreadableNetworkFiles:
         self.assert_one_line_usage_error(
             tmp_path, capsys, command, b"[" * 200000, "network file is not valid JSON"
         )
+
+    @pytest.mark.parametrize("command", NETWORK_READERS)
+    def test_directory(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*network_reader_argv(command, tmp_path, tmp_path))
+        assert excinfo.value.code == 2
+        messages = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert messages == [f"prospector-eval: error: network file is a directory: {tmp_path}"]
+
+
+def constructions(*argv) -> tuple[int, int]:
+    """The JointTables and Provenances built while ``main(argv)`` runs."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (JointTable, Provenance):
+
+            def counted(self, *args, init=cls.__init__, **kwargs):
+                calls[type(self).__name__] += 1
+                init(self, *args, **kwargs)
+
+            patch.setattr(cls, "__init__", counted)
+        assert run(*argv) == 0
+    return calls["JointTable"], calls["Provenance"]
+
+
+class TestConstructions:
+    """A command builds a table only for a network it uses: the network
+    file is read as one batch of columns."""
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (("oracle", "--index", 7, "--e1", 0.3, "--e2", 0.8), 1),
+            (("surface", "--index", 7, "--rule", "independent", "--out", "s.csv"), 1),
+            (("evaluate", "--out", "r.csv"), 0),
+            (("report", "--out", "r.json"), 0),
+        ],
+        ids=["oracle", "surface", "evaluate", "report"],
+    )
+    def test_reading_400_networks(self, tmp_path, monkeypatch, argv, built):
+        networks = make_networks_file(tmp_path, count=400)
+        monkeypatch.chdir(tmp_path)
+        command, *flags = argv
+        assert constructions(command, "--networks", networks, *flags) == (built, built)
+
+    def test_generating_400_networks(self, tmp_path):
+        out = tmp_path / "n.json"
+        argv = ("generate", "--kind", "associated", "--count", 400, "--out", out)
+        assert constructions(*argv) == (0, 0)
+        assert len(load_networks(out)) == 400
 
 
 class TestRemovedGenerateFlags:

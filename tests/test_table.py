@@ -35,6 +35,7 @@ from prospector_eval.table import (
     MARGIN_CELLS,
     MARGINAL_FLOOR,
     NORMALIZATION_TOL,
+    NetworkBatch,
     ValidationIssue,
     check_cells,
     MASK_C,
@@ -780,3 +781,98 @@ class TestLoaderFuzzing:
     def test_tables_without_provenance_round_trip(self, drawn):
         tables = [JointTable(tuple(cells), kind=kind) for cells, kind in drawn]
         assert networks_from_json(networks_to_json(tables)) == tables
+
+
+#: Floats at the edges of the renderer, and any other finite float.
+batch_floats = st.sampled_from([0.0, -0.0, 5e-324, 1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+batch_ints = st.integers() | st.sampled_from([2**64, 2**70 + 1, -1, -(2**65)])
+hand_built = st.builds(
+    JointTable,
+    st.tuples(*[batch_floats] * 8),
+    st.sampled_from(KINDS),
+    st.none() | st.builds(Provenance, batch_ints, batch_ints, batch_ints),
+)
+sampled = st.builds(
+    GenerationConfig,
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+    kind=st.sampled_from(["independent", "associated"]),
+).map(generate)
+#: Generated and hand-built tables, interleaved.
+table_lists = st.lists(sampled | hand_built.map(lambda table: [table]), max_size=5).map(
+    lambda parts: [table for part in parts for table in part]
+)
+
+
+def bits(batch: NetworkBatch) -> tuple:
+    """The columns of a batch, cells bit for bit and fields with their types."""
+    provenance = [(type(v), v) for v in batch.provenance.ravel().tolist()]
+    return batch.cells.tobytes(), batch.cells.shape, batch.kinds.tolist(), provenance
+
+
+def batch_or_message(text: str):
+    try:
+        return bits(NetworkBatch.from_json(text))
+    except InvalidTableError as exc:
+        return str(exc)
+
+
+def tables_or_message(text: str):
+    try:
+        return bits(NetworkBatch.of(networks_from_json(text)))
+    except InvalidTableError as exc:
+        return str(exc)
+
+
+class TestNetworkBatch:
+    """A batch holds its tables' columns; the network file reads into it as
+    columns, with the cells, kinds, provenance and error messages of the
+    per-entry reader."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(table_lists)
+    def test_round_trip(self, tables):
+        batch = NetworkBatch.of(tables)
+        assert len(batch) == len(tables)
+        assert [batch[k] for k in range(len(batch))] == batch.tables() == tables
+        assert bits(NetworkBatch.of(batch.tables())) == bits(batch)
+        text = networks_to_json(tables)
+        assert batch.to_json() == text
+        read = NetworkBatch.from_json(text)
+        assert bits(read) == tables_or_message(text)
+        assert read.tables() == tables  # -0.0 is written "-0", read back as 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json at all",
+            '{"something": []}',
+            '{"networks": [{"kind": "associated"}]}',
+            '{"networks": [' + "1" * 5000 + "]}",
+            '{"networks": [{"cells": "abcdefgh"}]}',
+            '{"networks": [{"cells": [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, "x"]}]}',
+            '{"networks": [{"cells": CELLS, "provenance": {"seed": 1}}]}',
+            '{"networks": [{"cells": CELLS, "provenance": 5}]}',
+            '{"networks": [{"cells": CELLS, "provenance": {"seed": 1, "index": 2.5}}]}',
+            '{"networks": [{"cells": CELLS}, {"cells": CELLS, "kind": "dependent"}]}',
+            '{"networks": [{"cells": CELLS}, {"cells": [' + "9" * 400 + ', 0, 0, 0, 0, 0, 0, 0]}]}',
+            '{"networks": [{"cells": CELLS, "provenance": {"seed": 1, "index": true}}]}',
+            '{"networks": [{"cells": [true, 0, 0, 0, 0, 0, 0, 0]}]}',
+            '{"networks": [{"cells": CELLS}, {"cells": [0.5, 0.5]}]}',
+        ],
+    )
+    def test_malformed_documents_raise_the_per_entry_message(self, text):
+        text = text.replace("CELLS", json.dumps([0.125] * 8))
+        with pytest.raises(InvalidTableError) as expected:
+            networks_from_json(text)
+        with pytest.raises(InvalidTableError) as excinfo:
+            NetworkBatch.from_json(text)
+        assert str(excinfo.value) == str(expected.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values | network_documents)
+    def test_arbitrary_documents_read_as_the_per_entry_reader_reads_them(self, document):
+        text = json.dumps(document)
+        assert batch_or_message(text) == tables_or_message(text)

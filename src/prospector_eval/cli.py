@@ -40,7 +40,6 @@ from .table import (
     conditional_profile,
     network_view,
     require_valid,
-    save_networks,
 )
 
 
@@ -194,7 +193,7 @@ def _cmd_generate(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     batch = generate(config)
-    save_networks(batch, args.out)
+    Path(args.out).write_text(batch.to_json(), encoding="utf-8")
     print(f"wrote {len(batch)} {args.kind} networks to {_shown(args.out)}")
     return 0
 

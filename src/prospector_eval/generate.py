@@ -315,22 +315,24 @@ def independent_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]
     return cells, np.zeros(config.count, dtype=np.int64)
 
 
-def network_batch(config: GenerationConfig) -> NetworkBatch:
-    """The ``config.count`` networks of ``config`` as one batch."""
-    sampler = independent_cells if config.kind == "independent" else associated_cells
+def network_batch(config: GenerationConfig, sampler=None) -> NetworkBatch:
+    """The ``config.count`` networks of ``config`` as one batch, drawn by
+    ``sampler``, by default the one for ``config.kind``."""
+    if sampler is None:
+        sampler = independent_cells if config.kind == "independent" else associated_cells
     return NetworkBatch.generated(config.kind, config.seed, *sampler(config))
 
 
 def generate_associated(config: GenerationConfig) -> list[JointTable]:
     """Generate ``config.count`` associated-evidence networks
     (``associated_cells`` as tables)."""
-    return NetworkBatch.generated(config.kind, config.seed, *associated_cells(config)).tables()
+    return network_batch(config, associated_cells).tables()
 
 
 def generate_independent(config: GenerationConfig) -> list[JointTable]:
     """Generate ``config.count`` independent-evidence networks
     (``independent_cells`` as tables)."""
-    return NetworkBatch.generated(config.kind, config.seed, *independent_cells(config)).tables()
+    return network_batch(config, independent_cells).tables()
 
 
 def generate(config: GenerationConfig) -> list[JointTable]:

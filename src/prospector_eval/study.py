@@ -441,7 +441,7 @@ class Evaluations(Sequence):
             bool(self.passes_filter[k]), self.grid, self.answers[k], self.oracle[k],
             _summary(network_id, self.stats[k], self.best[k], self.tie[k]),
             Diagnostics(*self.diagnostics[k].tolist()),
-            NetworkBatch(self.cells, self.kinds, self.provenance)[k],
+            NetworkBatch.row(self.cells[k].tolist(), self.kinds[k], *self.provenance[k].tolist()),
         )
 
 
@@ -514,7 +514,7 @@ def evaluate_tables(
     ``workers`` has no effect; it stays only because the benchmark script
     ``bench/run.py`` passes it.
     """
-    batch = NetworkBatch.of(tables)
+    batch = tables if isinstance(tables, NetworkBatch) else NetworkBatch.of(tables)
     if ids is None:
         ids = [f"net-{i:04d}" for i in range(len(batch))]
     if len(ids) != len(batch):

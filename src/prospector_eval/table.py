@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -164,6 +163,17 @@ class Provenance:
                 object.__setattr__(self, name, require_int(getattr(self, name), name))
 
 
+def _checked_cells(cells, kind) -> tuple[float, ...]:
+    """A table's cells as 8 floats; InvalidTableError for another count or
+    a kind not in KINDS, OverflowError for an integer past the float range."""
+    cells = tuple(map(float, cells))
+    if len(cells) != 8:
+        raise InvalidTableError(f"expected 8 cells, got {len(cells)}")
+    if kind not in KINDS:
+        raise InvalidTableError(f"unknown table kind: {kind!r}")
+    return cells
+
+
 @dataclass(frozen=True)
 class JointTable:
     """Immutable joint distribution over (E1, E2, C).
@@ -179,12 +189,7 @@ class JointTable:
     provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
-        cells = tuple(map(float, self.cells))
-        if len(cells) != 8:
-            raise InvalidTableError(f"expected 8 cells, got {len(cells)}")
-        if self.kind not in KINDS:
-            raise InvalidTableError(f"unknown table kind: {self.kind!r}")
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", _checked_cells(self.cells, self.kind))
 
     def cell(self, e1: bool, e2: bool, c: bool) -> float:
         return self.cells[cell_index(e1, e2, c)]
@@ -435,9 +440,7 @@ class NetworkBatch:
 
     @classmethod
     def of(cls, tables: Iterable[JointTable]) -> NetworkBatch:
-        """The columns of ``tables``; a NetworkBatch is returned as it is."""
-        if isinstance(tables, NetworkBatch):
-            return tables
+        """The columns of ``tables``."""
         tables = list(tables)
         provenance = [table.provenance for table in tables]
         fields = [(None,) * 3 if p is None else (p.seed, p.index, p.resamples) for p in provenance]
@@ -466,16 +469,18 @@ class NetworkBatch:
 
     def __getitem__(self, k: int) -> JointTable:
         k = range(len(self))[k]
-        return self.tables(slice(k, k + 1))[0]
+        return self.row(self.cells[k].tolist(), self.kinds[k], *self.provenance[k].tolist())
 
-    def tables(self, rows: slice = slice(None)) -> list[JointTable]:
-        """The tables of ``rows``, built from one ``tolist`` per column."""
-        cells, kinds = self.cells[rows].tolist(), self.kinds[rows].tolist()
-        seeds, indices, resamples = self.provenance[rows].T.tolist()
-        return [
-            JointTable(tuple(c), KINDS[k], None if s is None else Provenance(s, i, r))
-            for c, k, s, i, r in zip(cells, kinds, seeds, indices, resamples)
-        ]
+    def tables(self) -> list[JointTable]:
+        """The batch's tables, built from one ``tolist`` per column."""
+        columns = self.cells.tolist(), self.kinds.tolist(), *self.provenance.T.tolist()
+        return list(map(self.row, *columns))
+
+    @staticmethod
+    def row(cells: list[float], kind: int, seed, index, resamples) -> JointTable:
+        """The table of one row's cells, kind code and provenance fields."""
+        provenance = None if seed is None else Provenance(seed, index, resamples)
+        return JointTable(cells, KINDS[kind], provenance)
 
     def to_json(self) -> str:
         """The network file of the batch (deterministic bytes), its entries
@@ -497,11 +502,39 @@ class NetworkBatch:
     @classmethod
     def from_json(cls, text: str) -> NetworkBatch:
         """Parse a network file, preserving cell values exactly.  The entries
-        are checked as columns; if a check fails, they are checked one by one
-        as ``networks_from_json`` checks them, which names the first bad one."""
-        entries = _network_entries(text)
-        batch = _entry_columns(entries)
-        return cls.of(_entry_tables(entries)) if batch is None else batch
+        are checked one by one, and InvalidTableError names the first bad one."""
+        import json  # here, not at import: an oracle query on a built-in case needs no JSON
+        try:
+            document = json.loads(text)
+        # ValueError: malformed JSON, or an integer too long to convert;
+        # RecursionError: nesting deeper than the parser's stack.
+        except (ValueError, RecursionError) as exc:
+            raise InvalidTableError(f"network file is not valid JSON: {exc}") from exc
+        if not isinstance(document, dict) or "networks" not in document:
+            raise InvalidTableError('network file must be an object with a "networks" list')
+        entries = document["networks"]
+        if not isinstance(entries, list):
+            raise InvalidTableError('"networks" must be a list')
+        cells, kinds, provenance = [], [], []  # cells and provenance flat
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or "cells" not in entry:
+                raise InvalidTableError(f'network {i} must be an object with "cells"')
+            row, kind = entry["cells"], entry.get("kind", "unspecified")
+            if type(row) is not list or not (types := set(map(type, row))) <= {int, float}:
+                raise InvalidTableError(f'network {i}: "cells" must be a list of numbers')
+            provenance += _provenance_fields(entry.get("provenance"), i)
+            try:
+                if int in types or len(row) != 8 or kind not in KINDS:
+                    row = _checked_cells(row, kind)  # as JointTable checks them
+            except (InvalidTableError, OverflowError) as exc:
+                raise InvalidTableError(f"network {i}: {exc}") from exc
+            cells += row
+            kinds.append(KINDS.index(kind))
+        return cls(
+            np.array(cells, dtype=float).reshape(-1, 8),
+            np.array(kinds, dtype=int),
+            np.array(provenance, dtype=object).reshape(-1, 3),
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> NetworkBatch:
@@ -514,89 +547,20 @@ class NetworkBatch:
         return cls.from_json(text)
 
 
-def _network_entries(text: str) -> list:
-    """The ``networks`` list of a network file."""
-    import json  # here, not at import: an oracle query on a built-in case needs no JSON
-    try:
-        document = json.loads(text)
-    # ValueError: malformed JSON, or an integer too long to convert;
-    # RecursionError: nesting deeper than the parser's stack.
-    except (ValueError, RecursionError) as exc:
-        raise InvalidTableError(f"network file is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict) or "networks" not in document:
-        raise InvalidTableError('network file must be an object with a "networks" list')
-    entries = document["networks"]
-    if not isinstance(entries, list):
-        raise InvalidTableError('"networks" must be a list')
-    return entries
-
-
-def _entry_columns(entries: list) -> NetworkBatch | None:
-    """The batch of ``entries``, checked a column at a time as
-    ``_entry_tables`` checks each entry; None if some entry fails."""
-    if not set(map(type, entries)) <= {dict}:
-        return None
-    cells = [entry.get("cells") for entry in entries]
-    kinds = [entry.get("kind", "unspecified") for entry in entries]
-    provenance = [entry.get("provenance") for entry in entries]
-    if not set(map(type, cells)) <= {list} or not set(map(type, provenance)) <= {dict, type(None)}:
-        return None
-    values = list(chain.from_iterable(cells))
-    rows = [
-        (None,) * 3 if raw is None else (raw.get("seed"), raw.get("index"), raw.get("resamples", 0))
-        for raw in provenance
-    ]
-    fields = list(chain.from_iterable(rows))
-    if (
-        not set(map(len, cells)) <= {8}
-        or not set(map(type, values)) <= {int, float}
-        or not set(map(type, kinds)) <= {str}
-        or not set(kinds) <= set(KINDS)
-        or not set(map(type, fields)) <= {int, type(None)}
-        or fields.count(None) != 3 * provenance.count(None)  # a field of null
-    ):
-        return None
-    try:
-        values = np.array(values, dtype=float).reshape(-1, 8)
-    except OverflowError:  # an integer past the float range
-        return None
-    codes = np.array(list(map(KINDS.index, kinds)), dtype=int)
-    return NetworkBatch(values, codes, np.array(fields, dtype=object).reshape(-1, 3))
-
-
-def _entry_tables(entries: list) -> list[JointTable]:
-    """The tables of ``entries``, checked one by one; InvalidTableError
-    names the first bad entry."""
-    tables = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "cells" not in entry:
-            raise InvalidTableError(f'network {i} must be an object with "cells"')
-        cells = entry["cells"]
-        if type(cells) is not list or any(type(v) not in (int, float) for v in cells):
-            raise InvalidTableError(f'network {i}: "cells" must be a list of numbers')
-        provenance = _provenance_from_json(entry.get("provenance"), i)
-        try:
-            table = JointTable(
-                tuple(cells), kind=entry.get("kind", "unspecified"), provenance=provenance
-            )
-        except (InvalidTableError, OverflowError) as exc:
-            raise InvalidTableError(f"network {i}: {exc}") from exc
-        tables.append(table)
-    return tables
-
-
-def _provenance_from_json(raw, i: int) -> Provenance | None:
+def _provenance_fields(raw, i: int) -> tuple:
+    """The Provenance fields of network ``i``'s ``provenance``, as Python
+    ints, or three Nones for null."""
     if raw is None:
-        return None
+        return (None,) * 3
     if type(raw) is not dict:
         raise InvalidTableError(f'network {i}: "provenance" must be an object or null')
-    try:
-        return Provenance(raw.get("seed"), raw.get("index"), raw.get("resamples", 0))
-    except ValueError:
+    fields = raw.get("seed"), raw.get("index"), raw.get("resamples", 0)
+    if not type(fields[0]) is type(fields[1]) is type(fields[2]) is int:  # no bool, no float
         raise InvalidTableError(
             f'network {i}: provenance needs integer "seed", "index" and "resamples" '
             f"(0 if absent), got {raw!r}"
-        ) from None
+        )
+    return fields
 
 
 def networks_to_json(tables: Iterable[JointTable]) -> str:
@@ -605,9 +569,8 @@ def networks_to_json(tables: Iterable[JointTable]) -> str:
 
 
 def networks_from_json(text: str) -> list[JointTable]:
-    """Parse a network file, preserving cell values exactly, one entry at
-    a time."""
-    return _entry_tables(_network_entries(text))
+    """Parse a network file, preserving cell values exactly."""
+    return NetworkBatch.from_json(text).tables()
 
 
 def save_networks(tables: Iterable[JointTable], path: str | Path) -> None:

@@ -819,17 +819,53 @@ def batch_or_message(text: str):
         return str(exc)
 
 
+def reference_tables(text: str) -> list[JointTable]:
+    """A network file read one entry at a time into JointTables: the
+    reader's checks and messages, stated independently of NetworkBatch."""
+    try:
+        document = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidTableError(f"network file is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict) or "networks" not in document:
+        raise InvalidTableError('network file must be an object with a "networks" list')
+    if not isinstance(document["networks"], list):
+        raise InvalidTableError('"networks" must be a list')
+    tables = []
+    for i, entry in enumerate(document["networks"]):
+        if not isinstance(entry, dict) or "cells" not in entry:
+            raise InvalidTableError(f'network {i} must be an object with "cells"')
+        cells, raw = entry["cells"], entry.get("provenance")
+        if type(cells) is not list or any(type(v) not in (int, float) for v in cells):
+            raise InvalidTableError(f'network {i}: "cells" must be a list of numbers')
+        if raw is not None and type(raw) is not dict:
+            raise InvalidTableError(f'network {i}: "provenance" must be an object or null')
+        try:
+            provenance = None if raw is None else Provenance(
+                raw.get("seed"), raw.get("index"), raw.get("resamples", 0)
+            )
+        except ValueError:
+            raise InvalidTableError(
+                f'network {i}: provenance needs integer "seed", "index" and "resamples" '
+                f"(0 if absent), got {raw!r}"
+            ) from None
+        try:
+            tables.append(JointTable(tuple(cells), entry.get("kind", "unspecified"), provenance))
+        except (InvalidTableError, OverflowError) as exc:
+            raise InvalidTableError(f"network {i}: {exc}") from exc
+    return tables
+
+
 def tables_or_message(text: str):
     try:
-        return bits(NetworkBatch.of(networks_from_json(text)))
+        return bits(NetworkBatch.of(reference_tables(text)))
     except InvalidTableError as exc:
         return str(exc)
 
 
 class TestNetworkBatch:
-    """A batch holds its tables' columns; the network file reads into it as
-    columns, with the cells, kinds, provenance and error messages of the
-    per-entry reader."""
+    """A batch holds its tables' columns; the network file reads into it
+    with the cells, kinds, provenance and error messages of a reference
+    reader that builds one JointTable per entry."""
 
     @settings(max_examples=100, deadline=None)
     @given(table_lists)
@@ -861,15 +897,22 @@ class TestNetworkBatch:
             '{"networks": [{"cells": CELLS, "provenance": {"seed": 1, "index": true}}]}',
             '{"networks": [{"cells": [true, 0, 0, 0, 0, 0, 0, 0]}]}',
             '{"networks": [{"cells": CELLS}, {"cells": [0.5, 0.5]}]}',
+            '{"networks": [{"cells": 5}]}',
+            '{"networks": [{"cells": [' + "9" * 400 + ', 0, 0, 0, 0, 0, 0], "kind": "x"}]}',
+            '{"networks": [{"cells": [1, 0, 0, 0, 0, 0, 0], "kind": "dependent"}]}',
+            '{"networks": [{"cells": CELLS, "kind": ["independent"]}]}',
+            '{"networks": [{"cells": CELLS, "kind": "dependent", "provenance": 5}]}',
+            '{"networks": [{"cells": [1, 0, 0, 0, 0, 0, 0, 0]}, {"cells": [0.5]}]}',
         ],
     )
     def test_malformed_documents_raise_the_per_entry_message(self, text):
         text = text.replace("CELLS", json.dumps([0.125] * 8))
         with pytest.raises(InvalidTableError) as expected:
-            networks_from_json(text)
-        with pytest.raises(InvalidTableError) as excinfo:
-            NetworkBatch.from_json(text)
-        assert str(excinfo.value) == str(expected.value)
+            reference_tables(text)
+        for reader in (NetworkBatch.from_json, networks_from_json):
+            with pytest.raises(InvalidTableError) as excinfo:
+                reader(text)
+            assert str(excinfo.value) == str(expected.value)
 
     @settings(max_examples=200, deadline=None)
     @given(json_values | network_documents)

@@ -472,12 +472,15 @@ class NetworkBatch:
         return self.row(self.cells[k].tolist(), self.kinds[k], *self.provenance[k].tolist())
 
     def tables(self) -> list[JointTable]:
-        """The batch's tables, built from one ``tolist`` per column."""
-        columns = self.cells.tolist(), self.kinds.tolist(), *self.provenance.T.tolist()
+        """The batch's tables, built from one ``tolist`` per column.  Each row's
+        cells are grouped from the flat list as it is used, so no list per
+        row outlives its table."""
+        cells = iter(self.cells.ravel().tolist())
+        columns = zip(*[cells] * 8), self.kinds.tolist(), *self.provenance.T.tolist()
         return list(map(self.row, *columns))
 
     @staticmethod
-    def row(cells: list[float], kind: int, seed, index, resamples) -> JointTable:
+    def row(cells: Sequence[float], kind: int, seed, index, resamples) -> JointTable:
         """The table of one row's cells, kind code and provenance fields."""
         provenance = None if seed is None else Provenance(seed, index, resamples)
         return JointTable(cells, KINDS[kind], provenance)

@@ -176,14 +176,18 @@ def _slot_values(examples: Sequence, columns: Sequence[Sequence]) -> list:
     row, from one column per slot.  A column is written as the type of its
     example leaf: a str through ``encode_basestring``, a bool as ``true`` or
     ``false``, an int with ``%s``, and the floats by one ``float_fields``
-    call, so a non-finite one raises for the first in document order."""
+    call, so a non-finite one raises for the first in document order; -0.0
+    is written ``-0.0``, which a JSON reader reads back as -0.0."""
     kinds = list(map(type, examples))
     width = len(kinds)
     values: list = [None] * (len(columns[0]) * width if columns else 0)
     floats = [j for j, kind in enumerate(kinds) if kind is float]
     if floats:
         slots, mask = float_fields(np.column_stack([columns[j] for j in floats]))
-        texts = slots[mask].tobytes().decode("ascii").split(",")
+        text = slots[mask].tobytes()
+        if b"-0," in text:  # only "-0" ends so: an exponent has two digits
+            text = text.replace(b"-0,", b"-0.0,")
+        texts = text.decode("ascii").split(",")
         for i, j in enumerate(floats):
             values[j::width] = texts[i : -1 : len(floats)]
     for j, (kind, column) in enumerate(zip(kinds, columns, strict=True)):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Sequence, get_args
 
@@ -32,7 +31,6 @@ from .engine import Rule
 from .errors import DegenerateBaseRateError, InvalidTableError, ProspectorEvalError
 from .oracle import EvidenceUpdate, correct_posterior
 from .table import (
-    KINDS,
     MARGINAL_FLOOR,
     FilterMode,
     JointTable,
@@ -212,8 +210,7 @@ def _run_sweep(args, parser):
         )
     except (InvalidTableError, DegenerateBaseRateError) as exc:
         parser.error(f"unusable network file {args.networks}: {exc}")
-    counts = Counter(batch.kinds.tolist())
-    return evaluations, build_report(evaluations, {KINDS[k]: n for k, n in counts.items()})
+    return evaluations, build_report(evaluations, batch.kind_counts())
 
 
 def _cmd_evaluate(args, parser) -> int:

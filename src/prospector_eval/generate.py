@@ -191,12 +191,12 @@ _TAIL_ROWS = 24
 _MARGINS = [(true.tolist(), false.tolist()) for true, false in MARGIN_CELLS]
 
 
-def _fit_row(q: list[float], targets: list[float], tolerance: float, cycles: int):
+def _fit_row(q: list[float], targets: list[float], cycles: int):
     """(converged, deviation) of ``fit_margins`` on cells ``q``, scaled in place."""
     plan = [(true, false, t, 1.0 - t) for (true, false), t in zip(_MARGINS, targets)]
     for cycle in range(cycles + 1):
         deviation = max([abs(q[a] + q[b] + q[c] + q[d] - t) for (a, b, c, d), _, t, _ in plan])
-        if cycle == cycles or deviation <= tolerance:
+        if cycle == cycles or deviation <= IPF_TOLERANCE:
             return cycle < cycles, deviation
         for (a, b, c, d), false, t, rest in plan:
             current = q[a] + q[b] + q[c] + q[d]
@@ -207,40 +207,30 @@ def _fit_row(q: list[float], targets: list[float], tolerance: float, cycles: int
                 q[i] *= other
 
 
-def fit_margins(
-    cells: np.ndarray,
-    targets: np.ndarray,
-    *,
-    tolerance: float,
-    max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_margins(cells: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...]:
     """Fit the E1, E2 and C margins of every row of ``cells`` to ``targets``.
 
     ``cells`` is (N, 8) with strictly positive entries and ``targets`` is
-    (N, 3).  Each row is fitted on its own: its deviation is checked before
-    each cycle, at most ``max_iterations`` times, and a cycle scales E1, E2
-    and C in that order by t/cur on the true cells and (1 - t)/(1 - cur) on
-    the others, cur being the true cells added left to right.  Rows are held
-    cell-major, (8, N), each margin's cells a basic-slice view of
+    (N, 3).  Each row is fitted on its own: its deviation is checked against
+    ``IPF_TOLERANCE`` before each cycle, at most ``IPF_MAX_ITERATIONS`` times
+    (both read at each call), and a cycle scales E1, E2 and C in that order
+    by t/cur on the true cells and (1 - t)/(1 - cur) on the others, cur
+    being the true cells added left to right.  Rows are held cell-major,
+    (8, N), each margin's cells a basic-slice view of
     ``q.reshape(2, 2, 2, N)``; at most ``_TAIL_ROWS`` rows finish in Python
     floats, by the same IEEE operations in the same order.  Returns (fitted,
     converged, deviation): converged rows are normalised by a numpy row sum,
     the others hold their cells after the last cycle; ``deviation`` is each
     row's margin deviation at its last check, or after the last cycle.
-    Raises ValueError unless 0 < ``tolerance`` < 1: a margin deviation is at
-    most 1, so a larger tolerance (or inf) would accept any table, and none
-    would ever meet a NaN or nonpositive one.
     """
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError(f"tolerance must lie strictly between 0 and 1, got {tolerance!r}")
     fitted = np.array(cells, dtype=float)
     q, targets = fitted.T.copy(), np.asarray(targets, dtype=float).T.copy()
     converged, deviation = np.zeros(len(fitted), dtype=bool), np.empty(len(fitted))
-    rows, cycles = np.arange(len(fitted)), max(max_iterations, 0)
+    rows, cycles = np.arange(len(fitted)), IPF_MAX_ITERATIONS
     while len(rows) > _TAIL_ROWS and cycles:
         cycles -= 1
         deviation[rows] = np.abs(np.array(rates(q.T)) - targets).max(axis=0)
-        done = deviation[rows] <= tolerance
+        done = deviation[rows] <= IPF_TOLERANCE
         if done.any():
             fitted[rows[done]] = q[:, done].T
             converged[rows[done]] = True
@@ -253,7 +243,7 @@ def fit_margins(
             true *= target / current
             false *= (1.0 - target) / (1.0 - current)
     for row, row_cells, row_targets in zip(rows.tolist(), q.T.tolist(), targets.T.tolist()):
-        converged[row], deviation[row] = _fit_row(row_cells, row_targets, tolerance, cycles)
+        converged[row], deviation[row] = _fit_row(row_cells, row_targets, cycles)
         fitted[row] = row_cells
     done = fitted[converged]
     fitted[converged] = done / done.sum(axis=1)[:, None]
@@ -284,8 +274,6 @@ def associated_cells(config: GenerationConfig) -> tuple[np.ndarray, np.ndarray]:
         fitted, converged, _ = fit_margins(
             raw[drawable] / raw[drawable].sum(axis=1)[:, None],
             targets[drawable],
-            tolerance=IPF_TOLERANCE,
-            max_iterations=IPF_MAX_ITERATIONS,
         )
         done = np.zeros(len(pending), dtype=bool)
         done[np.flatnonzero(drawable)[converged]] = True

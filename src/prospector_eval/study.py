@@ -39,7 +39,6 @@ from .generate import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_R
 from .generate import DEFAULT_SEED, GenerationConfig, network_batch
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
-    KINDS,
     ConditionalProfile,
     FilterMode,
     JointTable,
@@ -108,6 +107,7 @@ def sweep_settings(
 #: Pattern of each code that ``_pattern_code`` returns.
 _PATTERNS: tuple[MonotonicityPattern, ...] = tuple(MonotonicityPattern)
 _PATTERN_NAMES: tuple[str, ...] = tuple(pattern.value for pattern in _PATTERNS)
+_REJECTED = _PATTERNS.index(MonotonicityPattern.REJECTED)
 
 
 def _pattern_code(q_ff, q_ft, q_tf, q_tt, mode: FilterMode):
@@ -399,21 +399,19 @@ class Evaluations(Sequence):
     """One sweep's ``grid``, ``filter_enabled`` and ``filter_mode``, and its
     evaluated networks as aligned columns, row k of each for ``ids[k]``.
 
-    ``kinds``, ``cells`` and ``provenance`` are the kept rows of the
-    evaluated NetworkBatch, in its layout.  Row k reads as a
-    NetworkEvaluation, built on first access and then kept; a slice reads
-    as the Evaluations of its rows, with the same settings.
+    ``batch`` is the NetworkBatch of the kept rows, so their cells, kinds
+    and provenance stay in ``table``'s layout; a row passes the filter
+    unless its pattern is REJECTED.  Row k reads as a NetworkEvaluation,
+    built on first access and then kept; a slice reads as the Evaluations
+    of its rows, with the same settings.
     """
 
     grid: tuple[float, ...]
     filter_enabled: bool
     filter_mode: FilterMode
     ids: tuple[str, ...]
-    kinds: np.ndarray  # (N,): index into KINDS
+    batch: NetworkBatch
     patterns: np.ndarray  # (N,): index into MonotonicityPattern
-    passes_filter: np.ndarray  # (N,)
-    cells: np.ndarray  # (N, 8)
-    provenance: np.ndarray  # (N, 3) objects: the Provenance fields
     answers: np.ndarray  # (N, G, G, 3)
     oracle: np.ndarray  # (N, G, G)
     stats: np.ndarray  # (N, 3, 3): the RuleStats fields of each rule in RULE_ORDER
@@ -435,13 +433,12 @@ class Evaluations(Sequence):
         return self._views[k]
 
     def _view(self, k: int) -> NetworkEvaluation:
-        network_id = self.ids[k]
+        network_id, table, pattern = self.ids[k], self.batch[k], _PATTERNS[self.patterns[k]]
         return NetworkEvaluation(
-            network_id, KINDS[self.kinds[k]], _PATTERNS[self.patterns[k]],
-            bool(self.passes_filter[k]), self.grid, self.answers[k], self.oracle[k],
+            network_id, table.kind, pattern, pattern is not MonotonicityPattern.REJECTED,
+            self.grid, self.answers[k], self.oracle[k],
             _summary(network_id, self.stats[k], self.best[k], self.tie[k]),
-            Diagnostics(*self.diagnostics[k].tolist()),
-            NetworkBatch.row(self.cells[k].tolist(), self.kinds[k], *self.provenance[k].tolist()),
+            Diagnostics(*self.diagnostics[k].tolist()), table,
         )
 
 
@@ -462,7 +459,7 @@ def _evaluate(
     """
     grid, filter_enabled, filter_mode = sweep_settings(grid, filter_enabled, filter_mode)
     cells = batch.cells
-    checks = check_cells(cells, batch.kinds == KINDS.index("independent"))
+    checks = check_cells(cells, batch.kind_masks()["independent"])
     invalid = np.flatnonzero(~checks.ok)[:1]
     if invalid.size:
         (network_id,) = name(invalid)
@@ -477,19 +474,17 @@ def _evaluate(
     # Validation put every evidence-state mass at or above MARGINAL_FLOOR.
     profiles = conclusion_cells(cells) / checks.masses
     codes = _pattern_code(*profiles.T, filter_mode)
-    passes = codes != _PATTERNS.index(MonotonicityPattern.REJECTED)
-    kept = np.flatnonzero(passes) if filter_enabled else np.arange(len(cells))
-    ids = name(kept)
+    kept = np.flatnonzero(codes != _REJECTED) if filter_enabled else np.arange(len(cells))
+    ids, rows = name(kept), batch[kept]
 
-    answers, oracle = sweep(cells[kept], grid, ids=ids)
+    answers, oracle = sweep(rows.cells, grid, ids=ids)
     # Contiguous per (network, rule), so each mean sums in the order
     # summarize(records) uses.
     errors = np.ascontiguousarray(np.moveaxis(oracle[..., None] - answers, -1, 1))
     stats = _rule_stats(errors.reshape(len(kept), 3, len(grid) ** 2))
     return Evaluations(
-        grid, filter_enabled, filter_mode, tuple(ids), batch.kinds[kept], codes[kept],
-        passes[kept], cells[kept], batch.provenance[kept], answers, oracle, *stats,
-        _diagnostics(cells[kept], profiles[kept]),
+        grid, filter_enabled, filter_mode, tuple(ids), rows, codes[kept], answers, oracle,
+        *stats, _diagnostics(rows.cells, profiles[kept]),
     )
 
 
@@ -623,10 +618,9 @@ def build_report(
         raise ValueError(f"settings {stated!r} differ from the evaluations' {own!r}")
     best_stats = evaluations.stats[np.arange(len(evaluations)), evaluations.best]  # (N, 3)
     classes = {}
-    for code, kind in enumerate(KINDS):
+    for kind, kept in evaluations.batch.kind_masks().items():
         if kind not in generated_counts:
             continue
-        kept = evaluations.kinds == code
         counts = np.bincount(evaluations.best[kept], minlength=len(RULE_ORDER)).tolist()
         average = maximum = None
         if kept.any():
@@ -663,8 +657,8 @@ def run_study(config: StudyConfig) -> StudyReport:
     batch = NetworkBatch.concatenate([network_batch(c) for c in configs])
 
     def name(rows: np.ndarray) -> list[str]:
-        columns = batch.kinds[rows].tolist(), batch.provenance[rows, 1].tolist()
-        return [f"{KINDS[k]}-{i:04d}" for k, i in zip(*columns)]
+        named = batch[rows]
+        return [f"{k}-{i:04d}" for k, i in zip(named.kind_names(), named.provenance[:, 1].tolist())]
 
     evaluations = _evaluate(
         batch,
@@ -791,7 +785,7 @@ def results_csv_text(evaluations: Evaluations) -> str:
     with the generic writer's error for the first one in document order.
     """
     points = tuple(product(evaluations.grid, evaluations.grid))
-    kinds, patterns = _names(KINDS, evaluations.kinds), _names(_PATTERN_NAMES, evaluations.patterns)
+    kinds, patterns = evaluations.batch.kind_names(), _names(_PATTERN_NAMES, evaluations.patterns)
     heads = tuple(zip(evaluations.ids, kinds, patterns))
     answers, oracle = evaluations.answers, evaluations.oracle[..., None]
     pieces = [",".join(RESULTS_HEADER) + "\n"]
@@ -857,10 +851,10 @@ def _network_columns(ev: Evaluations) -> tuple:
     """One column per leaf of the report's ``networks`` elements."""
     return (
         ev.ids,
-        _names(KINDS, ev.kinds),
+        ev.batch.kind_names(),
         _names(_PATTERN_NAMES, ev.patterns),
-        ev.passes_filter,
-        *ev.provenance.T,
+        ev.patterns != _REJECTED,
+        *ev.batch.provenance.T,
         _names(_RULE_NAMES, ev.best),
         ev.tie,
         *ev.stats.reshape(len(ev), 9).T,
@@ -928,7 +922,7 @@ def report_json_text(report: StudyReport) -> str:
     document["networks"] = _serialize.Rows(
         (example, {**example, "provenance": None}),
         _network_columns(ev),
-        [seed is None for seed in ev.provenance[:, 0]],
+        [seed is None for seed in ev.batch.provenance[:, 0]],
     )
     return _serialize.dumps(document)
 

@@ -21,8 +21,9 @@ last axis: ``rates``, ``pair_masses``, ``conclusion_cells``,
 
 A batch of networks is a ``NetworkBatch``, the one owner of the batch
 layout: (N, 8) cells, kind codes and provenance fields as columns, from the
-samplers and the network file to the sweep.  Row k becomes a JointTable
-only when asked for.
+samplers and the network file to the sweep and the study's kept rows.  It
+alone maps kind codes to names; row k becomes a JointTable only when asked
+for, and a slice or an index array selects a smaller batch.
 """
 
 from __future__ import annotations
@@ -432,7 +433,8 @@ class NetworkBatch:
     the batch layout.  ``cells`` is (N, 8), ``kinds`` (N,) indices into
     KINDS, and ``provenance`` (N, 3) objects: the Provenance fields as
     Python ints, so values of any size stay exact, or None rows for tables
-    without one.  ``batch[k]`` is row k's JointTable."""
+    without one.  ``batch[k]`` is row k's JointTable, and ``batch[rows]``,
+    for a slice or an index array, the batch of those rows."""
 
     cells: np.ndarray
     kinds: np.ndarray
@@ -467,9 +469,23 @@ class NetworkBatch:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, k: int) -> JointTable:
-        k = range(len(self))[k]
+    def __getitem__(self, k):
+        if isinstance(k, (slice, np.ndarray)):
+            return NetworkBatch(self.cells[k], self.kinds[k], self.provenance[k])
         return self.row(self.cells[k].tolist(), self.kinds[k], *self.provenance[k].tolist())
+
+    def kind_names(self) -> list[str]:
+        """Each row's kind."""
+        return np.array(KINDS, dtype=object)[self.kinds].tolist()
+
+    def kind_masks(self) -> dict[str, np.ndarray]:
+        """Each kind's (N,) row mask, in KINDS order."""
+        return {kind: self.kinds == code for code, kind in enumerate(KINDS)}
+
+    def kind_counts(self) -> dict[str, int]:
+        """The rows of each kind the batch holds, in KINDS order."""
+        counts = np.bincount(self.kinds, minlength=len(KINDS)).tolist()
+        return {kind: count for kind, count in zip(KINDS, counts) if count}
 
     def tables(self) -> list[JointTable]:
         """The batch's tables, built from one ``tolist`` per column.  Each row's
@@ -497,7 +513,7 @@ class NetworkBatch:
         }
         rows = _serialize.Rows(
             (example, {**example, "provenance": None}),
-            (np.array(KINDS, dtype=object)[self.kinds].tolist(), *self.provenance.T, *self.cells.T),
+            (self.kind_names(), *self.provenance.T, *self.cells.T),
             [seed is None for seed in self.provenance[:, 0]],
         )
         return _serialize.dumps({"networks": rows})
@@ -566,18 +582,8 @@ def _provenance_fields(raw, i: int) -> tuple:
     return fields
 
 
-def networks_to_json(tables: Iterable[JointTable]) -> str:
-    """Serialize tables to the network file format (deterministic bytes)."""
-    return NetworkBatch.of(tables).to_json()
-
-
-def networks_from_json(text: str) -> list[JointTable]:
-    """Parse a network file, preserving cell values exactly."""
-    return NetworkBatch.from_json(text).tables()
-
-
 def save_networks(tables: Iterable[JointTable], path: str | Path) -> None:
-    Path(path).write_text(networks_to_json(tables), encoding="utf-8")
+    Path(path).write_text(NetworkBatch.of(tables).to_json(), encoding="utf-8")
 
 
 def load_networks(path: str | Path) -> list[JointTable]:

@@ -3,9 +3,9 @@
 A reference for ``prospector_eval._serialize.dumps``, which renders the same
 layout from templates: one ``format`` or ``encode_basestring`` call per
 leaf, written in document order, so the first bad value in document order
-raises.  Floats use 17 significant digits, dict keys keep insertion order,
-lists of scalars stay on one line and other lists put one element on each
-line.
+raises.  Floats use 17 significant digits (-0.0 as ``-0.0``), dict keys
+keep insertion order, lists of scalars stay on one line and other lists put
+one element on each line.
 """
 
 import math
@@ -18,6 +18,8 @@ def format_float(value) -> str:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value cannot be serialized: {value!r}")
+    if value == 0.0 and math.copysign(1.0, value) < 0.0:
+        return "-0.0"  # "-0" would read back as the integer 0
     return format(value, ".17g")
 
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from prospector_eval import case_study_table, generate
 from prospector_eval.cli import build_parser, main
 from prospector_eval.generate import GenerationConfig
-from prospector_eval.table import networks_to_json
+from prospector_eval.table import NetworkBatch
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -37,13 +37,13 @@ NON_FINITE = re.compile(rb"\b-?(nan|inf|infinity)\b", re.IGNORECASE)
 
 #: A valid three-network file: both case studies and one associated draw.
 VALID_DOCUMENT = json.loads(
-    networks_to_json(
+    NetworkBatch.of(
         [
             case_study_table(1),
             case_study_table(2),
             *generate(GenerationConfig(count=1, seed=5, kind="associated")),
         ]
-    )
+    ).to_json()
 )
 
 NETWORKS = "networks.json"

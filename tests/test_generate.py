@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import importlib
-import math
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from prospector_eval.generate import (
     fit_margins,
 )
 from prospector_eval.study import DEFAULT_SEED
-from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, Provenance, networks_to_json
+from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, NetworkBatch, Provenance
 
 # One-sided Kolmogorov-Smirnov critical value at the 1% level for n = 400.
 KS_CRITICAL_1PCT_400 = 1.62762 / np.sqrt(400)
@@ -133,14 +132,10 @@ class TestGenerationConfig:
         assert names == ["count", "seed", "kind"]
 
 
-def fit_one(cells, targets, max_iterations=IPF_MAX_ITERATIONS):
-    """One table through ``fit_margins`` at the generator's fixed
-    tolerance: (fitted cells, converged, deviation)."""
+def fit_one(cells, targets):
+    """One table through ``fit_margins``: (fitted cells, converged, deviation)."""
     fitted, converged, deviation = fit_margins(
-        np.array([cells], dtype=float),
-        np.array([targets], dtype=float),
-        tolerance=IPF_TOLERANCE,
-        max_iterations=max_iterations,
+        np.array([cells], dtype=float), np.array([targets], dtype=float)
     )
     return fitted[0], converged[0], deviation[0]
 
@@ -196,9 +191,10 @@ class TestIpfFit:
         fitted, _, _ = fit_one(cells, targets)
         assert tuple(fitted) == pytest.approx(tuple(reversed_order), abs=1e-9)
 
-    def test_reports_deviation_when_capped(self, rng):
+    def test_reports_deviation_when_capped(self, rng, monkeypatch):
+        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 1)
         raw = rng.uniform(0.01, 1.0, 8)
-        _, converged, deviation = fit_one(raw / raw.sum(), (0.9, 0.1, 0.5), max_iterations=1)
+        _, converged, deviation = fit_one(raw / raw.sum(), (0.9, 0.1, 0.5))
         assert not converged
         assert deviation > 0.0
 
@@ -235,19 +231,18 @@ class TestBatchedFit:
             generate_associated(config)
         assert str(batched.value) == str(expected.value)
 
-    def test_rows_converging_on_different_cycles(self, rng, case1):
+    def test_rows_converging_on_different_cycles(self, rng, case1, monkeypatch):
         raw = rng.uniform(0.01, 1.0, (6, 8))
         cells = np.vstack((case1.as_array(), raw / raw.sum(axis=1)[:, None]))
         targets = np.vstack(
             (base_rates(case1), rng.uniform(0.05, 0.95, (6, 3)))
         )
         cap = 12  # below what the slowest of these rows needs
-        fitted, converged, deviation = fit_margins(
-            cells, targets, tolerance=1e-10, max_iterations=cap
-        )
+        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", cap)
+        fitted, converged, deviation = fit_margins(cells, targets)
         cycles = set()
         for row in range(len(cells)):
-            expected, detail = scalar_fit(cells[row], targets[row], 1e-10, cap)
+            expected, detail = scalar_fit(cells[row], targets[row], IPF_TOLERANCE, cap)
             if expected is None:
                 assert not converged[row]
                 assert deviation[row] == detail
@@ -262,19 +257,17 @@ class TestBatchedFit:
         raw = rng.uniform(0.01, 1.0, (10, 8))
         cells, targets = raw / raw.sum(axis=1)[:, None], rng.uniform(0.05, 0.95, (10, 3))
         assert len(cells) < generate_module._TAIL_ROWS
-        fitted, converged, _ = fit_margins(cells, targets, tolerance=1e-10, max_iterations=10000)
+        fitted, converged, _ = fit_margins(cells, targets)
         assert converged.all()
         for row in range(len(cells)):
-            expected, _ = scalar_fit(cells[row], targets[row], 1e-10, 10000)
+            expected, _ = scalar_fit(cells[row], targets[row], IPF_TOLERANCE, IPF_MAX_ITERATIONS)
             assert tuple(fitted[row].tolist()) == expected
 
     def test_no_rows(self):
-        fitted, converged, deviation = fit_margins(
-            np.empty((0, 8)), np.empty((0, 3)), tolerance=1e-10, max_iterations=10
-        )
+        fitted, converged, deviation = fit_margins(np.empty((0, 8)), np.empty((0, 3)))
         assert fitted.shape == (0, 8) and converged.shape == deviation.shape == (0,)
 
-    def test_cap_reached_in_the_tail(self, rng, case1):
+    def test_cap_reached_in_the_tail(self, rng, case1, monkeypatch):
         """Twenty rows already fit and leave at the first check, so the
         other ten finish in the tail, where the cap stops some of them."""
         raw = rng.uniform(0.01, 1.0, (10, 8))
@@ -282,28 +275,16 @@ class TestBatchedFit:
         targets = np.vstack((np.tile(base_rates(case1), (20, 1)), rng.uniform(0.05, 0.95, (10, 3))))
         assert len(cells) > generate_module._TAIL_ROWS >= 10
         cap = 12
-        fitted, converged, deviation = fit_margins(
-            cells, targets, tolerance=1e-10, max_iterations=cap
-        )
+        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", cap)
+        fitted, converged, deviation = fit_margins(cells, targets)
         for row in range(len(cells)):
-            expected, detail = scalar_fit(cells[row], targets[row], 1e-10, cap)
+            expected, detail = scalar_fit(cells[row], targets[row], IPF_TOLERANCE, cap)
             assert converged[row] == (expected is not None)
             if expected is None:
-                assert deviation[row] == detail > 1e-10
+                assert deviation[row] == detail > IPF_TOLERANCE
             else:
                 assert tuple(fitted[row].tolist()) == expected
         assert converged[:20].all() and converged[20:].any() and not converged[20:].all()
-
-    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, 1.0, -1.0])
-    def test_refuses_a_tolerance_outside_the_unit_interval(self, rng, tolerance):
-        raw = rng.uniform(0.01, 1.0, (3, 8))
-        with pytest.raises(ValueError, match="tolerance"):
-            fit_margins(
-                raw / raw.sum(axis=1)[:, None],
-                np.full((3, 3), 0.5),
-                tolerance=tolerance,
-                max_iterations=10,
-            )
 
 
 def scalar_independent(config: GenerationConfig) -> list[tuple[float, ...]]:
@@ -391,7 +372,7 @@ class TestPinnedBytes:
     )
     def test_sha256_at_default_seed(self, kind, digest):
         tables = generate(GenerationConfig(count=400, seed=DEFAULT_SEED, kind=kind))
-        text = networks_to_json(tables)
+        text = NetworkBatch.of(tables).to_json()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -405,7 +386,7 @@ class TestPinnedBytes:
         """Seed 2**64 - 1 fills both 32-bit entropy words, pinned while the
         draws still came from numpy.random."""
         tables = generate(GenerationConfig(count=400, seed=2**64 - 1, kind=kind))
-        text = networks_to_json(tables)
+        text = NetworkBatch.of(tables).to_json()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -415,7 +396,7 @@ class TestAssociatedGeneration:
         first = generate_associated(config)
         second = generate_associated(config)
         assert [t.cells for t in first] == [t.cells for t in second]
-        assert networks_to_json(first) == networks_to_json(second)
+        assert NetworkBatch.of(first).to_json() == NetworkBatch.of(second).to_json()
         for table in first:
             assert validate(table).ok
             assert table.kind == "associated"

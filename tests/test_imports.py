@@ -18,6 +18,7 @@ resolves, to the same object.
 """
 
 import ast
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -242,6 +243,31 @@ def test_submodules_resolve_and_do_not_shadow_a_public_name():
 def test_only_table_holds_the_cell_layout(module):
     names = vars(importlib.import_module(f"prospector_eval.{module}"))
     assert not {"MASK_E1", "MASK_E2", "MASK_C", "PAIR_CELLS"} & names.keys()
+
+
+def test_only_table_decodes_the_batch_rows_and_kind_codes():
+    """``NetworkBatch`` maps kind codes to names and holds the study's kept
+    rows: the CLI does not import ``KINDS``, the study neither indexes it
+    nor looks a kind up in it, and ``Evaluations`` keeps no batch column or
+    filter flag of its own."""
+    cli_imports = {
+        alias.name
+        for node in ast.walk(TREES["cli.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "KINDS" not in cli_imports
+    decoded = [
+        ast.unparse(node)
+        for node in ast.walk(TREES["study.py"])
+        if isinstance(node, (ast.Subscript, ast.Attribute))
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "KINDS"
+    ]
+    assert decoded == []
+    study = importlib.import_module("prospector_eval.study")
+    columns = {field.name for field in dataclasses.fields(study.Evaluations)}
+    assert not {"kinds", "cells", "provenance", "passes_filter"} & columns
 
 
 def loaded_names(tree: ast.AST) -> set[str]:

@@ -69,7 +69,7 @@ from prospector_eval.errors import (
     InvalidTableError,
 )
 from prospector_eval.oracle import unreachable_message
-from prospector_eval.table import MARGINAL_FLOOR, networks_to_json, require_valid
+from prospector_eval.table import MARGINAL_FLOOR, NetworkBatch, require_valid
 
 
 def profile(q_ff, q_ft, q_tf, q_tt) -> ConditionalProfile:
@@ -685,9 +685,12 @@ class TestColumns:
         assert serialize_calls(report_json_text, small) == serialize_calls(
             report_json_text, report
         )
-        tables = [generate(GenerationConfig(count=n, seed=3, kind="associated")) for n in (40, 400)]
-        assert serialize_calls(networks_to_json, tables[0]) == serialize_calls(
-            networks_to_json, tables[1]
+        batches = [
+            NetworkBatch.of(generate(GenerationConfig(count=n, seed=3, kind="associated")))
+            for n in (40, 400)
+        ]
+        assert serialize_calls(NetworkBatch.to_json, batches[0]) == serialize_calls(
+            NetworkBatch.to_json, batches[1]
         )
 
     @pytest.mark.parametrize("filter_enabled", [True, False])
@@ -719,6 +722,16 @@ class TestColumns:
         assert isinstance(head, study.Evaluations) and head.grid == networks.grid
         assert [ev.network_id for ev in head] == [ev.network_id for ev in list(networks)[2:5]]
         assert bits(head.answers) == bits(networks.answers[2:5])
+
+    @pytest.mark.parametrize("rows", [slice(2, 5), slice(None, None, -3), slice(30, None)])
+    def test_slices_keep_the_batch_aligned_with_the_ids(self, rows):
+        networks = run_study(small_study_config(filter_enabled=False)).networks
+        part = networks[rows]
+        assert len(part.batch) == len(part.ids) == len(part.patterns)
+        assert part.ids == networks.ids[rows]
+        assert part.batch.tables() == [ev.table for ev in list(networks)[rows]]
+        named = [f"{t.kind}-{t.provenance.index:04d}" for t in part.batch.tables()]
+        assert list(part.ids) == named
 
 
 def generic_results_csv(evaluations) -> str:
@@ -766,9 +779,10 @@ def with_oddities(report):
     ids[: 3 * len(ODD_IDS) : 3] = ODD_IDS
     tie = networks.tie.copy()
     tie[7] = True
-    provenance = networks.provenance.copy()
+    provenance = networks.batch.provenance.copy()
     provenance[40:60] = None
-    networks = dataclasses.replace(networks, ids=tuple(ids), tie=tie, provenance=provenance)
+    batch = dataclasses.replace(networks.batch, provenance=provenance)
+    networks = dataclasses.replace(networks, ids=tuple(ids), tie=tie, batch=batch)
     return dataclasses.replace(report, networks=networks)
 
 

@@ -47,8 +47,6 @@ from prospector_eval.table import (
     conclusion_cells,
     link_conditionals,
     load_networks,
-    networks_from_json,
-    networks_to_json,
     pair_masses,
     product_masses,
     rates,
@@ -561,17 +559,18 @@ class TestNetworkFiles:
             assert read.provenance == original.provenance
 
     def test_serialization_is_deterministic(self, case1, case2):
-        assert networks_to_json([case1, case2]) == networks_to_json([case1, case2])
+        batch = NetworkBatch.of([case1, case2])
+        assert batch.to_json() == NetworkBatch.of([case1, case2]).to_json()
 
     def test_rejects_malformed_documents(self):
         with pytest.raises(InvalidTableError):
-            networks_from_json("not json at all")
+            NetworkBatch.from_json("not json at all")
         with pytest.raises(InvalidTableError):
-            networks_from_json('{"something": []}')
+            NetworkBatch.from_json('{"something": []}')
         with pytest.raises(InvalidTableError):
-            networks_from_json('{"networks": [{"kind": "associated"}]}')
+            NetworkBatch.from_json('{"networks": [{"kind": "associated"}]}')
         with pytest.raises(InvalidTableError, match="not valid JSON"):
-            networks_from_json('{"networks": [' + "1" * 5000 + "]}")  # past int's digit limit
+            NetworkBatch.from_json('{"networks": [' + "1" * 5000 + "]}")  # past int's digit limit
 
     @pytest.mark.parametrize(
         "entry",
@@ -588,7 +587,7 @@ class TestNetworkFiles:
     def test_rejects_malformed_entries(self, entry):
         entry = entry.replace("CELLS", json.dumps([0.125] * 8))
         with pytest.raises(InvalidTableError, match="network 0"):
-            networks_from_json('{"networks": [%s]}' % entry)
+            NetworkBatch.from_json('{"networks": [%s]}' % entry)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -629,7 +628,7 @@ class TestProvenance:
             kind="associated",
             provenance=provenance,
         )
-        (read,) = networks_from_json(networks_to_json([table]))
+        (read,) = NetworkBatch.from_json(NetworkBatch.of([table]).to_json()).tables()
         assert read.provenance == provenance
         report = build_report(evaluate_tables([table]), {"associated": 1})
         (network,) = json.loads(report_json_text(report))["networks"]
@@ -679,19 +678,19 @@ def reference_network_file(tables) -> str:
 
 
 class TestNetworkFileWriter:
-    """``networks_to_json`` renders the entries from their columns; the
+    """``NetworkBatch.to_json`` renders the entries from their columns; the
     leaf-by-leaf reference writes the same bytes and refuses the same
     values."""
 
     def test_matches_the_reference(self):
         tables = file_tables()
-        text = networks_to_json(tables)
+        text = NetworkBatch.of(tables).to_json()
         assert text == reference_network_file(tables)
-        assert networks_from_json(text) == tables
-        assert networks_to_json([]) == reference_network_file([]) == '{\n  "networks": []\n}\n'
+        assert NetworkBatch.from_json(text).tables() == tables
+        assert NetworkBatch.of([]).to_json() == reference_network_file([]) == '{\n  "networks": []\n}\n'
         for kind in KINDS:  # every row of one layout
             subset = [t for t in tables if t.kind == kind and t.provenance is None]
-            assert networks_to_json(subset) == reference_network_file(subset)
+            assert NetworkBatch.of(subset).to_json() == reference_network_file(subset)
 
     @pytest.mark.parametrize(
         "poison",
@@ -709,7 +708,7 @@ class TestNetworkFileWriter:
             reference_network_file(tables)
         assert str(expected.value).startswith("non-finite value cannot be serialized")
         with pytest.raises(ValueError) as excinfo:
-            networks_to_json(tables)
+            NetworkBatch.of(tables).to_json()
         assert str(excinfo.value) == str(expected.value)
 
 
@@ -742,7 +741,7 @@ network_documents = st.fixed_dictionaries(
 def tables_or_invalid(text: str) -> None:
     """The loader either returns tables or raises InvalidTableError."""
     try:
-        tables = networks_from_json(text)
+        tables = NetworkBatch.from_json(text).tables()
     except InvalidTableError:
         return
     assert all(isinstance(table, JointTable) for table in tables)
@@ -767,7 +766,7 @@ class TestLoaderFuzzing:
     )
     def test_generated_tables_round_trip(self, kind, count, seed):
         tables = generate(GenerationConfig(count=count, seed=seed, kind=kind))
-        assert networks_from_json(networks_to_json(tables)) == tables
+        assert NetworkBatch.from_json(NetworkBatch.of(tables).to_json()).tables() == tables
 
     @given(
         st.lists(
@@ -780,7 +779,7 @@ class TestLoaderFuzzing:
     )
     def test_tables_without_provenance_round_trip(self, drawn):
         tables = [JointTable(tuple(cells), kind=kind) for cells, kind in drawn]
-        assert networks_from_json(networks_to_json(tables)) == tables
+        assert NetworkBatch.from_json(NetworkBatch.of(tables).to_json()).tables() == tables
 
 
 #: Floats at the edges of the renderer, and any other finite float.
@@ -874,11 +873,12 @@ class TestNetworkBatch:
         assert len(batch) == len(tables)
         assert [batch[k] for k in range(len(batch))] == batch.tables() == tables
         assert bits(NetworkBatch.of(batch.tables())) == bits(batch)
-        text = networks_to_json(tables)
+        text = NetworkBatch.of(tables).to_json()
         assert batch.to_json() == text
         read = NetworkBatch.from_json(text)
-        assert bits(read) == tables_or_message(text)
-        assert read.tables() == tables  # -0.0 is written "-0", read back as 0
+        # Bit for bit, so a -0.0 cell reads back as -0.0.
+        assert bits(read) == tables_or_message(text) == bits(batch)
+        assert read.tables() == tables
 
     @pytest.mark.parametrize(
         "text",
@@ -909,13 +909,55 @@ class TestNetworkBatch:
         text = text.replace("CELLS", json.dumps([0.125] * 8))
         with pytest.raises(InvalidTableError) as expected:
             reference_tables(text)
-        for reader in (NetworkBatch.from_json, networks_from_json):
-            with pytest.raises(InvalidTableError) as excinfo:
-                reader(text)
-            assert str(excinfo.value) == str(expected.value)
+        with pytest.raises(InvalidTableError) as excinfo:
+            NetworkBatch.from_json(text)
+        assert str(excinfo.value) == str(expected.value)
 
     @settings(max_examples=200, deadline=None)
     @given(json_values | network_documents)
     def test_arbitrary_documents_read_as_the_per_entry_reader_reads_them(self, document):
         text = json.dumps(document)
         assert batch_or_message(text) == tables_or_message(text)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [slice(2, 9), slice(None, None, -4), slice(20, None), [4, 0, 4, 14], [], [-1, 10]],
+        ids=["slice", "reversed-step", "past-the-end", "repeats", "empty", "negative"],
+    )
+    def test_slices_and_index_arrays_select_a_batch(self, rows):
+        tables = file_tables()
+        batch = NetworkBatch.of(tables)
+        if isinstance(rows, list):
+            rows = np.array(rows, dtype=int)
+        part = batch[rows]
+        assert isinstance(part, NetworkBatch)
+        indices = range(len(tables))[rows] if isinstance(rows, slice) else rows.tolist()
+        assert part.tables() == [tables[k] for k in indices]
+        assert bits(part) == bits(NetworkBatch.of(part.tables()))
+        if not isinstance(rows, slice):
+            assert [part[k] for k in range(len(rows))] == [batch[rows[k]] for k in range(len(rows))]
+
+    def test_negative_ints_count_from_the_end(self):
+        tables = file_tables()
+        batch = NetworkBatch.of(tables)
+        assert [batch[k] for k in range(-len(tables), 0)] == tables
+        for k in (len(tables), -len(tables) - 1):
+            with pytest.raises(IndexError):
+                batch[k]
+
+    def test_kinds_by_name_mask_and_count(self):
+        tables = file_tables()  # five of each kind, in KINDS order
+        batch = NetworkBatch.of(tables)
+        assert batch.kind_names() == [table.kind for table in tables]
+        masks = batch.kind_masks()
+        assert list(masks) == list(KINDS)
+        for kind, mask in masks.items():
+            assert mask.tolist() == [table.kind == kind for table in tables]
+        assert list(batch.kind_counts().items()) == [(kind, 5) for kind in KINDS]
+        # Counted in KINDS order whatever the row order; absent kinds left out.
+        mixed = batch[np.array([14, 0, 7, 1])]
+        assert list(mixed.kind_counts().items()) == [
+            ("independent", 2), ("associated", 1), ("unspecified", 1)
+        ]
+        assert batch[5:10].kind_counts() == {"associated": 5}
+        assert NetworkBatch.of([]).kind_counts() == {}

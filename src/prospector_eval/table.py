@@ -434,7 +434,7 @@ class NetworkBatch:
     KINDS, and ``provenance`` (N, 3) objects: the Provenance fields as
     Python ints, so values of any size stay exact, or None rows for tables
     without one.  ``batch[k]`` is row k's JointTable, and ``batch[rows]``,
-    for a slice or an index array, the batch of those rows."""
+    for a slice or an index array or list, the batch of those rows."""
 
     cells: np.ndarray
     kinds: np.ndarray
@@ -470,9 +470,9 @@ class NetworkBatch:
         return len(self.kinds)
 
     def __getitem__(self, k):
-        if isinstance(k, (slice, np.ndarray)):
-            return NetworkBatch(self.cells[k], self.kinds[k], self.provenance[k])
-        return self.row(self.cells[k].tolist(), self.kinds[k], *self.provenance[k].tolist())
+        if isinstance(k, (int, np.integer)):
+            return self.row(self.cells[k].tolist(), self.kinds[k], *self.provenance[k].tolist())
+        return NetworkBatch(self.cells[k], self.kinds[k], self.provenance[k])
 
     def kind_names(self) -> list[str]:
         """Each row's kind."""

@@ -921,17 +921,23 @@ class TestNetworkBatch:
 
     @pytest.mark.parametrize(
         "rows",
-        [slice(2, 9), slice(None, None, -4), slice(20, None), [4, 0, 4, 14], [], [-1, 10]],
-        ids=["slice", "reversed-step", "past-the-end", "repeats", "empty", "negative"],
+        [
+            slice(2, 9),
+            slice(None, None, -4),
+            slice(20, None),
+            np.array([4, 0, 4, 14]),
+            np.array([], dtype=int),
+            np.array([-1, 10]),
+            [3, 11],
+        ],
+        ids=["slice", "reversed-step", "past-the-end", "repeats", "empty", "negative", "list"],
     )
     def test_slices_and_index_arrays_select_a_batch(self, rows):
         tables = file_tables()
         batch = NetworkBatch.of(tables)
-        if isinstance(rows, list):
-            rows = np.array(rows, dtype=int)
         part = batch[rows]
         assert isinstance(part, NetworkBatch)
-        indices = range(len(tables))[rows] if isinstance(rows, slice) else rows.tolist()
+        indices = range(len(tables))[rows] if isinstance(rows, slice) else list(rows)
         assert part.tables() == [tables[k] for k in indices]
         assert bits(part) == bits(NetworkBatch.of(part.tables()))
         if not isinstance(rows, slice):

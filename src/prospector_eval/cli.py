@@ -175,22 +175,15 @@ def _shown(path: str) -> str:
     return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
-def generate(config) -> NetworkBatch:
-    """``generate.network_batch``, imported on first use."""
-    from .generate import network_batch
-
-    return network_batch(config)
-
-
 def _cmd_generate(args, parser) -> int:
-    from .generate import DEFAULT_SEED, GenerationConfig
+    from .generate import DEFAULT_SEED, GenerationConfig, network_batch
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     try:
         config = GenerationConfig(count=args.count, seed=seed, kind=args.kind)
     except ValueError as exc:
         parser.error(str(exc))
-    batch = generate(config)
+    batch = network_batch(config)
     Path(args.out).write_text(batch.to_json(), encoding="utf-8")
     print(f"wrote {len(batch)} {args.kind} networks to {_shown(args.out)}")
     return 0

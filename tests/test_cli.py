@@ -4,12 +4,13 @@ Everything here runs in-process: stdout/stderr are captured with capsys and
 files land in tmp_path, so the suite stays fast and deterministic.
 """
 
+import importlib
 import json
 from collections import Counter
 
 import pytest
 
-from prospector_eval import cli, load_networks, save_networks
+from prospector_eval import load_networks, save_networks
 from prospector_eval.cli import main
 from prospector_eval.table import JointTable, Provenance, compose_table
 
@@ -57,7 +58,9 @@ class TestGenerate:
         def exhausted(config):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "generate", exhausted)
+        # The package's ``generate`` attribute is the function, not the module.
+        generate_module = importlib.import_module("prospector_eval.generate")
+        monkeypatch.setattr(generate_module, "network_batch", exhausted)
         out = tmp_path / "x.json"
         assert run("generate", "--kind", "independent", "--count", 10**9, "--out", out) == 1
         err = capsys.readouterr().err
@@ -140,6 +143,20 @@ class TestSweepFlags:
             assert run(command, "--networks", networks, f"--grid={grid}", "--out", out) == 0
             written.append(out.read_bytes())
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("command", ["evaluate", "case-study"])
+    def test_a_grid_of_words_is_a_usage_error(self, tmp_path, capsys, command):
+        if command == "evaluate":
+            source = ("--networks", make_networks_file(tmp_path))
+        else:
+            source = ("--id", 1)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            run(command, *source, "--grid", "a,b", "--out", out)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--grid must be a comma-separated list of numbers, got 'a,b'" in err
+        assert not out.exists()
 
 
 class TestReport:

@@ -213,6 +213,10 @@ class TestInfer:
         with pytest.raises(EmptyEvidenceError):
             infer(network_view(case1), Rule.INDEPENDENT, ())
 
+    def test_a_rule_name_is_not_a_rule(self, case1):
+        with pytest.raises(ValueError, match="unknown rule: 'conjunctive'"):
+            infer(network_view(case1), "conjunctive", (0.5, 0.5))
+
     def test_out_of_range_raises(self, case1):
         view = network_view(case1)
         for rule in Rule:

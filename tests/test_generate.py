@@ -25,6 +25,7 @@ from prospector_eval.generate import (
     _draw_doubles,
     _stream_words,
     fit_margins,
+    independent_cells,
 )
 from prospector_eval.study import DEFAULT_SEED
 from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, NetworkBatch, Provenance
@@ -440,6 +441,8 @@ class TestAssociatedGeneration:
         config = GenerationConfig(count=1, seed=1, kind="independent")
         with pytest.raises(ValueError):
             generate_associated(config)
+        with pytest.raises(ValueError, match="expected 'independent'"):
+            independent_cells(dataclasses.replace(config, kind="associated"))
 
 
 class TestIndependentGeneration:

@@ -314,6 +314,11 @@ def small_study_config(**overrides) -> StudyConfig:
     return StudyConfig.default(count=12, **overrides)
 
 
+def patterns(evaluations) -> list[MonotonicityPattern]:
+    """The pattern of each row of an Evaluations, from its column."""
+    return [list(MonotonicityPattern)[code] for code in evaluations.patterns.tolist()]
+
+
 class TestRunStudy:
     def test_shapes_counts_and_ids(self):
         report = run_study(small_study_config())
@@ -329,17 +334,16 @@ class TestRunStudy:
         assert len(report.strength_error_pairs) == len(report.networks)
         for ev in report.networks:
             assert len(ev.records) == len(DEFAULT_UPDATE_GRID) ** 2
-            assert ev.passes_filter
+        assert MonotonicityPattern.REJECTED not in patterns(report.networks)
 
     def test_filter_off_keeps_everything_flagged(self):
         report = run_study(small_study_config(filter_enabled=False))
         assert len(report.networks) == 24
         for kind, cls in report.classes.items():
             assert cls.filtered_in == cls.generated == 12
-        rejected = [ev for ev in report.networks if not ev.passes_filter]
-        assert rejected  # with 24 random networks some profile is non-monotone
-        for ev in rejected:
-            assert ev.pattern is MonotonicityPattern.REJECTED
+        flags = [n["passes_filter"] for n in json.loads(report_json_text(report))["networks"]]
+        assert flags == [p is not MonotonicityPattern.REJECTED for p in patterns(report.networks)]
+        assert not all(flags)  # with 24 random networks some profile is non-monotone
 
     @pytest.mark.parametrize("filter_enabled", [True, False])
     def test_tables_are_the_generated_networks(self, filter_enabled, monkeypatch):
@@ -574,17 +578,16 @@ class TestArrayScreenAndDiagnostics:
         tables += [NON_MONOTONE, compose_table((0.25,) * 4, (0.5,) * 4)]
         everything = evaluate_tables(tables, filter_enabled=False, filter_mode=mode)
         assert [ev.table for ev in everything] == tables
-        for ev in everything:
-            pattern = monotonicity_pattern(conditional_profile(ev.table), mode=mode)
-            assert ev.pattern == pattern == reference_pattern(conditional_profile(ev.table), mode)
-            assert ev.passes_filter == (pattern is not MonotonicityPattern.REJECTED)
-            assert ev.diagnostics == diagnostics(ev.table)
-            assert bits(dataclasses.astuple(ev.diagnostics)) == bits(reference_diagnostics(ev.table))
+        found = patterns(everything)
+        for ev, pattern, row in zip(everything, found, everything.diagnostics):
+            q = conditional_profile(ev.table)
+            assert pattern == monotonicity_pattern(q, mode=mode) == reference_pattern(q, mode)
+            assert Diagnostics(*row.tolist()) == diagnostics(ev.table)
+            assert bits(row) == bits(reference_diagnostics(ev.table))
         kept = evaluate_tables(tables, filter_mode=mode)
-        assert [ev.network_id for ev in kept] == [
-            ev.network_id for ev in everything if ev.passes_filter
-        ]
-        assert {ev.pattern for ev in everything} == set(MonotonicityPattern)
+        passed = [pattern is not MonotonicityPattern.REJECTED for pattern in found]
+        assert list(kept.ids) == [i for i, p in zip(everything.ids, passed) if p]
+        assert set(found) == set(MonotonicityPattern)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -596,9 +599,9 @@ class TestArrayScreenAndDiagnostics:
         table = compose_table(masses, profile_values)
         assume(validate(table).ok and 0.0 < base_rates(table)[2] < 1.0)
         for mode in ("full", "e2-only"):
-            (ev,) = evaluate_tables([table], filter_enabled=False, filter_mode=mode)
-            assert ev.pattern == reference_pattern(conditional_profile(table), mode)
-            assert bits(dataclasses.astuple(ev.diagnostics)) == bits(reference_diagnostics(table))
+            evaluations = evaluate_tables([table], filter_enabled=False, filter_mode=mode)
+            assert patterns(evaluations) == [reference_pattern(conditional_profile(table), mode)]
+            assert bits(evaluations.diagnostics[0]) == bits(reference_diagnostics(table))
 
 
 class TestPinnedStudyBytes:
@@ -673,10 +676,7 @@ class TestColumns:
         results_csv_text(report.networks)
         assert calls == []
         report.networks[-1]  # the counters count
-        assert sorted(calls) == [
-            "Diagnostics", "JointTable", "NetworkErrorSummary", "NetworkEvaluation",
-            "RuleStats", "RuleStats", "RuleStats",
-        ]
+        assert sorted(calls) == ["JointTable", "NetworkEvaluation"]
         # Nor does either JSON writer walk the networks leaf by leaf: ten
         # times the networks (one fill chunk either way) take no more Python
         # calls into _serialize.
@@ -737,13 +737,13 @@ class TestColumns:
 def generic_results_csv(evaluations) -> str:
     """The results CSV written field by field from the records."""
     rows = []
-    for ev in evaluations:
+    for ev, pattern in zip(evaluations, patterns(evaluations)):
         for record in ev.records:
             rows.append(
                 (
                     ev.network_id,
                     ev.kind,
-                    ev.pattern.value,
+                    pattern.value,
                     record.update.p_new_e1,
                     record.update.p_new_e2,
                     *(record.answers[rule] for rule in RULE_ORDER),
@@ -754,9 +754,20 @@ def generic_results_csv(evaluations) -> str:
     return _serialize.csv_text(RESULTS_HEADER, rows)
 
 
+def reference_report_dict(report) -> dict:
+    """The report document with its two long lists built element by
+    element, in place of the columns ``report_to_dict`` gives them as."""
+    networks = report.networks
+    return {
+        **report_to_dict(report),
+        "strength_error_pairs": [list(pair) for pair in report.strength_error_pairs],
+        "networks": [reference_network_dict(networks, k) for k in range(len(networks))],
+    }
+
+
 def generic_report_json(report) -> str:
     """The report JSON written leaf by leaf."""
-    return json_reference.dumps(report_to_dict(report))
+    return json_reference.dumps(reference_report_dict(report))
 
 
 def value_error(write, *args) -> str:
@@ -786,21 +797,24 @@ def with_oddities(report):
     return dataclasses.replace(report, networks=networks)
 
 
-def reference_network_dict(ev) -> dict:
-    """One element of the report's ``networks`` list, from a network's view."""
+def reference_network_dict(networks, k: int) -> dict:
+    """Element k of the report's ``networks`` list, from row k's view and
+    the rest of row k of the columns."""
+    ev, pattern = networks[k], list(MonotonicityPattern)[networks.patterns[k]]
     provenance = ev.table.provenance
+    stats = networks.stats[k].tolist()
     return {
         "id": ev.network_id,
         "kind": ev.kind,
-        "pattern": ev.pattern.value,
-        "passes_filter": ev.passes_filter,
+        "pattern": pattern.value,
+        "passes_filter": pattern is not MonotonicityPattern.REJECTED,
         "provenance": None if provenance is None else vars(provenance),
         "summary": {
-            "best": ev.summary.best.value,
-            "tie": ev.summary.tie,
-            "rules": {rule.value: vars(ev.summary.stats[rule]) for rule in RULE_ORDER},
+            "best": RULE_ORDER[networks.best[k]].value,
+            "tie": bool(networks.tie[k]),
+            "rules": {rule.value: vars(RuleStats(*row)) for rule, row in zip(RULE_ORDER, stats)},
         },
-        "diagnostics": vars(ev.diagnostics),
+        "diagnostics": vars(Diagnostics(*networks.diagnostics[k].tolist())),
     }
 
 
@@ -833,7 +847,8 @@ class TestArrayWriters:
     def test_results_csv_matches_the_generic_writer(self, mixed):
         for report in mixed:
             assert results_csv_text(report.networks) == generic_results_csv(report.networks)
-        assert results_csv_text(mixed[0].networks[:0]) == generic_results_csv([])
+        empty = mixed[0].networks[:0]
+        assert results_csv_text(empty) == generic_results_csv(empty)
 
     def test_report_json_matches_the_generic_writer(self, mixed):
         for report in mixed:
@@ -842,11 +857,10 @@ class TestArrayWriters:
             report = dataclasses.replace(
                 report, networks=dataclasses.replace(report.networks, ids=tuple(ids))
             )
-            networks = report_to_dict(report)["networks"]
-            assert networks == [reference_network_dict(ev) for ev in report.networks]
             text = report_json_text(report)
             assert text == generic_report_json(report)
             document = json.loads(text)
+            assert document["networks"] == reference_report_dict(report)["networks"]
             assert [n["id"] for n in document["networks"][: 3 * len(ODD_IDS) : 3]] == list(ODD_IDS)
             assert document["networks"][1]["id"] == 'say "hi"'
             assert {n["provenance"] is None for n in document["networks"]} == {True, False}
@@ -1060,6 +1074,8 @@ class TestReportOutputs:
         with pytest.raises(Exception) as excinfo:
             evaluate_tables([bad], ids=["bad-0"])
         assert "bad-0" in str(excinfo.value)
+        with pytest.raises(ValueError, match="need exactly one id per table"):
+            evaluate_tables([bad], ids=["a", "b"])
 
 
 conditionals = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -1088,7 +1104,7 @@ class TestSweepKernel:
     @example(case=(CLAMPED, [0.0, 0.3, 0.5, 1.0]))
     @settings(max_examples=100, deadline=None)
     def test_matches_the_engine_point_by_point(self, case):
-        """Every kernel answer equals the audited single query within 1e-12,
+        """Every kernel answer equals the audited single query bit for bit,
         ties (u1 = u2 on the diagonal), knees and clamped odds included."""
         table, grid = case
         answers, _ = sweep([table.cells], grid)
@@ -1097,7 +1113,7 @@ class TestSweepKernel:
             for j, u2 in enumerate(grid):
                 for k, rule in enumerate(RULE_ORDER):
                     expected = infer(view, rule, (u1, u2))[0]
-                    assert abs(answers[0, i, j, k] - expected) <= 1e-12
+                    assert answers[0, i, j, k] == expected
 
     def test_clamp_example_fires_the_clamp(self):
         _, trace = infer(network_view(CLAMPED), Rule.INDEPENDENT, (1.0, 0.0))

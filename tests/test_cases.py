@@ -74,6 +74,8 @@ class TestConstructors:
                 p_c_given_e2=0.9,
                 p_c_given_both=0.99,
             )
+
+    def test_an_evidence_state_of_zero_probability_is_infeasible(self):
         # Base rates so small that P(E1 and E2) underflows to zero.
         with pytest.raises(InfeasibleConstraintsError, match="state tt has zero probability"):
             solve_link_constraints(1e-200, 1e-200, 0.05, 0.6, 0.7, 0.95)

@@ -441,8 +441,11 @@ class TestAssociatedGeneration:
         config = GenerationConfig(count=1, seed=1, kind="independent")
         with pytest.raises(ValueError):
             generate_associated(config)
+
+    def test_independent_cells_refuse_an_associated_config(self):
+        config = GenerationConfig(count=1, seed=1, kind="associated")
         with pytest.raises(ValueError, match="expected 'independent'"):
-            independent_cells(dataclasses.replace(config, kind="associated"))
+            independent_cells(config)
 
 
 class TestIndependentGeneration:

@@ -1074,8 +1074,11 @@ class TestReportOutputs:
         with pytest.raises(Exception) as excinfo:
             evaluate_tables([bad], ids=["bad-0"])
         assert "bad-0" in str(excinfo.value)
+
+    def test_evaluate_tables_needs_one_id_per_table(self):
+        table = JointTable((0.125,) * 8)
         with pytest.raises(ValueError, match="need exactly one id per table"):
-            evaluate_tables([bad], ids=["a", "b"])
+            evaluate_tables([table], ids=["a", "b"])
 
 
 conditionals = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))

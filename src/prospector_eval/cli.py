@@ -190,7 +190,7 @@ def _cmd_generate(args, parser) -> int:
 
 
 def _run_sweep(args, parser):
-    from .study import build_report, evaluate_tables
+    from .study import evaluate_tables
 
     batch = _load_networks_checked(args.networks, parser)
     grid = _parse_grid(args.grid, parser)
@@ -203,24 +203,24 @@ def _run_sweep(args, parser):
         )
     except (InvalidTableError, DegenerateBaseRateError) as exc:
         parser.error(f"unusable network file {args.networks}: {exc}")
-    return evaluations, build_report(evaluations, batch.kind_counts())
+    return batch, evaluations
 
 
 def _cmd_evaluate(args, parser) -> int:
     from .study import results_csv_text
 
-    evaluations, report = _run_sweep(args, parser)
+    batch, evaluations = _run_sweep(args, parser)
     Path(args.out).write_text(results_csv_text(evaluations), encoding="utf-8")
-    kept = sum(cls.filtered_in for cls in report.classes.values())
-    total = sum(cls.generated for cls in report.classes.values())
+    kept, total = len(evaluations), len(batch)
     print(f"evaluated {kept} of {total} networks; results written to {_shown(args.out)}")
     return 0
 
 
 def _cmd_report(args, parser) -> int:
-    from .study import format_class_table, report_json_text
+    from .study import build_report, format_class_table, report_json_text
 
-    _, report = _run_sweep(args, parser)
+    batch, evaluations = _run_sweep(args, parser)
+    report = build_report(evaluations, batch.kind_counts())
     Path(args.out).write_text(report_json_text(report), encoding="utf-8")
     print(format_class_table(report), end="")
     print(f"report written to {_shown(args.out)}")

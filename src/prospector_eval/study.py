@@ -519,7 +519,6 @@ def evaluate_tables(
 class ClassReport:
     """Aggregates over one relation class's kept networks."""
 
-    kind: str
     generated: int
     filtered_in: int
     best_rule_counts: dict[Rule, int]
@@ -529,29 +528,29 @@ class ClassReport:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything one study run depends on; see ``sweep_settings``."""
+    """Everything one study run depends on: ``count`` networks of each class
+    from stream ``seed``, and the sweep settings (see ``sweep_settings``).
+    ``independent`` and ``associated`` are each class's GenerationConfig."""
 
-    independent: GenerationConfig
-    associated: GenerationConfig
+    count: int = 400
+    seed: int = DEFAULT_SEED
     grid: tuple[float, ...] = DEFAULT_UPDATE_GRID
     filter_enabled: bool = True
     filter_mode: FilterMode = "full"
+    independent: GenerationConfig = field(init=False)
+    associated: GenerationConfig = field(init=False)
 
     def __post_init__(self) -> None:
         settings = sweep_settings(self.grid, self.filter_enabled, self.filter_mode)
         for name, value in zip(SWEEP_SETTINGS, settings):
             object.__setattr__(self, name, value)
-        if self.independent.kind != "independent" or self.associated.kind != "associated":
-            raise ValueError("generation configs must match their class slots")
+        for kind in ("independent", "associated"):
+            object.__setattr__(self, kind, GenerationConfig(self.count, self.seed, kind))
 
     @classmethod
-    def default(cls, *, seed: int = DEFAULT_SEED, count: int = 400, **overrides) -> "StudyConfig":
-        """The study design used throughout: ``count`` networks per class."""
-        return cls(
-            independent=GenerationConfig(count=count, seed=seed, kind="independent"),
-            associated=GenerationConfig(count=count, seed=seed, kind="associated"),
-            **overrides,
-        )
+    def default(cls, **settings) -> "StudyConfig":
+        """The study design used throughout: 400 networks per class."""
+        return cls(**settings)
 
 
 @dataclass(frozen=True)
@@ -619,7 +618,6 @@ def build_report(
             average = float(np.mean(best_stats[kept, 1]))
             maximum = float(np.mean(best_stats[kept, 2]))
         classes[kind] = ClassReport(
-            kind=kind,
             generated=generated_counts[kind],
             filtered_in=int(kept.sum()),
             best_rule_counts=dict(zip(RULE_ORDER, counts)),
@@ -772,36 +770,27 @@ def results_csv_text(evaluations: Evaluations) -> str:
     of the columns, each one ``_serialize.csv_rows`` buffer that broadcasts
     three parts: the networks' text fields and the "e1,e2" fields of the
     grid, both formatted once for the file, and the seven float columns,
-    whose ``%.17g`` text ``_serialize.float_fields`` renders in numpy.  A
-    non-finite float or a text field that would need quoting is refused
-    with the generic writer's error for the first one in document order.
+    whose ``%.17g`` text ``_serialize.float_fields`` renders in numpy.  An
+    id that would need quoting is refused first, with ``format_cell``'s
+    error; then a non-finite float, with ``float_fields``' error for the
+    first one in row order.
     """
     points = tuple(product(evaluations.grid, evaluations.grid))
     kinds, patterns = evaluations.batch.kind_names(), _names(_PATTERN_NAMES, evaluations.patterns)
     heads = tuple(zip(evaluations.ids, kinds, patterns))
     answers, oracle = evaluations.answers, evaluations.oracle[..., None]
     pieces = [",".join(RESULTS_HEADER) + "\n"]
-    try:
-        # Only the ids can need quoting: kinds and patterns are fixed names.
-        texts = _serialize.text_fields(
-            [f"{_serialize.format_cell(i)},{k},{p}," for i, k, p in heads]
-        )
-        grid = _serialize.float_fields(np.array(points, dtype=float).reshape(-1, 2))
-        for start in range(0, len(heads), _CSV_CHUNK):
-            rows = slice(start, start + _CSV_CHUNK)
-            values = np.concatenate((answers[rows], oracle[rows], oracle[rows] - answers[rows]), -1)
-            pieces.append(_serialize.csv_rows(
-                tuple(part[rows, None] for part in texts),
-                grid,
-                _serialize.float_fields(values.reshape(len(values), len(points), 7)),
-            ))
-    except ValueError:
-        # Each part above is checked on its own; the generic writer raises
-        # the file's first refusal in document order.
-        values = np.concatenate((answers, oracle, oracle - answers), -1).reshape(-1, 7)
-        fronts = (head + point for head, point in product(heads, points))
-        _serialize.csv_text((), (f + tuple(row) for f, row in zip(fronts, values.tolist())))
-        raise
+    # Only the ids can need quoting: kinds and patterns are fixed names.
+    texts = _serialize.text_fields([f"{_serialize.format_cell(i)},{k},{p}," for i, k, p in heads])
+    grid = _serialize.float_fields(np.array(points, dtype=float).reshape(-1, 2))
+    for start in range(0, len(heads), _CSV_CHUNK):
+        rows = slice(start, start + _CSV_CHUNK)
+        values = np.concatenate((answers[rows], oracle[rows], oracle[rows] - answers[rows]), -1)
+        pieces.append(_serialize.csv_rows(
+            tuple(part[rows, None] for part in texts),
+            grid,
+            _serialize.float_fields(values.reshape(len(values), len(points), 7)),
+        ))
     return "".join(pieces)
 
 

@@ -303,15 +303,6 @@ class ValidationIssue:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-@dataclass(frozen=True)
 class CellChecks:
     """Every quantity ``validate`` checks, for a batch of tables (one row each).
 
@@ -362,8 +353,11 @@ def check_cells(
     )
 
 
-def validate(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) -> ValidationReport:
-    """Check structural invariants, reporting every violation found.
+def validate(
+    table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR
+) -> tuple[ValidationIssue, ...]:
+    """Check structural invariants, returning every violation found: none
+    for a valid table.
 
     Checks: finite cells, nonnegativity, normalization (sum within
     ``NORMALIZATION_TOL`` of 1), the product identity on evidence pairs when
@@ -378,7 +372,7 @@ def validate(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) -> Va
     if not checks.finite[0]:
         bad = next(i for i, value in enumerate(cells) if not math.isfinite(value))
         message = f"cell {bad} is not finite: {cells[bad]!r}"
-        return ValidationReport((ValidationIssue("non-finite", message),))
+        return (ValidationIssue("non-finite", message),)
 
     issues = [
         ValidationIssue("negative-cell", f"cell {i} is negative: {cells[i]!r}")
@@ -411,15 +405,15 @@ def validate(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) -> Va
                 f"below {marginal_floor}",
             )
         )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 def require_valid(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) -> None:
     """Raise InvalidTableError (listing every issue) unless the table is valid."""
-    report = validate(table, marginal_floor=marginal_floor)
-    if not report.ok:
-        summary = "; ".join(issue.message for issue in report.issues)
-        raise InvalidTableError(f"invalid table: {summary}", issues=report.issues)
+    issues = validate(table, marginal_floor=marginal_floor)
+    if issues:
+        summary = "; ".join(issue.message for issue in issues)
+        raise InvalidTableError(f"invalid table: {summary}", issues=issues)
 
 
 # ---------------------------------------------------------------------------

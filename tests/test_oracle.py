@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -24,7 +25,14 @@ from prospector_eval import (
     independent_closed_form,
     mce_update,
 )
-from prospector_eval.table import MARGINAL_FLOOR, MASK_E1, MASK_E2, cell_index
+from prospector_eval.oracle import MATCH_TOL, posteriors
+from prospector_eval.table import (
+    MARGINAL_FLOOR,
+    MASK_E1,
+    MASK_E2,
+    cell_index,
+    product_masses,
+)
 
 
 def random_table(rng) -> JointTable:
@@ -366,3 +374,121 @@ class TestExtremeOddsRatios:
         assert float(cells[1::2].sum()) == pytest.approx(expected, abs=1e-12)
         assert abs(float(cells[MASK_E1].sum()) - u1) <= 1e-12
         assert abs(float(cells[MASK_E2].sum()) - u2) <= 1e-12
+
+
+#: One unit in the last place of 1.0: the bounds below are a few of them.
+ULP = 2.0**-52
+
+#: Targets at, and a hair inside, certainty, beside interior ones.
+EDGE_TARGETS = (0.0, 1e-12, 1e-6, 0.25, 0.5, 1 - 1e-6, 1 - 1e-12, 1.0)
+edge_targets = st.sampled_from(EDGE_TARGETS) | st.floats(0.0, 1.0)
+
+
+def decimal_update(cells, u1: float, u2: float) -> list[Decimal]:
+    """The minimum cross-entropy update of positive ``cells`` in 80-digit
+    decimals: n'_TT is the root in the Frechet bounds of the quadratic in
+    ``oracle``'s docstring, each root taken in the form that does not
+    cancel, and every evidence state's two cells scale by n'_ab / n_ab."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        c = [Decimal(v) for v in cells]
+        n = [c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7]]
+        a, b = Decimal(u1), Decimal(u2)
+        theta = n[0] * n[3] / (n[1] * n[2])
+        lo, hi = max(Decimal(0), a + b - 1), min(a, b)
+        qa, qb, qc = 1 - theta, (1 - a - b) + theta * (a + b), -theta * a * b
+        if qa == 0:
+            x = -qc / qb
+        else:
+            root = (qb * qb - 4 * qa * qc).sqrt()
+            q = -(qb + root) / 2 if qb >= 0 else (root - qb) / 2
+            roots = [q / qa] + ([qc / q] if q else [])
+            x = min(max(min(roots, key=lambda r: max(lo - r, r - hi)), lo), hi)
+        weights = (1 - a - b + x, b - x, a - x, x)
+        return [weights[k // 2] * c[k] / n[k // 2] for k in range(8)]
+
+
+def normalized(raw) -> JointTable:
+    raw = np.asarray(raw, dtype=float)
+    return JointTable(tuple((raw / raw.sum()).tolist()))
+
+
+@st.composite
+def wide_tables(draw) -> JointTable:
+    """Positive tables whose cells span up to 14 decades."""
+    logs = draw(st.lists(st.floats(-14.0, 0.0), min_size=8, max_size=8))
+    return normalized(10.0 ** np.array(logs))
+
+
+#: A table spanning the whole cell range.
+WIDE = normalized([1, 1e-14, 0.3, 1e-7, 1e-14, 0.5, 1e-3, 0.2])
+
+
+class TestHighPrecisionReference:
+    """The closed form against the quadratic solved in 80-digit decimals."""
+
+    @given(table=wide_tables(), u1=edge_targets, u2=edge_targets)
+    @example(table=WIDE, u1=1 - 1e-12, u2=1e-12)
+    @example(table=WIDE, u1=1.0, u2=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_posteriors_are_within_a_few_ulp(self, table, u1, u2):
+        expected = float(sum(decimal_update(table.cells, u1, u2)[1::2]))
+        assert abs(float(posteriors(table.as_array(), u1, u2)) - expected) <= 6 * ULP
+        assert abs(correct_posterior(table, EvidenceUpdate(u1, u2)) - expected) <= 6 * ULP
+
+    @given(
+        rates=st.lists(
+            st.floats(-14.0, 0.0).map(lambda e: 10.0**e) | st.sampled_from([0.5]),
+            min_size=2,
+            max_size=2,
+        ),
+        complements=st.lists(st.booleans(), min_size=2, max_size=2),
+        profile=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=4, max_size=4),
+        u1=edge_targets,
+        u2=edge_targets,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_independent_closed_form_is_within_a_few_ulp(
+        self, rates, complements, profile, u1, u2
+    ):
+        p_e1, p_e2 = (1.0 - p if flip else p for p, flip in zip(rates, complements))
+        assume(0.0 < p_e1 < 1.0 and 0.0 < p_e2 < 1.0)
+        masses = tuple(product_masses(p_e1, p_e2).tolist())
+        table = compose_table(masses, tuple(profile), kind="independent")
+        expected = float(sum(decimal_update(table.cells, u1, u2)[1::2]))
+        assert abs(independent_closed_form(table, EvidenceUpdate(u1, u2)) - expected) <= 6 * ULP
+
+    @given(table=wide_tables(), u1=edge_targets, u2=edge_targets)
+    @example(table=WIDE, u1=1 - 1e-6, u2=1e-12)
+    @settings(max_examples=300, deadline=None)
+    def test_mce_update_keeps_the_odds_ratios_and_meets_the_margins(self, table, u1, u2):
+        """The cells are within a few ulp of the reference's, both margins
+        are met, and each evidence state keeps its conclusion odds.  A
+        conditional odds ratio across evidence states also holds within the
+        weights' absolute error over each weight: a weight far below 1 ulp
+        of 1 is a difference of margins and has no relative accuracy."""
+        updated = mce_update(table, EvidenceUpdate(u1, u2)).table.cells
+        p_e1, p_e2, _ = base_rates(table)
+        if abs(p_e1 - u1) <= MATCH_TOL and abs(p_e2 - u2) <= MATCH_TOL:
+            assert updated == table.cells  # the documented no-op
+            return
+        reference = decimal_update(table.cells, u1, u2)
+        assert max(abs(v - float(r)) for v, r in zip(updated, reference)) <= 4 * ULP
+        assert abs(sum(updated[4:]) - u1) <= 4 * ULP
+        assert abs(sum(updated[2:4] + updated[6:]) - u2) <= 4 * ULP
+        with localcontext() as ctx:
+            ctx.prec = 80
+            old, new = [Decimal(v) for v in table.cells], [Decimal(v) for v in updated]
+            for k in range(4):
+                # A subnormal cell has no relative accuracy to keep.
+                if min(updated[2 * k : 2 * k + 2]) >= sys.float_info.min:
+                    kept = new[2 * k + 1] / new[2 * k] * old[2 * k] / old[2 * k + 1]
+                    assert abs(kept - 1) <= 2 * ULP
+            weights = [reference[2 * k] + reference[2 * k + 1] for k in range(4)]
+            for c in (0, 1):
+                if all(new[2 * k + c] for k in range(4)):
+                    def ratio(t):
+                        return t[c] * t[6 + c] / (t[2 + c] * t[4 + c])
+
+                    bound = Decimal(8 * ULP) * sum(1 / w for w in weights)
+                    assert abs(ratio(new) / ratio(old) - 1) <= bound

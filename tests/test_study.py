@@ -69,7 +69,7 @@ from prospector_eval.errors import (
     InvalidTableError,
 )
 from prospector_eval.oracle import unreachable_message
-from prospector_eval.table import MARGINAL_FLOOR, NetworkBatch, require_valid
+from prospector_eval.table import MARGINAL_FLOOR, NetworkBatch, check_cells, require_valid
 
 
 def profile(q_ff, q_ft, q_tf, q_tt) -> ConditionalProfile:
@@ -386,11 +386,17 @@ class TestRunStudy:
             small_study_config(grid=())
         with pytest.raises(ValueError):
             small_study_config(grid=(0.0, 1.5))
-        with pytest.raises(ValueError):
-            StudyConfig(
-                independent=GenerationConfig(count=1, seed=1, kind="associated"),
-                associated=GenerationConfig(count=1, seed=1, kind="associated"),
-            )
+        with pytest.raises(ValueError, match="count must be positive"):
+            StudyConfig(count=0)
+        # Each class's generation config follows count and seed, and cannot
+        # be given on its own.
+        config = StudyConfig(count=3, seed=9)
+        assert (config.independent, config.associated) == (
+            GenerationConfig(count=3, seed=9, kind="independent"),
+            GenerationConfig(count=3, seed=9, kind="associated"),
+        )
+        with pytest.raises(TypeError):
+            StudyConfig(independent=config.associated)
 
     def test_numpy_float_grid_is_stored_as_floats(self):
         config = small_study_config(grid=(np.float32(0.5), np.float32(0.25)))
@@ -597,7 +603,7 @@ class TestArrayScreenAndDiagnostics:
     def test_ties_and_signed_zeros_match_the_reference(self, profile_values, weights):
         masses = [w / sum(weights) for w in weights]
         table = compose_table(masses, profile_values)
-        assume(validate(table).ok and 0.0 < base_rates(table)[2] < 1.0)
+        assume(not validate(table) and 0.0 < base_rates(table)[2] < 1.0)
         for mode in ("full", "e2-only"):
             evaluations = evaluate_tables([table], filter_enabled=False, filter_mode=mode)
             assert patterns(evaluations) == [reference_pattern(conditional_profile(table), mode)]
@@ -942,6 +948,23 @@ class TestArrayWriters:
             assert value_error(report_json_text, report) == expected
 
 
+#: Both certainties and a hair inside each, beside interior updates.
+EDGE_GRID = (0.0, 1e-12, 0.25, 0.5, 0.75, 1 - 1e-12, 1.0)
+
+
+@st.composite
+def checked_tables(draw) -> JointTable:
+    """Tables that pass ``check_cells``: pair masses log-uniform down to
+    MARGINAL_FLOOR, conditionals anywhere in [0, 1] and often exactly 0 or 1."""
+    logs = draw(st.lists(st.floats(math.log10(MARGINAL_FLOOR), 0.0), min_size=4, max_size=4))
+    masses = 10.0 ** np.array(logs)
+    conditionals = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    profile = draw(st.lists(conditionals, min_size=4, max_size=4))
+    table = compose_table(tuple((masses / masses.sum()).tolist()), tuple(profile))
+    assume(check_cells(np.array([table.cells]), np.array([False])).ok[0])
+    return table
+
+
 class TestReportOutputs:
     def test_report_document_structure(self):
         report = run_study(small_study_config())
@@ -1018,17 +1041,37 @@ class TestReportOutputs:
     )
     def test_results_csv_raises_the_first_refusal_in_document_order(self, bad_id, nan_oracle):
         """A text field that needs quoting and a non-finite float are both
-        refused, and the one whose row comes first is named; within a row
-        the text fields come first."""
+        refused.  The ids are checked first, wherever their rows lie; then
+        the floats in row order, so with the id made plain the NaN is named
+        as the generic writer names it."""
         evaluations = run_study(StudyConfig.default(count=40)).networks[:4]
         assert len(evaluations) == 4
         oracle = evaluations.oracle.copy()
         oracle[nan_oracle].flat[3] = np.nan
+        plain = dataclasses.replace(evaluations, oracle=oracle)
         ids = list(evaluations.ids)
         ids[bad_id] = "a,b"
-        evaluations = dataclasses.replace(evaluations, oracle=oracle, ids=tuple(ids))
-        expected = value_error(generic_results_csv, evaluations)
-        assert value_error(results_csv_text, evaluations) == expected
+        evaluations = dataclasses.replace(plain, ids=tuple(ids))
+        assert value_error(results_csv_text, evaluations) == "CSV field would need quoting: 'a,b'"
+        assert value_error(results_csv_text, plain) == value_error(generic_results_csv, plain)
+
+    @given(table=checked_tables())
+    @example(table=compose_table((MARGINAL_FLOOR,) * 3 + (1 - 3 * MARGINAL_FLOOR,), (0, 1, 1, 0)))
+    @example(table=compose_table((0.25,) * 4, (1.0,) * 4))
+    @settings(max_examples=300, deadline=None)
+    def test_valid_tables_sweep_to_finite_values(self, table):
+        """The results writer's float refusal is reached only by a hand-built
+        Evaluations: a table that passes validation sweeps to finite answers
+        and oracle values at and next to certain evidence, or is refused
+        whole when P(C) is 0 or 1."""
+        options = {"grid": EDGE_GRID, "filter_enabled": False}
+        if not 0.0 < base_rates(table)[2] < 1.0:
+            with pytest.raises(DegenerateBaseRateError):
+                evaluate_tables([table], **options)
+            return
+        evaluations = evaluate_tables([table], **options)
+        assert np.isfinite(evaluations.answers).all() and np.isfinite(evaluations.oracle).all()
+        assert results_csv_text(evaluations).count("\n") == 1 + len(EDGE_GRID) ** 2
 
     def test_surface_csv_layout(self, case1):
         points = error_surface(case1, Rule.INDEPENDENT, 0.5)

@@ -31,7 +31,7 @@ _EXPORTS = {
         EvaluationRecord Evaluations MonotonicityPattern NetworkErrorSummary NetworkEvaluation
         StudyConfig StudyReport diagnostics error_surface evaluate_network evaluate_tables
         monotonicity_pattern run_study summarize""",
-    "table": """ConditionalProfile JointTable NetworkView Provenance base_rates compose_table
+    "table": """ConditionalProfile JointTable NetworkView Provenance compose_table
         conditional_profile load_networks network_view save_networks validate""",
 }
 

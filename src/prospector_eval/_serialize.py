@@ -36,12 +36,6 @@ import numpy as np
 
 _SCALARS = (type(None), bool, int, float, str)
 
-#: Each JSON scalar type, with the conversion that turns an instance of a
-#: subclass into a value of the type itself: an int subclass is written as
-#: its integer value and a str subclass as its characters, whatever its own
-#: ``__str__`` returns.
-_BASES = ((int, int), (float, float), (str, str.__str__))
-
 
 def format_float(value: float) -> str:
     """Render a float with 17 significant digits (round-trips exactly)."""
@@ -73,14 +67,6 @@ def dumps(obj: Any) -> str:
     return (template + "\n") % tuple(_slot_values(leaves, [[leaf] for leaf in leaves]))
 
 
-def _as_base(obj: Any) -> Any:
-    """``obj``, an instance of a subclass of a JSON scalar type, as that type."""
-    for base, convert in _BASES:
-        if isinstance(obj, base):
-            return convert(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _write(obj: Any, out: list[str], leaves: list, level: int) -> None:
     """Append the template text of ``obj`` to ``out`` and its leaves, as
     JSON scalars, to ``leaves``; a non-finite float raises here."""
@@ -96,7 +82,7 @@ def _write(obj: Any, out: list[str], leaves: list, level: int) -> None:
         leaves.append(UserString(_write_rows(obj, level)))
     else:
         if type(obj) not in _SCALARS:
-            obj = _as_base(obj)
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
         if type(obj) is float and not isfinite(obj):
             format_float(obj)
         out.append("%s")

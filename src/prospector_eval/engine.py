@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DegenerateBaseRateError, EmptyEvidenceError
-from .table import NetworkView
+from .table import NetworkView, require_probability
 
 #: Bound used when converting probabilities to odds.
 ODDS_CLAMP = 1e-12
@@ -65,8 +65,7 @@ def propagate(link: LinkParams, p_new_e: float) -> float:
     (1, P(C|E)); the result is clamped into [0, 1] to absorb rounding on
     slightly inconsistent links.
     """
-    if not 0.0 <= p_new_e <= 1.0:
-        raise ValueError(f"new evidence probability must lie in [0, 1], got {p_new_e!r}")
+    p_new_e = require_probability(p_new_e, "new evidence probability")
     if not 0.0 < link.p_e < 1.0:
         raise DegenerateBaseRateError(
             f"link base rate must satisfy 0 < P(E) < 1, got {link.p_e!r}"
@@ -80,12 +79,11 @@ def propagate(link: LinkParams, p_new_e: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _check_probabilities(values: Sequence[float]) -> None:
+def _check_probabilities(values: Sequence[float]) -> list[float]:
+    """``values`` as Python floats, each checked by ``require_probability``."""
     if len(values) == 0:
         raise EmptyEvidenceError("need at least one evidence value")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"probabilities must lie in [0, 1], got {v!r}")
+    return [require_probability(v, "probabilities") for v in values]
 
 
 def _clamp_unit(p: float) -> float:
@@ -181,10 +179,10 @@ def combine_independent(
     combined odds, which convert back to a probability.  Requires a prior
     strictly inside (0, 1).
     """
-    _check_probabilities(posteriors)
+    posteriors = _check_probabilities(posteriors)
     if not 0.0 < p_c < 1.0:
         raise ValueError(f"prior must lie strictly inside (0, 1), got {p_c!r}")
-    trace = _trace(Rule.INDEPENDENT, p_c, [(i, None, p) for i, p in enumerate(posteriors)])
+    trace = _trace(Rule.INDEPENDENT, float(p_c), [(i, None, p) for i, p in enumerate(posteriors)])
     return trace.probability, trace
 
 
@@ -194,7 +192,7 @@ def infer(
     """Answer one two-evidence query: new evidence probabilities
     (u1, u2) -> P'(C).  Raises DegenerateBaseRateError, as the sweep does,
     when P(C) is 0 or 1."""
-    _check_probabilities(update)
+    update = _check_probabilities(update)
     if len(update) != 2:
         raise ValueError(f"need one update per evidence variable (two), got {len(update)}")
     if not 0.0 < view.p_c < 1.0:

@@ -39,6 +39,7 @@ from .table import (
     pair_masses,
     product_masses,
     rates,
+    require_probability,
     require_valid,
     scale_pairs,
 )
@@ -51,15 +52,16 @@ MATCH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EvidenceUpdate:
-    """New marginal probabilities for the two evidence variables."""
+    """New marginal probabilities for the two evidence variables, stored as
+    Python floats (ValueError for a bool, a non-real number or a value
+    outside [0, 1])."""
 
     p_new_e1: float
     p_new_e2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("p_new_e1", self.p_new_e1), ("p_new_e2", self.p_new_e2)):
-            if not 0.0 <= float(value) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        for name in ("p_new_e1", "p_new_e2"):
+            object.__setattr__(self, name, require_probability(getattr(self, name), name))
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.p_new_e1, self.p_new_e2)

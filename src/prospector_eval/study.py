@@ -49,6 +49,7 @@ from .table import (
     conditional_profile,
     link_conditionals,
     rates,
+    require_int,
     require_valid,
 )
 
@@ -87,8 +88,9 @@ def sweep_settings(
     grid: Sequence[float], filter_enabled: bool = True, filter_mode: FilterMode = "full"
 ) -> tuple[tuple[float, ...], bool, FilterMode]:
     """The one check of the sweep settings, raising ValueError for a value
-    the sweep cannot use; returns the grid as Python floats (-0.0 as 0.0)
-    and the flag as a bool.  Floats skip the slow ``numbers.Real`` test."""
+    the sweep cannot use; returns the grid as Python floats (-0.0 as 0.0),
+    the flag as a bool and the mode as its FilterMode literal.  Floats skip
+    the slow ``numbers.Real`` test."""
     grid = tuple(grid)
     for value in grid:
         if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
@@ -99,9 +101,11 @@ def sweep_settings(
         raise ValueError("update grid must not be empty")
     if not isinstance(filter_enabled, (bool, np.bool_)):
         raise ValueError(f"filter_enabled must be a bool, got {filter_enabled!r}")
-    if not isinstance(filter_mode, str) or filter_mode not in get_args(FilterMode):
-        raise ValueError(f"filter_mode must be one of {get_args(FilterMode)}, got {filter_mode!r}")
-    return tuple(float(value) + 0.0 for value in grid), bool(filter_enabled), filter_mode
+    modes = get_args(FilterMode)
+    if not isinstance(filter_mode, str) or filter_mode not in modes:
+        raise ValueError(f"filter_mode must be one of {modes}, got {filter_mode!r}")
+    mode = modes[modes.index(filter_mode)]
+    return tuple(float(value) + 0.0 for value in grid), bool(filter_enabled), mode
 
 
 #: Pattern of each code that ``_pattern_code`` returns.
@@ -618,7 +622,7 @@ def build_report(
             average = float(np.mean(best_stats[kept, 1]))
             maximum = float(np.mean(best_stats[kept, 2]))
         classes[kind] = ClassReport(
-            generated=generated_counts[kind],
+            generated=require_int(generated_counts[kind], f"generated count of {kind}"),
             filtered_in=int(kept.sum()),
             best_rule_counts=dict(zip(RULE_ORDER, counts)),
             overall_average_error=average,
@@ -677,8 +681,6 @@ class ErrorSurface(Sequence):
         return self.errors.size
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self)[k]
         i, j = divmod(range(len(self))[k], len(self.values))
         return (self.values[i], self.values[j], float(self.errors[i, j]))
 
@@ -720,9 +722,11 @@ def error_surface(table: JointTable, rule: Rule, step: float) -> ErrorSurface:
     The lattice runs 0, step, 2*step, … and always ends exactly at 1.0.
     Rows are (e1, e2, signed error), row-major in (e1, e2).  Raises
     ValueError unless 0 < step <= 0.5 and the lattice has at most
-    MAX_SURFACE_VALUES values per axis, and InfeasibleUpdateError if some
-    lattice update is unreachable.
+    MAX_SURFACE_VALUES values per axis or ``rule`` is not a Rule, and
+    InfeasibleUpdateError if some lattice update is unreachable.
     """
+    if rule not in RULE_ORDER:
+        raise ValueError(f"unknown rule: {rule!r}")
     values = _lattice(step)
     answers, oracle = sweep([table.cells], values)
     errors = oracle[0] - answers[0, :, :, RULE_ORDER.index(rule)]

@@ -16,8 +16,8 @@ This is the only module that decodes the cell order.  The others use its
 helpers, which broadcast over arrays of shape (..., 8), one table along the
 last axis: ``rates``, ``pair_masses``, ``conclusion_cells``,
 ``link_conditionals``, ``product_masses``, ``compose_cells`` and
-``scale_pairs``, plus ``MARGIN_CELLS`` for the margin fit.  ``base_rates``,
-``network_view``, ``compose_table`` and ``validate`` are one-table calls.
+``scale_pairs``, plus ``MARGIN_CELLS`` for the margin fit.  ``network_view``,
+``compose_table`` and ``validate`` are one-table calls.
 
 A batch of networks is a ``NetworkBatch``, the one owner of the batch
 layout: (N, 8) cells, kind codes and provenance fields as columns, from the
@@ -29,6 +29,7 @@ for, and a slice or an index array selects a smaller batch.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,6 +150,16 @@ def require_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_probability(value, name: str) -> float:
+    """``value`` as a Python float; ValueError for a bool, a non-real number
+    or a value outside [0, 1].  Floats skip the slow ``numbers.Real`` test."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Provenance:
     """How a generated network came to be: stream seed, index, resample
@@ -192,16 +203,9 @@ class JointTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", _checked_cells(self.cells, self.kind))
 
-    def cell(self, e1: bool, e2: bool, c: bool) -> float:
-        return self.cells[cell_index(e1, e2, c)]
-
     def as_array(self) -> np.ndarray:
         """Cells as a fresh float64 array in canonical order."""
         return np.array(self.cells, dtype=float)
-
-    def pair_marginals(self) -> tuple[float, float, float, float]:
-        """P(E1=a, E2=b) for the four evidence states in FF, FT, TF, TT order."""
-        return tuple(pair_masses(self.cells).tolist())
 
 
 @dataclass(frozen=True)
@@ -233,11 +237,6 @@ class NetworkView:
     p_e: tuple[float, float]
     p_c_given_e: tuple[float, float]
     p_c_given_not_e: tuple[float, float]
-
-
-def base_rates(table: JointTable) -> tuple[float, float, float]:
-    """(P(E1), P(E2), P(C)) by marginalization: ``rates`` of one table."""
-    return tuple(float(rate) for rate in rates(table.as_array()))
 
 
 def conditional_profile(table: JointTable) -> ConditionalProfile:
@@ -281,7 +280,6 @@ def compose_table(
     profile: Sequence[float],
     *,
     kind: Kind = "unspecified",
-    provenance: Provenance | None = None,
 ) -> JointTable:
     """Build a table from evidence-state marginals and a conditional profile.
 
@@ -291,7 +289,7 @@ def compose_table(
     if len(pair_marginals) != 4 or len(profile) != 4:
         raise ValueError("need 4 pair marginals and 4 conditional values")
     cells = compose_cells(pair_marginals, profile).tolist()
-    return JointTable(tuple(cells), kind=kind, provenance=provenance)
+    return JointTable(tuple(cells), kind=kind)
 
 
 @dataclass(frozen=True)

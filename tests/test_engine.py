@@ -14,6 +14,7 @@ from prospector_eval import (
     propagate,
 )
 from prospector_eval.errors import DegenerateBaseRateError
+from prospector_eval.study import RULE_ORDER, sweep
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 interior_rates = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
@@ -81,6 +82,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(link, 1.5)
 
+    def test_float32_update_gives_a_python_float(self, case1):
+        link = view_links(network_view(case1))[0]
+        value = propagate(link, np.float32(0.3))
+        assert type(value) is float
+        assert value == propagate(link, float(np.float32(0.3)))
+
     def test_rejects_degenerate_base_rate(self):
         link = LinkParams(p_c=0.5, p_e=1.0, p_c_given_e=0.5, p_c_given_not_e=0.5)
         with pytest.raises(DegenerateBaseRateError):
@@ -124,6 +131,14 @@ class TestCombineIndependent:
         assert trace.evidence[0].clamped
         assert not trace.evidence[1].clamped
         assert np.isfinite(trace.combined_odds)
+
+    def test_float32_inputs_give_python_floats(self):
+        value, trace = combine_independent([np.float32(0.7), 0.6], np.float32(0.4))
+        assert type(value) is float
+        assert type(trace.prior) is float
+        assert {type(entry.posterior) for entry in trace.evidence} == {float}
+        floats = combine_independent([float(np.float32(0.7)), 0.6], float(np.float32(0.4)))
+        assert (value, trace) == floats
 
     def test_prior_must_be_interior(self):
         with pytest.raises(ValueError):
@@ -216,6 +231,23 @@ class TestInfer:
     def test_a_rule_name_is_not_a_rule(self, case1):
         with pytest.raises(ValueError, match="unknown rule: 'conjunctive'"):
             infer(network_view(case1), "conjunctive", (0.5, 0.5))
+
+    def test_float32_update_is_answered_as_the_sweep_answers_it(self, case2):
+        """A float32 update is read as the double it holds, as ``sweep``
+        reads its grid, so each rule's answer is a Python float equal to the
+        sweep's bit for bit."""
+        update = (np.float32(0.3), 0.7)
+        answers, _ = sweep([case2.cells], update)
+        for k, rule in enumerate(RULE_ORDER):
+            value, trace = infer(network_view(case2), rule, update)
+            assert type(value) is float
+            assert value == answers[0, 0, 1, k]
+            assert [type(entry.p_new_e) for entry in trace.evidence] == [float] * len(trace.evidence)
+
+    @pytest.mark.parametrize("update", [(True, 0.5), (0.5, "0.5"), (0.5, None)])
+    def test_bool_or_non_real_update_raises(self, case1, update):
+        with pytest.raises(ValueError, match="^probabilities must be a real number, got "):
+            infer(network_view(case1), Rule.INDEPENDENT, update)
 
     def test_out_of_range_raises(self, case1):
         view = network_view(case1)

@@ -11,7 +11,6 @@ from prospector_eval import (
     GenerationConfig,
     GenerationError,
     JointTable,
-    base_rates,
     conditional_profile,
     generate,
     generate_associated,
@@ -151,7 +150,7 @@ class TestIpfFit:
         assert margins(JointTable(tuple(fitted))) == pytest.approx((0.3, 0.6, 0.5), abs=1e-10)
 
     def test_already_matching_table_is_a_fixed_point(self, case1):
-        fitted, converged, _ = fit_one(case1.as_array(), base_rates(case1))
+        fitted, converged, _ = fit_one(case1.as_array(), margins(case1))
         assert converged
         assert tuple(fitted) == pytest.approx(case1.cells, abs=1e-12)
 
@@ -236,7 +235,7 @@ class TestBatchedFit:
         raw = rng.uniform(0.01, 1.0, (6, 8))
         cells = np.vstack((case1.as_array(), raw / raw.sum(axis=1)[:, None]))
         targets = np.vstack(
-            (base_rates(case1), rng.uniform(0.05, 0.95, (6, 3)))
+            (margins(case1), rng.uniform(0.05, 0.95, (6, 3)))
         )
         cap = 12  # below what the slowest of these rows needs
         monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", cap)
@@ -273,7 +272,7 @@ class TestBatchedFit:
         other ten finish in the tail, where the cap stops some of them."""
         raw = rng.uniform(0.01, 1.0, (10, 8))
         cells = np.vstack((np.tile(case1.as_array(), (20, 1)), raw / raw.sum(axis=1)[:, None]))
-        targets = np.vstack((np.tile(base_rates(case1), (20, 1)), rng.uniform(0.05, 0.95, (10, 3))))
+        targets = np.vstack((np.tile(margins(case1), (20, 1)), rng.uniform(0.05, 0.95, (10, 3))))
         assert len(cells) > generate_module._TAIL_ROWS >= 10
         cap = 12
         monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", cap)
@@ -467,7 +466,7 @@ class TestIndependentGeneration:
             )
             p_e1, p_e2 = stream.uniform(BASE_RATE_MARGIN, 1.0 - BASE_RATE_MARGIN, 2)
             fractions = stream.uniform(0.0, 1.0, 4)
-            assert base_rates(table)[:2] == pytest.approx((p_e1, p_e2), abs=1e-15)
+            assert margins(table)[:2] == pytest.approx((p_e1, p_e2), abs=1e-15)
             assert conditional_profile(table).as_tuple() == pytest.approx(
                 tuple(fractions), abs=1e-12
             )
@@ -477,11 +476,11 @@ class TestIndependentGeneration:
         tables = generate_independent(config)
         distribution = scipy.stats.uniform(loc=BASE_RATE_MARGIN, scale=1.0 - 2 * BASE_RATE_MARGIN)
         for axis in range(2):
-            rates = [base_rates(t)[axis] for t in tables]
+            rates = [margins(t)[axis] for t in tables]
             statistic = scipy.stats.kstest(rates, distribution.cdf).statistic
             assert statistic < KS_CRITICAL_1PCT_400
         # The conclusion base rate is not pinned; it must actually vary.
-        conclusion_rates = [base_rates(t)[2] for t in tables]
+        conclusion_rates = [margins(t)[2] for t in tables]
         assert np.std(conclusion_rates) > 0.05
 
     def test_dispatch(self):

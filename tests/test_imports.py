@@ -189,7 +189,6 @@ PUBLIC = [
     "table.JointTable",
     "table.NetworkView",
     "table.Provenance",
-    "table.base_rates",
     "table.compose_table",
     "table.conditional_profile",
     "table.load_networks",
@@ -210,7 +209,7 @@ def test_each_public_name_is_its_submodule_object(qualified):
 
 def test_all_is_the_public_names_and_the_version():
     names = [qualified.split(".")[1] for qualified in PUBLIC]
-    assert len(PUBLIC) == 57
+    assert len(PUBLIC) == 56
     assert sorted(prospector_eval.__all__) == sorted([*names, "__version__"])
     star = {}
     exec("from prospector_eval import *", star)

@@ -16,7 +16,6 @@ from prospector_eval import (
     InvalidTableError,
     JointTable,
     NotIndependentError,
-    base_rates,
     compose_table,
     conditional_profile,
     correct_posterior,
@@ -31,7 +30,9 @@ from prospector_eval.table import (
     MASK_E1,
     MASK_E2,
     cell_index,
+    pair_masses,
     product_masses,
+    rates,
 )
 
 
@@ -42,10 +43,23 @@ def random_table(rng) -> JointTable:
 
 class TestEvidenceUpdate:
     def test_range_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p_new_e1 must lie in \[0, 1\], got 1.2$"):
             EvidenceUpdate(1.2, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p_new_e2 must lie in \[0, 1\], got -0.1$"):
             EvidenceUpdate(0.5, -0.1)
+
+    def test_values_are_stored_as_python_floats(self, case1):
+        update = EvidenceUpdate(np.float32(0.3), np.int64(0))
+        assert update.as_tuple() == (float(np.float32(0.3)), 0.0)
+        assert list(map(type, update.as_tuple())) == [float, float]
+        result = mce_update(case1, EvidenceUpdate(np.float32(0.3), 0.4))
+        assert list(map(type, result.marginal_deviation)) == [float, float]
+        assert result == mce_update(case1, EvidenceUpdate(float(np.float32(0.3)), 0.4))
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None, 0.5j])
+    def test_a_bool_or_non_real_value_is_refused(self, value):
+        with pytest.raises(ValueError, match="^p_new_e2 must be a real number, got "):
+            EvidenceUpdate(0.5, value)
 
     def test_as_tuple(self):
         assert EvidenceUpdate(0.3, 0.8).as_tuple() == (0.3, 0.8)
@@ -56,7 +70,7 @@ class TestFixedPoint:
         """Margins already match, so not a single scaling cycle may run."""
         for _ in range(20):
             table = random_table(rng)
-            p_e1, p_e2, _ = base_rates(table)
+            p_e1, p_e2, _ = rates(table.cells)
             result = mce_update(table, EvidenceUpdate(p_e1, p_e2))
             assert result.iterations == 0
             assert result.table.cells == table.cells
@@ -141,8 +155,8 @@ class TestInvariants:
             for c in (False, True):
                 def cross_ratio(t, c=c):
                     return (
-                        t.cell(False, False, c) * t.cell(True, True, c)
-                    ) / (t.cell(False, True, c) * t.cell(True, False, c))
+                        t.cells[cell_index(False, False, c)] * t.cells[cell_index(True, True, c)]
+                    ) / (t.cells[cell_index(False, True, c)] * t.cells[cell_index(True, False, c)])
 
                 before = cross_ratio(table)
                 after = cross_ratio(updated)
@@ -323,7 +337,7 @@ class TestClosedFormProperties:
         cells = updated.as_array()
         assert abs(float(cells[MASK_E1].sum()) - u1) <= 1e-10
         assert abs(float(cells[MASK_E2].sum()) - u2) <= 1e-10
-        assert updated.pair_marginals()[zero] == 0.0
+        assert pair_masses(updated.cells)[zero] == 0.0
         assert correct_posterior(table, update) == pytest.approx(
             float(cells[1::2].sum()), abs=1e-12
         )
@@ -468,7 +482,7 @@ class TestHighPrecisionReference:
         weights' absolute error over each weight: a weight far below 1 ulp
         of 1 is a difference of margins and has no relative accuracy."""
         updated = mce_update(table, EvidenceUpdate(u1, u2)).table.cells
-        p_e1, p_e2, _ = base_rates(table)
+        p_e1, p_e2, _ = rates(table.cells)
         if abs(p_e1 - u1) <= MATCH_TOL and abs(p_e2 - u2) <= MATCH_TOL:
             assert updated == table.cells  # the documented no-op
             return

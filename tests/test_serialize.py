@@ -56,8 +56,7 @@ class Count(int):
 
 
 class Name(str):
-    def __str__(self):
-        return "not used"
+    pass
 
 
 class Point(collections.namedtuple("Point", "x y")):
@@ -93,22 +92,19 @@ class TestDumps:
         }
         assert _serialize.dumps(document) == json_reference.dumps(document)
 
-    def test_numpy_float64_leaves(self):
+    def test_container_subclasses_render_as_their_base_type(self):
         document = [
-            {"x": np.float64(0.1), "y": [np.float64(-0.0), 2.0]},
-            {"x": 0.1, "y": [np.float64(1e-300), np.float64(3)]},
-            np.float64(2.5),
-        ]
-        text = _serialize.dumps(document)
-        assert text == json_reference.dumps(document)
-        assert json.loads(text)[0]["x"] == 0.1
-
-    def test_subclasses_render_as_their_base_type(self):
-        document = [
-            {"count": Count(7), "name": Name("n"), "point": Point(1.5, None)},
+            {"point": Point(1.5, None)},
             collections.OrderedDict(count=2, name="m", point=(0.5, True)),
         ]
         assert _serialize.dumps(document) == json_reference.dumps(document)
+
+    @pytest.mark.parametrize("leaf", [Count(7), Name("n"), np.float64(0.1), np.float64("nan")])
+    def test_scalar_subclasses_are_refused(self, leaf):
+        """Only the JSON scalar types themselves are written: every value the
+        package writes is one, so a subclass is refused, not converted."""
+        with pytest.raises(TypeError, match=f"cannot serialize {type(leaf).__name__}"):
+            _serialize.dumps([{"a": 1.5, "b": [leaf]}])
 
     def test_keys_that_look_like_format_directives(self):
         document = [dict.fromkeys(ODD_KEYS, "%s"), {key: 1.0 for key in ODD_KEYS}]
@@ -133,7 +129,6 @@ class TestDumps:
             ([{1: 2, "a": math.nan}], TypeError),
             ([{"a": 1.0}, {"a": -math.inf}], ValueError),
             ([{"a": [{"b": 1}, {2: 1, "b": math.nan}]}], TypeError),
-            ([np.float64(math.nan)], ValueError),
             ([1, object()], TypeError),
         ],
     )

@@ -26,7 +26,6 @@ from prospector_eval import (
     NetworkEvaluation,
     Rule,
     StudyConfig,
-    base_rates,
     compose_table,
     conditional_profile,
     diagnostics,
@@ -69,7 +68,7 @@ from prospector_eval.errors import (
     InvalidTableError,
 )
 from prospector_eval.oracle import unreachable_message
-from prospector_eval.table import MARGINAL_FLOOR, NetworkBatch, check_cells, require_valid
+from prospector_eval.table import MARGINAL_FLOOR, NetworkBatch, check_cells, rates, require_valid
 
 
 def profile(q_ff, q_ft, q_tf, q_tt) -> ConditionalProfile:
@@ -279,10 +278,13 @@ class TestErrorSurface:
         points = error_surface(case1, Rule.INDEPENDENT, 0.5)
         rows = tuple(points)
         assert [points[k] for k in range(-len(rows), len(rows))] == list(rows + rows)
-        assert points[2:7:2] == rows[2:7:2]
         assert rows[1][:2] == (0.0, 0.5)
         with pytest.raises(IndexError):
             points[len(rows)]
+
+    def test_unknown_rule_is_named(self, case1):
+        with pytest.raises(ValueError, match="^unknown rule: 'independent'$"):
+            error_surface(case1, "independent", 0.25)
 
     def test_step_validation(self, case1):
         with pytest.raises(ValueError):
@@ -497,6 +499,17 @@ class TestSweepSettings:
         expected = report_json_text(run_study(small_study_config(filter_enabled=False)))
         assert report_json_text(report) == expected
 
+    def test_a_str_subclass_mode_is_stored_as_its_literal(self):
+        class Mode(str):
+            pass
+
+        config = small_study_config(filter_mode=Mode("e2-only"))
+        assert type(config.filter_mode) is str
+        report = run_study(config)
+        assert type(report.networks.filter_mode) is str
+        expected = report_json_text(run_study(small_study_config(filter_mode="e2-only")))
+        assert report_json_text(report) == expected
+
     def test_unknown_filter_mode_is_refused_on_construction(self):
         with pytest.raises(ValueError, match="filter_mode must be one of"):
             StudyConfig.default(count=5, filter_mode="bogus")
@@ -524,6 +537,17 @@ class TestSweepSettings:
     def test_build_report_refuses_settings_the_sweep_did_not_use(self, swept, stated):
         with pytest.raises(ValueError, match="differ from the evaluations'"):
             build_report(*swept, **stated)
+
+    def test_build_report_stores_each_generated_count_as_an_int(self, swept):
+        evaluations, counts = swept
+        report = build_report(evaluations, {"associated": np.int64(8)})
+        assert type(report.classes["associated"].generated) is int
+        assert report_json_text(report) == report_json_text(build_report(evaluations, counts))
+
+    @pytest.mark.parametrize("count", [8.0, True, "8"])
+    def test_build_report_refuses_a_generated_count_that_is_not_an_integer(self, swept, count):
+        with pytest.raises(ValueError, match="generated count of associated must be an integer"):
+            build_report(swept[0], {"associated": count})
 
     def test_build_report_states_the_settings_of_its_evaluations(self, swept):
         evaluations, counts = swept
@@ -555,7 +579,7 @@ def reference_pattern(profile: ConditionalProfile, mode: str) -> MonotonicityPat
 def reference_diagnostics(table: JointTable) -> tuple[float, ...]:
     """The one-table diagnostics the array pass replaced, as a tuple."""
     q = conditional_profile(table)
-    p_e1, p_e2, _ = base_rates(table)
+    p_e1, p_e2, _ = rates(table.cells)
     x_ff, x_ft, x_tf, x_tt = (table.cells[t] for t in (1, 3, 5, 7))
     conjunctive_rows = (q.q_ff, q.q_ft, q.q_tf)
     disjunctive_rows = (q.q_ft, q.q_tf, q.q_tt)
@@ -603,7 +627,7 @@ class TestArrayScreenAndDiagnostics:
     def test_ties_and_signed_zeros_match_the_reference(self, profile_values, weights):
         masses = [w / sum(weights) for w in weights]
         table = compose_table(masses, profile_values)
-        assume(not validate(table) and 0.0 < base_rates(table)[2] < 1.0)
+        assume(not validate(table) and 0.0 < rates(table.cells)[2] < 1.0)
         for mode in ("full", "e2-only"):
             evaluations = evaluate_tables([table], filter_enabled=False, filter_mode=mode)
             assert patterns(evaluations) == [reference_pattern(conditional_profile(table), mode)]
@@ -1065,7 +1089,7 @@ class TestReportOutputs:
         and oracle values at and next to certain evidence, or is refused
         whole when P(C) is 0 or 1."""
         options = {"grid": EDGE_GRID, "filter_enabled": False}
-        if not 0.0 < base_rates(table)[2] < 1.0:
+        if not 0.0 < rates(table.cells)[2] < 1.0:
             with pytest.raises(DegenerateBaseRateError):
                 evaluate_tables([table], **options)
             return
@@ -1135,7 +1159,7 @@ def networks_and_grids(draw):
     pairs = raw / raw.sum()
     assume(pairs.min() >= MARGINAL_FLOOR)
     table = compose_table(tuple(pairs), tuple(draw(st.lists(conditionals, min_size=4, max_size=4))))
-    p_e1, p_e2, p_c = base_rates(table)
+    p_e1, p_e2, p_c = rates(table.cells)
     assume(0.0 < p_c < 1.0)  # the engine's independent rule needs an interior prior
     grid = draw(st.lists(st.floats(0.0, 1.0), max_size=4)) + [p_e1, p_e2, 0.0, 1.0]
     return table, grid

@@ -17,7 +17,6 @@ from prospector_eval import (
     NotIndependentError,
     Provenance,
     ZeroMarginalError,
-    base_rates,
     compose_table,
     conditional_profile,
     evaluate_tables,
@@ -87,10 +86,6 @@ class TestCellOrder:
         """(conclusion-false, conclusion-true) cells of FF, FT, TF, TT."""
         assert PAIR_CELLS == ((0, 1), (2, 3), (4, 5), (6, 7))
 
-    def test_cell_accessor(self, case1):
-        assert case1.cell(False, False, False) == case1.cells[0]
-        assert case1.cell(True, True, True) == case1.cells[7]
-
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidTableError):
             JointTable((0.5, 0.5))
@@ -102,18 +97,18 @@ class TestCellOrder:
 
 class TestBaseRates:
     def test_case_study_1(self, case1):
-        assert base_rates(case1) == pytest.approx((0.5, 0.5, 0.5), abs=1e-12)
+        assert rates(case1.cells) == pytest.approx((0.5, 0.5, 0.5), abs=1e-12)
 
     def test_uniform(self):
-        assert base_rates(UNIFORM) == pytest.approx((0.5, 0.5, 0.5), abs=0)
+        assert rates(UNIFORM.cells) == pytest.approx((0.5, 0.5, 0.5), abs=0)
 
     def test_point_mass(self):
         cells = [0.0] * 8
         cells[cell_index(True, True, True)] = 1.0
-        assert base_rates(JointTable(tuple(cells))) == (1.0, 1.0, 1.0)
+        assert rates(cells) == (1.0, 1.0, 1.0)
 
     def test_case_study_2(self, case2):
-        assert base_rates(case2) == pytest.approx((0.01, 0.02, 0.05), abs=1e-12)
+        assert rates(case2.cells) == pytest.approx((0.01, 0.02, 0.05), abs=1e-12)
 
 
 class TestConditionalProfile:
@@ -200,7 +195,7 @@ class TestComposeTable:
     def test_round_trip(self, raw):
         """(pair marginals, profile) is a lossless factorization of the cells."""
         table = normalized_table(raw)
-        rebuilt = compose_table(table.pair_marginals(), conditional_profile(table).as_tuple())
+        rebuilt = compose_table(pair_masses(table.cells), conditional_profile(table).as_tuple())
         assert rebuilt.cells == pytest.approx(table.cells, abs=1e-12)
 
     def test_independent_mixture_identity(self):
@@ -294,7 +289,7 @@ def scalar_validate(table: JointTable) -> list[ValidationIssue]:
         p_e1 = float(cells[MASK_E1].sum())
         p_e2 = float(cells[MASK_E2].sum())
         rate = {True: p_e1, False: 1.0 - p_e1}, {True: p_e2, False: 1.0 - p_e2}
-        for (a, b), mass in zip(EVIDENCE_STATES, table.pair_marginals()):
+        for (a, b), mass in zip(EVIDENCE_STATES, pair_masses(table.cells).tolist()):
             deviation = abs(mass - rate[0][a] * rate[1][b])
             if deviation > INDEPENDENCE_TOL:
                 issues.append(
@@ -304,7 +299,7 @@ def scalar_validate(table: JointTable) -> list[ValidationIssue]:
                         f"the product of base rates by {deviation!r}",
                     )
                 )
-    for (a, b), mass in zip(EVIDENCE_STATES, table.pair_marginals()):
+    for (a, b), mass in zip(EVIDENCE_STATES, pair_masses(table.cells).tolist()):
         if mass < MARGINAL_FLOOR:
             issues.append(
                 ValidationIssue(
@@ -477,7 +472,7 @@ class TestLayoutHelpers:
         ok = linkable(cells)
         for k, row in enumerate(cells):
             table = JointTable(tuple(row))
-            assert same_bits(base_rates(table), (p_e1[k], p_e2[k], p_c[k]))
+            assert same_bits(rates(table.cells), (p_e1[k], p_e2[k], p_c[k]))
             if not ok[k]:
                 with pytest.raises(DegenerateBaseRateError):
                     network_view(table)

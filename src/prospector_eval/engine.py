@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DegenerateBaseRateError, EmptyEvidenceError
-from .table import NetworkView, require_probability
+from .table import NetworkView, require_probability, require_real
 
 #: Bound used when converting probabilities to odds.
 ODDS_CLAMP = 1e-12
@@ -50,12 +50,16 @@ class Rule(Enum):
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Parameters of one evidence-to-conclusion link."""
+    """Parameters of one evidence-to-conclusion link, as Python floats."""
 
     p_c: float
     p_e: float
     p_c_given_e: float
     p_c_given_not_e: float
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, require_real(value, name))
 
 
 def propagate(link: LinkParams, p_new_e: float) -> float:
@@ -180,9 +184,9 @@ def combine_independent(
     strictly inside (0, 1).
     """
     posteriors = _check_probabilities(posteriors)
-    if not 0.0 < p_c < 1.0:
+    if not 0.0 < (prior := require_real(p_c, "prior")) < 1.0:
         raise ValueError(f"prior must lie strictly inside (0, 1), got {p_c!r}")
-    trace = _trace(Rule.INDEPENDENT, float(p_c), [(i, None, p) for i, p in enumerate(posteriors)])
+    trace = _trace(Rule.INDEPENDENT, prior, [(i, None, p) for i, p in enumerate(posteriors)])
     return trace.probability, trace
 
 

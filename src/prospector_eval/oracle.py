@@ -50,7 +50,7 @@ from .table import (
 MATCH_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceUpdate:
     """New marginal probabilities for the two evidence variables, stored as
     Python floats (ValueError for a bool, a non-real number or a value

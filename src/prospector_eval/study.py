@@ -26,9 +26,10 @@ import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Mapping, get_args
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -142,7 +143,7 @@ def monotonicity_pattern(
     return _PATTERNS[_pattern_code(*profile.as_tuple(), mode)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluationRecord:
     """One update answered by every rule set and scored against the oracle."""
 
@@ -216,25 +217,22 @@ def sweep(
     return answers, posteriors(tables, u1, u2)
 
 
+@lru_cache(maxsize=4)
+def _updates(grid: tuple[float, ...]) -> tuple[EvidenceUpdate, ...]:
+    """The grid's updates, row-major in (e1, e2), built once per grid."""
+    return tuple(EvidenceUpdate(u1, u2) for u1, u2 in product(grid, grid))
+
+
 def _records(
     network_id: str, grid: Sequence[float], answers: np.ndarray, oracle: np.ndarray
 ) -> tuple[EvaluationRecord, ...]:
     """One network's sweep as records, row-major in (e1, e2)."""
-    records = []
-    points = zip(product(grid, grid), answers.reshape(-1, 3).tolist(), oracle.ravel().tolist())
-    for (u1, u2), rule_answers, correct in points:
-        records.append(
-            EvaluationRecord(
-                network_id=network_id,
-                update=EvidenceUpdate(u1, u2),
-                answers=dict(zip(RULE_ORDER, rule_answers)),
-                oracle=correct,
-                signed_error={
-                    rule: correct - answer for rule, answer in zip(RULE_ORDER, rule_answers)
-                },
-            )
-        )
-    return tuple(records)
+    answers, oracle = answers.reshape(-1, 3), oracle.reshape(-1, 1)
+    columns = answers.tolist(), oracle.ravel().tolist(), (oracle - answers).tolist()
+    return tuple(
+        EvaluationRecord(network_id, update, dict(zip(RULE_ORDER, a)), o, dict(zip(RULE_ORDER, e)))
+        for update, a, o, e in zip(_updates(tuple(grid)), *columns)
+    )
 
 
 def evaluate_network(
@@ -373,8 +371,8 @@ def diagnostics(table: JointTable) -> Diagnostics:
 
 @dataclass(frozen=True, eq=False)
 class NetworkEvaluation:
-    """One row of an Evaluations: the network's id, kind and table, and its
-    sweep.  Its pattern, statistics and diagnostics stay in the columns.
+    """One row of an Evaluations, kept while referenced: the network's id, kind,
+    table and sweep; its pattern, statistics and diagnostics stay in the columns.
 
     ``answers`` (G, G, 3, rules in RULE_ORDER) and ``oracle`` (G, G) hold
     the sweep over ``grid``, row-major in (e1, e2); ``records`` shows them
@@ -401,8 +399,9 @@ class Evaluations(Sequence):
     ``batch`` is the NetworkBatch of the kept rows, so their cells, kinds
     and provenance stay in ``table``'s layout; a row passes the filter
     unless its pattern is REJECTED.  Row k reads as a NetworkEvaluation,
-    built on first access and then kept; a slice reads as the Evaluations
-    of its rows, with the same settings.
+    kept while referenced: while a caller holds it, row k reads as that
+    same view, and once none does it is freed.  A slice reads as the
+    Evaluations of its rows, with the same settings.
     """
 
     grid: tuple[float, ...]
@@ -417,7 +416,7 @@ class Evaluations(Sequence):
     best: np.ndarray  # (N,): index into RULE_ORDER
     tie: np.ndarray  # (N,)
     diagnostics: np.ndarray  # (N, 7): the Diagnostics fields
-    _views: dict = field(default_factory=dict, init=False, repr=False)
+    _views: WeakValueDictionary = field(default_factory=WeakValueDictionary, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -427,15 +426,13 @@ class Evaluations(Sequence):
             columns = (f.name for f in fields(self) if f.init and f.name not in SWEEP_SETTINGS)
             return replace(self, **{name: getattr(self, name)[k] for name in columns})
         k = range(len(self))[k]
-        if k not in self._views:
-            self._views[k] = self._view(k)
-        return self._views[k]
-
-    def _view(self, k: int) -> NetworkEvaluation:
-        table = self.batch[k]
-        return NetworkEvaluation(
-            self.ids[k], table.kind, self.grid, self.answers[k], self.oracle[k], table
-        )
+        view = self._views.get(k)
+        if view is None:
+            table = self.batch[k]
+            view = self._views[k] = NetworkEvaluation(
+                self.ids[k], table.kind, self.grid, self.answers[k], self.oracle[k], table
+            )
+        return view
 
 
 def _evaluate(

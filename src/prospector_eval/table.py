@@ -150,14 +150,20 @@ def require_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def require_probability(value, name: str) -> float:
-    """``value`` as a Python float; ValueError for a bool, a non-real number
-    or a value outside [0, 1].  Floats skip the slow ``numbers.Real`` test."""
+def require_real(value, name: str) -> float:
+    """``value`` as a Python float; ValueError for a bool or a non-real one
+    (floats skip ``numbers.Real``)."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)
+
+
+def require_probability(value, name: str) -> float:
+    """``value`` as a Python float; ValueError for a bool, a non-real number
+    or a value outside [0, 1]."""
+    if not 0.0 <= (real := require_real(value, name)) <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return real
 
 
 @dataclass(frozen=True)
@@ -230,13 +236,20 @@ class NetworkView:
 
     Holds the conclusion prior, both evidence base rates, and for each
     evidence variable the conclusion probability given that variable alone
-    (its partner marginalized out).
+    (its partner marginalized out), as Python floats, real but not range-checked:
+    a link conditional can round above 1, and the engine clamps its answers.
     """
 
     p_c: float
     p_e: tuple[float, float]
     p_c_given_e: tuple[float, float]
     p_c_given_not_e: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p_c", require_real(self.p_c, "p_c"))
+        for name in ("p_e", "p_c_given_e", "p_c_given_not_e"):
+            values = tuple(require_real(v, name) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
 
 
 def conditional_profile(table: JointTable) -> ConditionalProfile:

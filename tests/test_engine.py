@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from prospector_eval import (
     EmptyEvidenceError,
     JointTable,
     LinkParams,
+    NetworkView,
     Rule,
     combine_independent,
     infer,
@@ -93,6 +96,18 @@ class TestPropagate:
         with pytest.raises(DegenerateBaseRateError):
             propagate(link, 0.5)
 
+    def test_float32_link_gives_a_python_float(self):
+        link = LinkParams(np.float32(0.4), 0.3, 0.8, 0.2)
+        assert [type(v) for v in (link.p_c, link.p_e)] == [float, float]
+        value = propagate(link, 0.5)
+        assert type(value) is float
+        assert value == propagate(LinkParams(float(np.float32(0.4)), 0.3, 0.8, 0.2), 0.5)
+
+    @pytest.mark.parametrize("value", [True, "0.4", None])
+    def test_link_refuses_a_bool_or_non_real_field(self, value):
+        with pytest.raises(ValueError, match="^p_c_given_e must be a real number, got "):
+            LinkParams(0.4, 0.3, value, 0.2)
+
 
 class TestCombineIndependent:
     def test_two_symmetric_posteriors(self):
@@ -141,8 +156,14 @@ class TestCombineIndependent:
         assert (value, trace) == floats
 
     def test_prior_must_be_interior(self):
-        with pytest.raises(ValueError):
-            combine_independent([0.5], 0.0)
+        for prior in (0.0, 1.0, np.float64(1.0), 1.5, -0.1, math.nan, 2):
+            with pytest.raises(ValueError, match=r"^prior must lie strictly inside \(0, 1\)"):
+                combine_independent([0.5], prior)
+
+    @pytest.mark.parametrize("prior", ["0.5", True, None])
+    def test_a_bool_or_non_real_prior_is_a_value_error(self, prior):
+        with pytest.raises(ValueError, match="^prior must be a real number, got "):
+            combine_independent([0.5], prior)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyEvidenceError):
@@ -243,6 +264,48 @@ class TestInfer:
             assert type(value) is float
             assert value == answers[0, 0, 1, k]
             assert [type(entry.p_new_e) for entry in trace.evidence] == [float] * len(trace.evidence)
+
+    def test_float32_view_gives_python_floats_and_bools(self, case2):
+        """A hand-built view of float32 fields is read as the doubles they
+        hold: the answer and every trace field are Python floats and bools."""
+        view = network_view(case2)
+        narrow = NetworkView(
+            np.float32(view.p_c),
+            tuple(map(np.float32, view.p_e)),
+            tuple(map(np.float32, view.p_c_given_e)),
+            tuple(map(np.float32, view.p_c_given_not_e)),
+        )
+        wide = NetworkView(
+            float(np.float32(view.p_c)),
+            tuple(float(np.float32(v)) for v in view.p_e),
+            tuple(float(np.float32(v)) for v in view.p_c_given_e),
+            tuple(float(np.float32(v)) for v in view.p_c_given_not_e),
+        )
+        assert narrow == wide
+        for rule in Rule:
+            value, trace = infer(narrow, rule, (0.3, 0.7))
+            assert type(value) is float
+            assert (value, trace) == infer(wide, rule, (0.3, 0.7))
+            assert type(trace.prior) is float and type(trace.prior_clamped) is bool
+            assert {type(entry.clamped) for entry in trace.evidence} == {bool}
+
+    def test_view_refuses_a_non_real_field(self, case1):
+        view = network_view(case1)
+        with pytest.raises(ValueError, match="^p_e must be a real number, got '0.5'"):
+            NetworkView(view.p_c, (view.p_e[0], "0.5"), view.p_c_given_e, view.p_c_given_not_e)
+
+    def test_a_link_conditional_rounding_above_one_keeps_the_view(self):
+        """P(C | not E1) is 1 here, but the division rounds it above 1: the
+        view keeps the value, and the clamped answers equal the sweep's."""
+        table = JointTable((0.0, 0.1, 0.0, 0.2, 0.1, 0.3, 0.2, 0.1))
+        view = network_view(table)
+        assert view.p_c_given_not_e[0] > 1.0
+        grid = (0.0, 0.25, 1.0)
+        answers, _ = sweep([table.cells], grid)
+        for i, u1 in enumerate(grid):
+            for j, u2 in enumerate(grid):
+                for k, rule in enumerate(RULE_ORDER):
+                    assert infer(view, rule, (u1, u2))[0] == answers[0, i, j, k]
 
     @pytest.mark.parametrize("update", [(True, 0.5), (0.5, "0.5"), (0.5, None)])
     def test_bool_or_non_real_update_raises(self, case1, update):

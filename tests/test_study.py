@@ -1,12 +1,15 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import importlib
 import io
 import json
 import math
 import sys
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -762,6 +765,77 @@ class TestColumns:
         assert part.batch.tables() == [ev.table for ev in list(networks)[rows]]
         named = [f"{t.kind}-{t.provenance.index:04d}" for t in part.batch.tables()]
         assert list(part.ids) == named
+
+
+class TestViewLifetime:
+    """A row view, and its records, live exactly as long as a caller holds
+    the view."""
+
+    @pytest.fixture(scope="class")
+    def networks(self):
+        return run_study(StudyConfig.default(count=400)).networks
+
+    def test_a_held_view_is_the_one_every_read_returns(self, networks):
+        first = networks[3]
+        assert networks[3] is first
+        assert networks[3 - len(networks)] is first
+        assert list(networks)[3] is first
+
+    def test_a_dropped_view_is_freed(self, networks):
+        view = networks[5]
+        view.records
+        ref = weakref.ref(view)
+        del view
+        assert ref() is None
+        assert networks[5].network_id == networks.ids[5]
+
+    def test_a_record_changed_through_a_held_view_is_the_one_read_back(self, networks):
+        """Code that checks the answers (such as ``bench/run.py``'s checker)
+        may plant a wrong value through a view it holds and expect the next
+        walk of the rows to read it."""
+        held = networks[7]
+        record = held.records[12]
+        original = record.answers[Rule.DISJUNCTIVE], record.oracle
+        try:
+            record.answers[Rule.DISJUNCTIVE] = -1.0
+            object.__setattr__(record, "oracle", -2.0)
+            walked = [ev.records[12] for ev in networks][7]
+            assert walked is record
+            assert (walked.answers[Rule.DISJUNCTIVE], walked.oracle) == (-1.0, -2.0)
+        finally:
+            record.answers[Rule.DISJUNCTIVE] = original[0]
+            object.__setattr__(record, "oracle", original[1])
+
+    def test_walking_every_record_keeps_nothing(self):
+        """A cache that kept every view kept about 2.7 MB of views and
+        records after this walk of a fresh 400+400 study."""
+        networks = run_study(StudyConfig.default(count=400)).networks
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            points = sum(len(ev.records) for ev in networks)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert points == len(networks) * len(networks.grid) ** 2 > 0
+        assert kept < 256 * 1024
+
+    def test_a_view_built_with_a_list_grid_reads_its_records(self, networks):
+        view = networks[2]
+        listed = dataclasses.replace(view, grid=list(view.grid))
+        assert listed.records == view.records
+
+    def test_records_share_the_grid_updates_and_hold_no_dict(self, networks):
+        first, second = networks[0].records, networks[1].records
+        grid = networks.grid
+        assert [r.update for r in first] == [EvidenceUpdate(u1, u2) for u1 in grid for u2 in grid]
+        assert all(a.update is b.update for a, b in zip(first, second))
+        for value in (first[0], first[0].update):
+            assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first[0].oracle = 0.0
 
 
 def generic_results_csv(evaluations) -> str:

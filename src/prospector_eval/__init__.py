@@ -31,8 +31,8 @@ _EXPORTS = {
         EvaluationRecord Evaluations MonotonicityPattern NetworkErrorSummary NetworkEvaluation
         StudyConfig StudyReport diagnostics error_surface evaluate_network evaluate_tables
         monotonicity_pattern run_study summarize""",
-    "table": """ConditionalProfile JointTable NetworkView Provenance compose_table
-        conditional_profile load_networks network_view save_networks validate""",
+    "table": """JointTable NetworkView Provenance compose_table conditional_profile
+        load_networks network_view save_networks validate""",
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -233,15 +233,14 @@ def _cmd_case_study(args, parser) -> int:
     table = case_study_table(args.id)
     grid = _parse_grid(args.grid, parser)
     view = network_view(table)
-    profile = conditional_profile(table)
-    summary = summarize(evaluate_network(table, grid, network_id=f"case-{args.id}"))
+    q = conditional_profile(table)
+    summary = summarize(evaluate_network(table, grid))
     try:
         points = error_surface(table, Rule.INDEPENDENT, args.step)
     except ValueError as exc:
         parser.error(f"--step: {exc}")
     Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")
 
-    q = profile.as_tuple()
     print(f"case study {args.id}")
     print(
         "conditional profile: "

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import DegenerateBaseRateError, EmptyEvidenceError
-from .table import NetworkView, require_probability, require_real
+from .errors import EmptyEvidenceError
+from .table import NetworkView, require_base_rate, require_probability, require_real
 
 #: Bound used when converting probabilities to odds.
 ODDS_CLAMP = 1e-12
@@ -70,10 +70,7 @@ def propagate(link: LinkParams, p_new_e: float) -> float:
     slightly inconsistent links.
     """
     p_new_e = require_probability(p_new_e, "new evidence probability")
-    if not 0.0 < link.p_e < 1.0:
-        raise DegenerateBaseRateError(
-            f"link base rate must satisfy 0 < P(E) < 1, got {link.p_e!r}"
-        )
+    require_base_rate("E", link.p_e)
     if p_new_e <= link.p_e:
         value = link.p_c_given_not_e + (link.p_c - link.p_c_given_not_e) * p_new_e / link.p_e
     else:
@@ -199,10 +196,7 @@ def infer(
     update = _check_probabilities(update)
     if len(update) != 2:
         raise ValueError(f"need one update per evidence variable (two), got {len(update)}")
-    if not 0.0 < view.p_c < 1.0:
-        raise DegenerateBaseRateError(
-            f"base rate of C is {view.p_c!r}; the rules need 0 < P(C) < 1"
-        )
+    require_base_rate("C", view.p_c)
     u1, u2 = update
     if rule is Rule.INDEPENDENT:
         chosen = (0, 1)

@@ -35,7 +35,7 @@ from .errors import InfeasibleUpdateError, NotIndependentError
 from .table import (
     JointTable,
     check_cells,
-    conclusion_cells,
+    conditional_profiles,
     pair_masses,
     product_masses,
     rates,
@@ -136,10 +136,8 @@ def posteriors(cells, u1, u2) -> np.ndarray:
     ``cells`` holds tables in the canonical order along its last axis and
     broadcasts (without that axis) against ``u1`` and ``u2``.
     """
-    pairs = pair_masses(cells)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        profile = np.where(pairs > 0.0, conclusion_cells(cells) / pairs, 0.0)
-    return (pair_weights(pairs, u1, u2) * profile).sum(axis=-1)
+    weights = pair_weights(pair_masses(cells), u1, u2)
+    return (weights * conditional_profiles(cells)).sum(axis=-1)
 
 
 def mce_update(table: JointTable, update: EvidenceUpdate) -> UpdatedTable:
@@ -203,7 +201,5 @@ def independent_closed_form(table: JointTable, update: EvidenceUpdate) -> float:
     pairs, weights = pair_masses(cells), product_masses(u1, u2)
     if ((pairs <= 0.0) & (weights > MATCH_TOL)).any():
         raise InfeasibleUpdateError(unreachable_message(u1, u2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        profile = np.where(pairs > 0.0, conclusion_cells(cells) / pairs, 0.0)
-    ff, ft, tf, tt = (profile * weights).tolist()
+    ff, ft, tf, tt = (conditional_profiles(cells) * weights).tolist()
     return ff + ft + tf + tt

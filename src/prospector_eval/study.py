@@ -22,7 +22,6 @@ it.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -35,12 +34,11 @@ import numpy as np
 
 from . import _serialize
 from .engine import ODDS_CLAMP, Rule
-from .errors import DegenerateBaseRateError, InfeasibleUpdateError, InvalidTableError
+from .errors import InfeasibleUpdateError, InvalidTableError
 from .generate import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
 from .generate import DEFAULT_SEED, GenerationConfig, network_batch
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .table import (
-    ConditionalProfile,
     FilterMode,
     JointTable,
     NetworkBatch,
@@ -48,9 +46,12 @@ from .table import (
     check_cells,
     conclusion_cells,
     conditional_profile,
+    conditional_profiles,
     link_conditionals,
     rates,
+    require_base_rate,
     require_int,
+    require_real,
     require_valid,
 )
 
@@ -90,12 +91,10 @@ def sweep_settings(
 ) -> tuple[tuple[float, ...], bool, FilterMode]:
     """The one check of the sweep settings, raising ValueError for a value
     the sweep cannot use; returns the grid as Python floats (-0.0 as 0.0),
-    the flag as a bool and the mode as its FilterMode literal.  Floats skip
-    the slow ``numbers.Real`` test."""
+    the flag as a bool and the mode as its FilterMode literal."""
     grid = tuple(grid)
     for value in grid:
-        if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
-            raise ValueError(f"grid values must be real numbers, got {value!r}")
+        require_real(value, "grid value")
         if not 0 <= value <= 1:
             raise ValueError(f"grid value {value!r} lies outside [0, 1]")
     if not grid:
@@ -130,9 +129,9 @@ def _pattern_code(q_ff, q_ft, q_tf, q_tt, mode: FilterMode):
 
 
 def monotonicity_pattern(
-    profile: ConditionalProfile, *, mode: FilterMode = "full"
+    profile: Sequence[float], *, mode: FilterMode = "full"
 ) -> MonotonicityPattern:
-    """Classify a profile as monotone (either direction) or rejected.
+    """Classify a profile, FF, FT, TF, TT, as monotone (either way) or rejected.
 
     ``"full"`` (default) demands monotonicity in each evidence variable with
     the other held fixed — four comparisons per direction.  ``"e2-only"``
@@ -140,18 +139,16 @@ def monotonicity_pattern(
     directions; it is reported as NONDECREASING (checked first).  The
     one-profile case of the screen ``evaluate_tables`` runs.
     """
-    return _PATTERNS[_pattern_code(*profile.as_tuple(), mode)]
+    return _PATTERNS[_pattern_code(*profile, mode)]
 
 
 @dataclass(frozen=True, slots=True)
 class EvaluationRecord:
-    """One update answered by every rule set and scored against the oracle."""
+    """One update answered by every rule set, and the oracle's answer."""
 
-    network_id: str
     update: EvidenceUpdate
     answers: dict[Rule, float]
     oracle: float
-    signed_error: dict[Rule, float]
 
 
 def _propagate(p_c, p_e, p_c_given_e, p_c_given_not_e, u):
@@ -192,14 +189,7 @@ def sweep(
     tables = np.asarray(cells, dtype=float).reshape(-1, 1, 1, 8)
     p_e1, p_e2, p_c = rates(tables)
     for name, rate in (("C", p_c), ("E1", p_e1), ("E2", p_e2)):
-        degenerate = np.flatnonzero(~((rate > 0.0) & (rate < 1.0)))
-        if degenerate.size:
-            row = int(degenerate[0])
-            where = "" if ids is None else f"network {ids[row]}: "
-            raise DegenerateBaseRateError(
-                f"{where}base rate of {name} is {float(rate.ravel()[row])!r}; "
-                f"the rules need 0 < P({name}) < 1"
-            )
+        require_base_rate(name, rate, ids)
     u1, u2 = u[:, None], u[None, :]
     given_e1, given_not_e1, given_e2, given_not_e2 = link_conditionals(tables)
     post1 = _propagate(p_c, p_e1, given_e1, given_not_e1, u1)
@@ -223,23 +213,17 @@ def _updates(grid: tuple[float, ...]) -> tuple[EvidenceUpdate, ...]:
     return tuple(EvidenceUpdate(u1, u2) for u1, u2 in product(grid, grid))
 
 
-def _records(
-    network_id: str, grid: Sequence[float], answers: np.ndarray, oracle: np.ndarray
-) -> tuple[EvaluationRecord, ...]:
+def _records(grid: Sequence[float], answers, oracle) -> tuple[EvaluationRecord, ...]:
     """One network's sweep as records, row-major in (e1, e2)."""
-    answers, oracle = answers.reshape(-1, 3), oracle.reshape(-1, 1)
-    columns = answers.tolist(), oracle.ravel().tolist(), (oracle - answers).tolist()
+    columns = answers.reshape(-1, 3).tolist(), oracle.ravel().tolist()
     return tuple(
-        EvaluationRecord(network_id, update, dict(zip(RULE_ORDER, a)), o, dict(zip(RULE_ORDER, e)))
-        for update, a, o, e in zip(_updates(tuple(grid)), *columns)
+        EvaluationRecord(update, dict(zip(RULE_ORDER, a)), o)
+        for update, a, o in zip(_updates(tuple(grid)), *columns)
     )
 
 
 def evaluate_network(
-    table: JointTable,
-    grid: Sequence[float] = DEFAULT_UPDATE_GRID,
-    *,
-    network_id: str = "net",
+    table: JointTable, grid: Sequence[float] = DEFAULT_UPDATE_GRID
 ) -> tuple[EvaluationRecord, ...]:
     """Sweep the update grid (row-major in (e1, e2)) over one network.
 
@@ -247,9 +231,9 @@ def evaluate_network(
     row-major order.
     """
     grid = sweep_settings(grid)[0]
-    answers, oracle = sweep([table.cells], grid, ids=[network_id])
+    answers, oracle = sweep([table.cells], grid)
     _require_reachable(grid, oracle[0])
-    return _records(network_id, grid, answers[0], oracle[0])
+    return _records(grid, answers[0], oracle[0])
 
 
 def _require_reachable(grid: Sequence[float], values: np.ndarray) -> None:
@@ -272,7 +256,6 @@ class RuleStats:
 
 @dataclass(frozen=True)
 class NetworkErrorSummary:
-    network_id: str
     stats: dict[Rule, RuleStats]
     best: Rule
     tie: bool
@@ -296,20 +279,18 @@ def _rule_stats(errors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def summarize(records: Sequence[EvaluationRecord]) -> NetworkErrorSummary:
     """Collapse a sweep into per-rule statistics and pick the best rule set.
 
-    Raises ValueError if some error is not finite (an unreachable update's
-    NaN): no rule can be ranked through it.
+    Each signed error is ``record.oracle - record.answers[rule]``.  Raises
+    ValueError if some error is not finite (an unreachable update's NaN):
+    no rule can be ranked through it.
     """
     if not records:
         raise ValueError("cannot summarize an empty record list")
-    errors = np.array([[record.signed_error[rule] for record in records] for rule in RULE_ORDER])
+    errors = np.array([[r.oracle - r.answers[rule] for r in records] for rule in RULE_ORDER])
     if not np.isfinite(errors).all():
-        raise ValueError(
-            f"network {records[0].network_id}: cannot summarize a sweep with "
-            "non-finite errors (unreachable updates)"
-        )
+        raise ValueError("cannot summarize a sweep with non-finite errors (unreachable updates)")
     stats, best, tie = _rule_stats(errors[None])
     rules = {rule: RuleStats(*row) for rule, row in zip(RULE_ORDER, stats[0].tolist())}
-    return NetworkErrorSummary(records[0].network_id, rules, RULE_ORDER[best[0]], bool(tie[0]))
+    return NetworkErrorSummary(rules, RULE_ORDER[best[0]], bool(tie[0]))
 
 
 @dataclass(frozen=True)
@@ -364,8 +345,7 @@ def diagnostics(table: JointTable) -> Diagnostics:
 
     Raises ZeroMarginalError if some evidence state has no mass.
     """
-    profile = conditional_profile(table)
-    row = _diagnostics(table.as_array()[None], np.array([profile.as_tuple()]))[0]
+    row = _diagnostics(table.as_array()[None], np.array([conditional_profile(table)]))[0]
     return Diagnostics(*row.tolist())
 
 
@@ -388,7 +368,7 @@ class NetworkEvaluation:
 
     @cached_property
     def records(self) -> tuple[EvaluationRecord, ...]:
-        return _records(self.network_id, self.grid, self.answers, self.oracle)
+        return _records(self.grid, self.answers, self.oracle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,8 +444,7 @@ def _evaluate(
                 f"network {network_id} (provenance {table.provenance}): {exc}",
                 issues=exc.issues,
             ) from exc
-    # Validation put every evidence-state mass at or above MARGINAL_FLOOR.
-    profiles = conclusion_cells(cells) / checks.masses
+    profiles = conditional_profiles(cells)
     codes = _pattern_code(*profiles.T, filter_mode)
     kept = np.flatnonzero(codes != _REJECTED) if filter_enabled else np.arange(len(cells))
     ids, rows = name(kept), batch[kept]

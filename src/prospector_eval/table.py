@@ -15,9 +15,10 @@ order FF, FT, TF, TT.
 This is the only module that decodes the cell order.  The others use its
 helpers, which broadcast over arrays of shape (..., 8), one table along the
 last axis: ``rates``, ``pair_masses``, ``conclusion_cells``,
-``link_conditionals``, ``product_masses``, ``compose_cells`` and
-``scale_pairs``, plus ``MARGIN_CELLS`` for the margin fit.  ``network_view``,
-``compose_table`` and ``validate`` are one-table calls.
+``conditional_profiles``, ``link_conditionals``, ``product_masses``,
+``compose_cells`` and ``scale_pairs``, plus ``MARGIN_CELLS`` for the margin
+fit and ``require_base_rate``, the one refusal of a base rate at 0 or 1.
+``conditional_profile``, ``network_view`` and ``validate`` take one table.
 
 A batch of networks is a ``NetworkBatch``, the one owner of the batch
 layout: (N, 8) cells, kind codes and provenance fields as columns, from the
@@ -101,6 +102,27 @@ def pair_masses(cells) -> np.ndarray:
 def conclusion_cells(cells) -> np.ndarray:
     """P(E1=a, E2=b, C) of tables (..., 8) as (..., 4), FF, FT, TF, TT."""
     return np.asarray(cells, dtype=float)[..., 1::2]
+
+
+def conditional_profiles(cells) -> np.ndarray:
+    """P(C | E1=a, E2=b) of tables (..., 8) as (..., 4), FF, FT, TF, TT, 0.0
+    where a state has no mass (zero or less)."""
+    pairs = pair_masses(cells)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pairs <= 0.0, 0.0, conclusion_cells(cells) / pairs)
+
+
+def require_base_rate(name: str, rate, ids: Sequence[str] | None = None) -> None:
+    """DegenerateBaseRateError for the first P(``name``) in ``rate`` (a float, or
+    one per network, named by ``ids`` if given) outside (0, 1)."""
+    if type(rate) is not float or not 0.0 < rate < 1.0:  # a valid float skips numpy
+        rate = np.asarray(rate, dtype=float).ravel()
+        if (bad := np.flatnonzero(~((rate > 0.0) & (rate < 1.0)))).size:
+            where = "" if ids is None else f"network {ids[bad[0]]}: "
+            raise DegenerateBaseRateError(
+                f"{where}base rate of {name} is {float(rate[bad[0]])!r}; "
+                f"the rules need 0 < P({name}) < 1"
+            )
 
 
 def link_conditionals(cells):
@@ -214,19 +236,6 @@ class JointTable:
         return np.array(self.cells, dtype=float)
 
 
-@dataclass(frozen=True)
-class ConditionalProfile:
-    """P(C | E1=a, E2=b) for the four evidence states."""
-
-    q_ff: float
-    q_ft: float
-    q_tf: float
-    q_tt: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.q_ff, self.q_ft, self.q_tf, self.q_tt)
-
-
 FilterMode = Literal["full", "e2-only"]
 
 
@@ -252,8 +261,9 @@ class NetworkView:
             object.__setattr__(self, name, values)
 
 
-def conditional_profile(table: JointTable) -> ConditionalProfile:
-    """P(C | E1, E2) at each evidence state.
+def conditional_profile(table: JointTable) -> tuple[float, float, float, float]:
+    """P(C | E1, E2) at each evidence state, FF, FT, TF, TT: bit for bit
+    ``conditional_profiles``, in Python floats, ten times as fast for one table.
 
     Raises ZeroMarginalError if some evidence-state pair has no probability
     mass, since the conditional is undefined there.
@@ -268,7 +278,7 @@ def conditional_profile(table: JointTable) -> ConditionalProfile:
                 "conditional profile is undefined"
             )
         values.append(cells[t] / mass)
-    return ConditionalProfile(*values)
+    return tuple(values)
 
 
 def network_view(table: JointTable) -> NetworkView:
@@ -279,11 +289,8 @@ def network_view(table: JointTable) -> NetworkView:
     """
     cells = table.as_array()
     p_e1, p_e2, p_c = (float(rate) for rate in rates(cells))
-    for name, rate in (("E1", p_e1), ("E2", p_e2)):
-        if not 0.0 < rate < 1.0:
-            raise DegenerateBaseRateError(
-                f"base rate of {name} is {rate!r}; link conditionals need 0 < P({name}) < 1"
-            )
+    require_base_rate("E1", p_e1)
+    require_base_rate("E2", p_e2)
     given_e1, given_not_e1, given_e2, given_not_e2 = map(float, link_conditionals(cells))
     return NetworkView(p_c, (p_e1, p_e2), (given_e1, given_e2), (given_not_e1, given_not_e2))
 

@@ -18,7 +18,7 @@ class TestCaseStudy1:
 
     def test_symmetric_construction(self, case1):
         profile = conditional_profile(case1)
-        assert profile.as_tuple() == pytest.approx((0.1, 0.5, 0.5, 0.9), abs=1e-12)
+        assert profile == pytest.approx((0.1, 0.5, 0.5, 0.9), abs=1e-12)
         view = network_view(case1)
         assert view.p_e == pytest.approx((0.5, 0.5), abs=1e-12)
         assert view.p_c == pytest.approx(0.5, abs=1e-12)
@@ -31,7 +31,7 @@ class TestCaseStudy2:
         assert view.p_e == pytest.approx((0.01, 0.02), abs=1e-9)
         assert view.p_c == pytest.approx(0.05, abs=1e-9)
         assert view.p_c_given_e == pytest.approx((0.60, 0.70), abs=1e-9)
-        assert conditional_profile(case2).q_tt == pytest.approx(0.95, abs=1e-9)
+        assert conditional_profile(case2)[3] == pytest.approx(0.95, abs=1e-9)
 
     def test_evidence_variables_stay_independent(self, case2):
         assert case2.kind == "independent"

@@ -467,7 +467,7 @@ class TestIndependentGeneration:
             p_e1, p_e2 = stream.uniform(BASE_RATE_MARGIN, 1.0 - BASE_RATE_MARGIN, 2)
             fractions = stream.uniform(0.0, 1.0, 4)
             assert margins(table)[:2] == pytest.approx((p_e1, p_e2), abs=1e-15)
-            assert conditional_profile(table).as_tuple() == pytest.approx(
+            assert conditional_profile(table) == pytest.approx(
                 tuple(fractions), abs=1e-12
             )
 

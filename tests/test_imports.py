@@ -4,10 +4,12 @@ The package draws its random streams with its own array PCG64, so neither
 generating networks nor running a study may load ``numpy.random`` (about
 10 ms of cold start for ``prospector-eval generate``); that is checked in a
 fresh interpreter.  Only ``table`` decodes the eight-cell layout, so no
-other module imports its masks or cell-index pairs.  Deleting code must not
-leave dead code behind: no module imports a name it never uses, and every
-module-level private function or constant is referenced in the package.
-Importing the CLI builds none of the serializer's lazy tables or templates.
+other module imports its masks or cell-index pairs, divides conclusion
+cells by pair masses or raises DegenerateBaseRateError.  Deleting code must
+not leave dead code behind: no module imports a name it never uses, and
+every module-level private function or constant is referenced in the
+package.  Importing the CLI builds none of the serializer's lazy tables or
+templates.  Every Python file parses at the declared floor, Python 3.10.
 
 The package namespace loads on first use: ``import prospector_eval`` loads
 no submodule and no numpy, an ``oracle`` query loads neither the study
@@ -31,6 +33,7 @@ from prospector_eval import GenerationConfig, generate, save_networks
 
 PACKAGE = Path(prospector_eval.__file__).resolve().parent
 SRC = PACKAGE.parent
+ROOT = Path(__file__).resolve().parent.parent
 TREES = {
     path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for path in sorted(PACKAGE.glob("*.py"))
@@ -185,7 +188,6 @@ PUBLIC = [
     "study.monotonicity_pattern",
     "study.run_study",
     "study.summarize",
-    "table.ConditionalProfile",
     "table.JointTable",
     "table.NetworkView",
     "table.Provenance",
@@ -209,7 +211,7 @@ def test_each_public_name_is_its_submodule_object(qualified):
 
 def test_all_is_the_public_names_and_the_version():
     names = [qualified.split(".")[1] for qualified in PUBLIC]
-    assert len(PUBLIC) == 56
+    assert len(PUBLIC) == 55
     assert sorted(prospector_eval.__all__) == sorted([*names, "__version__"])
     star = {}
     exec("from prospector_eval import *", star)
@@ -242,6 +244,32 @@ def test_submodules_resolve_and_do_not_shadow_a_public_name():
 def test_only_table_holds_the_cell_layout(module):
     names = vars(importlib.import_module(f"prospector_eval.{module}"))
     assert not {"MASK_E1", "MASK_E2", "MASK_C", "PAIR_CELLS"} & names.keys()
+
+
+def test_only_table_computes_the_profile_and_refuses_a_base_rate():
+    """Only ``table`` computes P(C | E1, E2) and refuses a base rate outside
+    (0, 1): no other module divides conclusion cells by pair masses, the
+    oracle does not read the conclusion cells at all, and the one
+    construction of DegenerateBaseRateError is ``table``'s."""
+    profile_divisions = [
+        (module, ast.unparse(node))
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and "conclusion_cells" in ast.unparse(node.left)
+    ]
+    assert profile_divisions == [("table.py", "conclusion_cells(cells) / pairs")]
+    assert "conclusion_cells" not in loaded_names(TREES["oracle.py"])
+    refusals = [
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "DegenerateBaseRateError"
+    ]
+    assert refusals == ["table.py"]
 
 
 def test_only_table_decodes_the_batch_rows_and_kind_codes():
@@ -315,3 +343,12 @@ def test_every_private_definition_is_referenced():
             }
     used = set().union(*map(loaded_names, TREES.values()))
     assert sorted(name for name in defined if name[1] not in used) == []
+
+
+def test_every_python_file_parses_at_the_declared_floor():
+    """``requires-python`` is 3.10, so no file under src/, tests/ or bench/
+    may use syntax added after it."""
+    files = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
+    assert Path(__file__).resolve() in files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

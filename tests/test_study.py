@@ -19,14 +19,15 @@ from hypothesis import strategies as st
 
 import json_reference
 from prospector_eval import (
-    ConditionalProfile,
     Diagnostics,
     EvidenceUpdate,
     GenerationConfig,
     JointTable,
+    LinkParams,
     MonotonicityPattern,
     NetworkErrorSummary,
     NetworkEvaluation,
+    NetworkView,
     Rule,
     StudyConfig,
     compose_table,
@@ -40,6 +41,7 @@ from prospector_eval import (
     infer,
     monotonicity_pattern,
     network_view,
+    propagate,
     run_study,
     summarize,
     validate,
@@ -74,38 +76,34 @@ from prospector_eval.oracle import unreachable_message
 from prospector_eval.table import MARGINAL_FLOOR, NetworkBatch, check_cells, rates, require_valid
 
 
-def profile(q_ff, q_ft, q_tf, q_tt) -> ConditionalProfile:
-    return ConditionalProfile(q_ff, q_ft, q_tf, q_tt)
-
-
 class TestMonotonicityPattern:
     def test_increasing_profile(self):
         assert (
-            monotonicity_pattern(profile(0.10, 0.50, 0.50, 0.90))
+            monotonicity_pattern((0.10, 0.50, 0.50, 0.90))
             is MonotonicityPattern.NONDECREASING
         )
 
     def test_decreasing_profile(self):
         assert (
-            monotonicity_pattern(profile(0.90, 0.50, 0.50, 0.10))
+            monotonicity_pattern((0.90, 0.50, 0.50, 0.10))
             is MonotonicityPattern.NONINCREASING
         )
 
     def test_non_monotone_profile_rejected(self):
         assert (
-            monotonicity_pattern(profile(0.10, 0.50, 0.50, 0.20))
+            monotonicity_pattern((0.10, 0.50, 0.50, 0.20))
             is MonotonicityPattern.REJECTED
         )
 
     def test_flat_profile_counts_as_nondecreasing(self):
         assert (
-            monotonicity_pattern(profile(0.4, 0.4, 0.4, 0.4))
+            monotonicity_pattern((0.4, 0.4, 0.4, 0.4))
             is MonotonicityPattern.NONDECREASING
         )
 
     def test_e2_only_mode_is_weaker(self):
         """Monotone along E2 but not along E1: kept only by the weaker filter."""
-        p = profile(0.10, 0.50, 0.05, 0.50)
+        p = (0.10, 0.50, 0.05, 0.50)
         assert monotonicity_pattern(p) is MonotonicityPattern.REJECTED
         assert (
             monotonicity_pattern(p, mode="e2-only")
@@ -114,31 +112,32 @@ class TestMonotonicityPattern:
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError):
-            monotonicity_pattern(profile(0.1, 0.2, 0.3, 0.4), mode="diagonal")
+            monotonicity_pattern((0.1, 0.2, 0.3, 0.4), mode="diagonal")
 
 
 class TestEvaluateNetwork:
     def test_grid_sweep_shape_and_order(self, case1):
-        records = evaluate_network(case1, network_id="cs1")
+        records = evaluate_network(case1)
         assert len(records) == 25
         assert records[0].update.as_tuple() == (0.0, 0.0)
         assert records[1].update.as_tuple() == (0.0, 0.25)  # row-major in (e1, e2)
         assert records[-1].update.as_tuple() == (1.0, 1.0)
-        assert all(r.network_id == "cs1" for r in records)
+        fields = [field.name for field in dataclasses.fields(EvaluationRecord)]
+        assert fields == ["update", "answers", "oracle"]
 
     def test_base_rate_update_has_zero_error_for_every_rule(self, case1):
         records = evaluate_network(case1)
         at_prior = [r for r in records if r.update.as_tuple() == (0.5, 0.5)]
         assert len(at_prior) == 1
         for rule in Rule:
-            assert abs(at_prior[0].signed_error[rule]) <= 1e-12
+            assert abs(at_prior[0].oracle - at_prior[0].answers[rule]) <= 1e-12
 
     def test_certain_corner_values(self, case1):
         records = evaluate_network(case1)
         corner = [r for r in records if r.update.as_tuple() == (1.0, 1.0)][0]
         assert corner.answers[Rule.INDEPENDENT] == pytest.approx(49 / 58, abs=1e-12)
         assert corner.oracle == pytest.approx(0.9, abs=1e-12)
-        assert corner.signed_error[Rule.INDEPENDENT] == pytest.approx(
+        assert summarize([corner]).stats[Rule.INDEPENDENT].mean_signed == pytest.approx(
             0.9 - 49 / 58, abs=1e-12
         )
 
@@ -175,11 +174,9 @@ class TestSummarize:
     def test_handcrafted_arithmetic(self):
         def record(i, err):
             return EvaluationRecord(
-                network_id="x",
                 update=EvidenceUpdate(0.5, 0.5),
                 answers={rule: 0.5 for rule in Rule},
                 oracle=0.5 + err,
-                signed_error={rule: err for rule in Rule},
             )
 
         records = [record(0, 0.0), record(1, 0.1), record(2, -0.3)]
@@ -204,20 +201,19 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_non_finite_errors_raise_naming_the_network(self):
+    def test_non_finite_errors_raise(self):
         """An unreachable update's NaN errors are refused; no best rule is
         picked through them."""
         records = [
             EvaluationRecord(
-                network_id="x-7",
                 update=EvidenceUpdate(0.5, u2),
                 answers={rule: 0.5 for rule in Rule},
                 oracle=oracle,
-                signed_error={rule: oracle - 0.5 for rule in Rule},
             )
             for u2, oracle in ((0.0, 0.5), (1.0, math.nan))
         ]
-        with pytest.raises(ValueError, match="network x-7: .*non-finite"):
+        message = r"^cannot summarize a sweep with non-finite errors \(unreachable updates\)$"
+        with pytest.raises(ValueError, match=message):
             summarize(records)
 
 
@@ -411,7 +407,7 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("value", [True, np.True_, "0.5", None])
     def test_grid_values_that_are_not_real_numbers_are_refused(self, value):
-        with pytest.raises(ValueError, match=f"grid values must be real numbers, got {value!r}"):
+        with pytest.raises(ValueError, match=f"grid value must be a real number, got {value!r}"):
             small_study_config(grid=(value, 0.5))
 
     def test_list_grid_is_stored_as_a_tuple(self):
@@ -564,14 +560,14 @@ class TestSweepSettings:
         assert (part.grid, part.filter_enabled, part.filter_mode) == ((0.5,), False, "e2-only")
 
 
-def reference_pattern(profile: ConditionalProfile, mode: str) -> MonotonicityPattern:
+def reference_pattern(profile: tuple[float, ...], mode: str) -> MonotonicityPattern:
     """The one-profile screen the array pass replaced."""
-    q = profile
-    nondecreasing = q.q_ff <= q.q_ft and q.q_tf <= q.q_tt
-    nonincreasing = q.q_ff >= q.q_ft and q.q_tf >= q.q_tt
+    q_ff, q_ft, q_tf, q_tt = profile
+    nondecreasing = q_ff <= q_ft and q_tf <= q_tt
+    nonincreasing = q_ff >= q_ft and q_tf >= q_tt
     if mode == "full":
-        nondecreasing = nondecreasing and q.q_ff <= q.q_tf and q.q_ft <= q.q_tt
-        nonincreasing = nonincreasing and q.q_ff >= q.q_tf and q.q_ft >= q.q_tt
+        nondecreasing = nondecreasing and q_ff <= q_tf and q_ft <= q_tt
+        nonincreasing = nonincreasing and q_ff >= q_tf and q_ft >= q_tt
     if nondecreasing:
         return MonotonicityPattern.NONDECREASING
     if nonincreasing:
@@ -581,19 +577,19 @@ def reference_pattern(profile: ConditionalProfile, mode: str) -> MonotonicityPat
 
 def reference_diagnostics(table: JointTable) -> tuple[float, ...]:
     """The one-table diagnostics the array pass replaced, as a tuple."""
-    q = conditional_profile(table)
+    q_ff, q_ft, q_tf, q_tt = conditional_profile(table)
     p_e1, p_e2, _ = rates(table.cells)
     x_ff, x_ft, x_tf, x_tt = (table.cells[t] for t in (1, 3, 5, 7))
-    conjunctive_rows = (q.q_ff, q.q_ft, q.q_tf)
-    disjunctive_rows = (q.q_ft, q.q_tf, q.q_tt)
+    conjunctive_rows = (q_ff, q_ft, q_tf)
+    disjunctive_rows = (q_ft, q_tf, q_tt)
     return (
         (x_ff + x_ft + x_tf) / (1.0 - p_e1 * p_e2),
         max(conjunctive_rows) - min(conjunctive_rows),
-        abs(q.q_tt - sum(conjunctive_rows) / 3.0),
+        abs(q_tt - sum(conjunctive_rows) / 3.0),
         (x_ft + x_tf + x_tt) / (1.0 - (1.0 - p_e1) * (1.0 - p_e2)),
         max(disjunctive_rows) - min(disjunctive_rows),
-        abs(q.q_ff - sum(disjunctive_rows) / 3.0),
-        abs(q.q_tf - q.q_tt),
+        abs(q_ff - sum(disjunctive_rows) / 3.0),
+        abs(q_tf - q_tt),
     )
 
 
@@ -852,7 +848,7 @@ def generic_results_csv(evaluations) -> str:
                     record.update.p_new_e2,
                     *(record.answers[rule] for rule in RULE_ORDER),
                     record.oracle,
-                    *(record.signed_error[rule] for rule in RULE_ORDER),
+                    *(record.oracle - record.answers[rule] for rule in RULE_ORDER),
                 )
             )
     return _serialize.csv_text(RESULTS_HEADER, rows)
@@ -1311,6 +1307,48 @@ class TestSpearman:
 NON_MONOTONE = compose_table((0.25, 0.25, 0.25, 0.25), (0.9, 0.1, 0.1, 0.9))
 # Valid, monotone (flat), and with P(C) = 0: the odds product is undefined.
 NEVER_C = compose_table((0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 0.0))
+# P(E1) = 0 with P(E2) = P(C) = 1/2: the E1 link is undefined.
+NEVER_E1 = JointTable((0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0))
+# The view of such a table, which network_view refuses to build.
+NEVER_E1_VIEW = NetworkView(0.5, (0.0, 0.5), (0.5, 0.5), (0.5, 0.5))
+
+
+def refusal(name: str, where: str = "") -> str:
+    return f"{where}base rate of {name} is 0.0; the rules need 0 < P({name}) < 1"
+
+
+#: Every entry point that refuses a base rate of 0, with the text it gives.
+#: ``evaluate_tables`` refuses NEVER_E1 earlier, as an invalid table (its
+#: E1-true evidence states have no mass).
+BASE_RATE_REFUSALS = {
+    "sweep-C": (lambda: sweep([NEVER_C.cells], GRID_QUARTERS), refusal("C")),
+    "sweep-ids-C": (
+        lambda: sweep([NEVER_C.cells], GRID_QUARTERS, ids=["x-7"]),
+        refusal("C", "network x-7: "),
+    ),
+    "evaluate_tables-C": (lambda: evaluate_tables([NEVER_C]), refusal("C", "network net-0000: ")),
+    "evaluate_network-C": (lambda: evaluate_network(NEVER_C), refusal("C")),
+    "error_surface-C": (lambda: error_surface(NEVER_C, Rule.CONJUNCTIVE, 0.5), refusal("C")),
+    "infer-C": (lambda: infer(network_view(NEVER_C), Rule.INDEPENDENT, (0.3, 0.6)), refusal("C")),
+    "sweep-E1": (lambda: sweep([NEVER_E1.cells], GRID_QUARTERS), refusal("E1")),
+    "sweep-ids-E1": (
+        lambda: sweep([NEVER_E1.cells], GRID_QUARTERS, ids=["x-7"]),
+        refusal("E1", "network x-7: "),
+    ),
+    "evaluate_network-E1": (lambda: evaluate_network(NEVER_E1), refusal("E1")),
+    "error_surface-E1": (lambda: error_surface(NEVER_E1, Rule.CONJUNCTIVE, 0.5), refusal("E1")),
+    "network_view-E1": (lambda: network_view(NEVER_E1), refusal("E1")),
+    "propagate-E1": (lambda: propagate(LinkParams(0.5, 0.0, 0.5, 0.5), 0.3), refusal("E")),
+    "infer-E1": (lambda: infer(NEVER_E1_VIEW, Rule.INDEPENDENT, (0.3, 0.6)), refusal("E")),
+}
+
+
+@pytest.mark.parametrize("entry", BASE_RATE_REFUSALS)
+def test_every_base_rate_refusal_gives_the_one_text(entry):
+    call, message = BASE_RATE_REFUSALS[entry]
+    with pytest.raises(DegenerateBaseRateError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 class TestEdgeSamples:

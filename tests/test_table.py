@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import json_reference
 from prospector_eval import (
-    ConditionalProfile,
     EvidenceUpdate,
     GenerationConfig,
     InvalidTableError,
@@ -44,6 +43,7 @@ from prospector_eval.table import (
     cell_index,
     compose_cells,
     conclusion_cells,
+    conditional_profiles,
     link_conditionals,
     load_networks,
     pair_masses,
@@ -114,7 +114,8 @@ class TestBaseRates:
 class TestConditionalProfile:
     def test_case_study_1(self, case1):
         profile = conditional_profile(case1)
-        assert profile.as_tuple() == pytest.approx((0.10, 0.50, 0.50, 0.90), abs=1e-12)
+        assert profile == pytest.approx((0.10, 0.50, 0.50, 0.90), abs=1e-12)
+        assert type(profile) is tuple and all(type(q) is float for q in profile)
 
     def test_case_study_2_matches_linear_solve(self, case2):
         """Re-derive the profile from the defining constraints, independently.
@@ -135,9 +136,9 @@ class TestConditionalProfile:
             0.95,
         )
         profile = conditional_profile(case2)
-        assert profile.as_tuple() == pytest.approx(expected, abs=1e-12)
+        assert profile == pytest.approx(expected, abs=1e-12)
         # Frozen values of that solve, for reference elsewhere.
-        assert profile.as_tuple() == pytest.approx(
+        assert profile == pytest.approx(
             (0.0311172954030097, 0.6974747474747475, 0.5928571428571429, 0.95),
             abs=1e-12,
         )
@@ -152,7 +153,7 @@ class TestConditionalProfile:
     def test_constant_profile_when_conclusion_independent(self):
         table = compose_table((0.24, 0.16, 0.36, 0.24), (0.3, 0.3, 0.3, 0.3))
         profile = conditional_profile(table)
-        assert profile.as_tuple() == pytest.approx((0.3,) * 4, abs=1e-12)
+        assert profile == pytest.approx((0.3,) * 4, abs=1e-12)
 
 
 class TestNetworkView:
@@ -195,7 +196,7 @@ class TestComposeTable:
     def test_round_trip(self, raw):
         """(pair marginals, profile) is a lossless factorization of the cells."""
         table = normalized_table(raw)
-        rebuilt = compose_table(pair_masses(table.cells), conditional_profile(table).as_tuple())
+        rebuilt = compose_table(pair_masses(table.cells), conditional_profile(table))
         assert rebuilt.cells == pytest.approx(table.cells, abs=1e-12)
 
     def test_independent_mixture_identity(self):
@@ -442,6 +443,23 @@ class TestLayoutHelpers:
                 assert same_bits(rate[k], row[mask].sum())
             assert same_bits(masses[k], [row[f] + row[t] for f, t in PAIR_CELLS])
             assert same_bits(true_cells[k], [row[t] for _, t in PAIR_CELLS])
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_arrays)
+    def test_conditional_profiles_match_the_one_state_division(self, cells):
+        """Each state's conclusion-true cell over its pair mass, 0.0 where
+        that mass is not positive; ``conditional_profile`` gives the same
+        floats for a table with mass on every state and refuses any other."""
+        profiles = conditional_profiles(cells)
+        for k, row in enumerate(cells.tolist()):
+            masses = [row[f] + row[t] for f, t in PAIR_CELLS]
+            expected = [row[t] / m if m > 0.0 else 0.0 for m, (_, t) in zip(masses, PAIR_CELLS)]
+            assert same_bits(profiles[k], expected)
+            if min(masses) > 0.0:
+                assert same_bits(conditional_profile(JointTable(tuple(row))), expected)
+            else:
+                with pytest.raises(ZeroMarginalError):
+                    conditional_profile(JointTable(tuple(row)))
 
     @settings(max_examples=200, deadline=None)
     @given(cell_arrays)

@@ -191,12 +191,13 @@ def infer(
     view: NetworkView, rule: Rule, update: tuple[float, float]
 ) -> tuple[float, InferenceTrace]:
     """Answer one two-evidence query: new evidence probabilities
-    (u1, u2) -> P'(C).  Raises DegenerateBaseRateError, as the sweep does,
-    when P(C) is 0 or 1."""
+    (u1, u2) -> P'(C).  Raises DegenerateBaseRateError, with the sweep's
+    text, when P(C), P(E1) or P(E2) is 0 or 1."""
     update = _check_probabilities(update)
     if len(update) != 2:
         raise ValueError(f"need one update per evidence variable (two), got {len(update)}")
-    require_base_rate("C", view.p_c)
+    for name, rate in (("C", view.p_c), ("E1", view.p_e[0]), ("E2", view.p_e[1])):
+        require_base_rate(name, rate)
     u1, u2 = update
     if rule is Rule.INDEPENDENT:
         chosen = (0, 1)

@@ -115,14 +115,13 @@ def conditional_profiles(cells) -> np.ndarray:
 def require_base_rate(name: str, rate, ids: Sequence[str] | None = None) -> None:
     """DegenerateBaseRateError for the first P(``name``) in ``rate`` (a float, or
     one per network, named by ``ids`` if given) outside (0, 1)."""
-    if type(rate) is not float or not 0.0 < rate < 1.0:  # a valid float skips numpy
-        rate = np.asarray(rate, dtype=float).ravel()
-        if (bad := np.flatnonzero(~((rate > 0.0) & (rate < 1.0)))).size:
-            where = "" if ids is None else f"network {ids[bad[0]]}: "
-            raise DegenerateBaseRateError(
-                f"{where}base rate of {name} is {float(rate[bad[0]])!r}; "
-                f"the rules need 0 < P({name}) < 1"
-            )
+    rate = np.asarray(rate, dtype=float).ravel()
+    if (bad := np.flatnonzero(~((rate > 0.0) & (rate < 1.0)))).size:
+        where = "" if ids is None else f"network {ids[bad[0]]}: "
+        raise DegenerateBaseRateError(
+            f"{where}base rate of {name} is {float(rate[bad[0]])!r}; "
+            f"the rules need 0 < P({name}) < 1"
+        )
 
 
 def link_conditionals(cells):

@@ -4,8 +4,8 @@ The package draws its random streams with its own array PCG64, so neither
 generating networks nor running a study may load ``numpy.random`` (about
 10 ms of cold start for ``prospector-eval generate``); that is checked in a
 fresh interpreter.  Only ``table`` decodes the eight-cell layout, so no
-other module imports its masks or cell-index pairs, divides conclusion
-cells by pair masses or raises DegenerateBaseRateError.  Deleting code must
+other module imports its masks or cell-index pairs, divides by pair masses
+or raises DegenerateBaseRateError.  Deleting code must
 not leave dead code behind: no module imports a name it never uses, and
 every module-level private function or constant is referenced in the
 package.  Importing the CLI builds none of the serializer's lazy tables or
@@ -246,19 +246,45 @@ def test_only_table_holds_the_cell_layout(module):
     assert not {"MASK_E1", "MASK_E2", "MASK_C", "PAIR_CELLS"} & names.keys()
 
 
+def bound_from(tree: ast.AST, function: str) -> set[str]:
+    """Every name ``tree`` binds to the result of a ``function(...)`` call, by
+    ``=`` (a tuple target element for element) or by ``:=``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.NamedExpr)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(target.elts, node.value.elts))
+                for name, value in pairs:
+                    if f"{function}(" in ast.unparse(value):
+                        names |= {n.id for n in ast.walk(name) if isinstance(n, ast.Name)}
+    return names
+
+
 def test_only_table_computes_the_profile_and_refuses_a_base_rate():
-    """Only ``table`` computes P(C | E1, E2) and refuses a base rate outside
-    (0, 1): no other module divides conclusion cells by pair masses, the
-    oracle does not read the conclusion cells at all, and the one
-    construction of DegenerateBaseRateError is ``table``'s."""
-    profile_divisions = [
-        (module, ast.unparse(node))
-        for module, tree in TREES.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.Div)
-        and "conclusion_cells" in ast.unparse(node.left)
-    ]
+    """Only ``table`` divides by pair masses or constructs
+    DegenerateBaseRateError, and the oracle reads no conclusion cells.  A
+    division counts when ``/`` has a ``conclusion_cells(...)`` call on its
+    left, or a ``pair_masses(...)`` call, or a name bound from one, on its
+    right; ``np.divide`` is not inspected (``mce_update`` scales its pairs by
+    weights / pairs that way).  ``conditional_profile``'s one-state loop
+    divides by a mass it adds itself; ``tests/test_table.py`` pins it to
+    ``conditional_profiles`` bit for bit."""
+    profile_divisions = []
+    for module, tree in TREES.items():
+        masses = bound_from(tree, "pair_masses")
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+                continue
+            right = {n.id for n in ast.walk(node.right) if isinstance(n, ast.Name)}
+            if (
+                "conclusion_cells(" in ast.unparse(node.left)
+                or "pair_masses(" in ast.unparse(node.right)
+                or right & masses
+            ):
+                profile_divisions.append((module, ast.unparse(node)))
     assert profile_divisions == [("table.py", "conclusion_cells(cells) / pairs")]
     assert "conclusion_cells" not in loaded_names(TREES["oracle.py"])
     refusals = [

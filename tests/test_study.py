@@ -1339,7 +1339,7 @@ BASE_RATE_REFUSALS = {
     "error_surface-E1": (lambda: error_surface(NEVER_E1, Rule.CONJUNCTIVE, 0.5), refusal("E1")),
     "network_view-E1": (lambda: network_view(NEVER_E1), refusal("E1")),
     "propagate-E1": (lambda: propagate(LinkParams(0.5, 0.0, 0.5, 0.5), 0.3), refusal("E")),
-    "infer-E1": (lambda: infer(NEVER_E1_VIEW, Rule.INDEPENDENT, (0.3, 0.6)), refusal("E")),
+    "infer-E1": (lambda: infer(NEVER_E1_VIEW, Rule.INDEPENDENT, (0.3, 0.6)), refusal("E1")),
 }
 
 

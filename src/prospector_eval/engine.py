@@ -19,12 +19,13 @@ and ``infer`` answers it under one of three rule sets:
   converted to odds, divided by the prior odds to give an effective
   likelihood ratio, and the ratios multiply the prior odds.
 
-Every rule's trace is built one way: the clamped prior and its odds, one
-entry per fused posterior, the combined odds, and the answer.
-Probabilities are clamped into [1e-12, 1 - 1e-12] before any odds
-conversion so certain evidence stays finite; every clamp is flagged in the
-returned trace.  Ties in MIN/MAX (u1 == u2) go to E1 and are flagged.
-Like the sweep, ``infer`` refuses a network whose P(C) is 0 or 1.
+The arithmetic is written once, as elementwise numpy functions that the
+study's sweep shares: ``linear_link``, ``odds`` (after clamping into
+[1e-12, 1 - 1e-12], so certain evidence stays finite) and ``odds_product``.
+Every rule's trace is built from them one way: the clamped prior and its
+odds, one entry per fused posterior (each clamp flagged), the combined odds,
+and the answer.  Ties in MIN/MAX (u1 == u2) go to E1 and are flagged.  Like
+the sweep, ``infer`` and ``combine_independent`` refuse a P(C) of 0 or 1.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyEvidenceError
 from .table import NetworkView, require_base_rate, require_probability, require_real
@@ -62,22 +65,43 @@ class LinkParams:
             object.__setattr__(self, name, require_real(value, name))
 
 
-def propagate(link: LinkParams, p_new_e: float) -> float:
-    """Posterior conclusion probability for one link given P'(E) = p_new_e.
+def linear_link(p_c, p_e, p_c_given_e, p_c_given_not_e, u):
+    """P'(C) of links given P'(E) = u, elementwise: piecewise-linear through
+    the anchors (0, P(C|not E)), (P(E), P(C)), (1, P(C|E)), clamped into
+    [0, 1] to absorb rounding on slightly inconsistent links."""
+    below = p_c_given_not_e + (p_c - p_c_given_not_e) * u / p_e
+    above = p_c + (p_c_given_e - p_c) * (u - p_e) / (1.0 - p_e)
+    return np.minimum(np.maximum(np.where(u <= p_e, below, above), 0.0), 1.0)
 
-    Piecewise-linear through the anchors (0, P(C|not E)), (P(E), P(C)),
-    (1, P(C|E)); the result is clamped into [0, 1] to absorb rounding on
-    slightly inconsistent links.
-    """
+
+def odds_clamp(p):
+    """``p`` clamped into [ODDS_CLAMP, 1 - ODDS_CLAMP], elementwise."""
+    return np.minimum(np.maximum(p, ODDS_CLAMP), 1.0 - ODDS_CLAMP)
+
+
+def odds(p):
+    """The odds of ``p`` after ``odds_clamp``, elementwise."""
+    p = odds_clamp(p)
+    return p / (1.0 - p)
+
+
+def odds_product(prior_odds, evidence_odds):
+    """The independent rule in odds space: each of ``evidence_odds`` over
+    ``prior_odds`` (the likelihood ratios, in evidence order), the prior
+    odds times the ratios in that order, and that product's probability."""
+    ratios, combined = [], prior_odds
+    for value in evidence_odds:
+        ratios.append(value / prior_odds)
+        combined = combined * ratios[-1]
+    return ratios, combined, combined / (1.0 + combined)
+
+
+def propagate(link: LinkParams, p_new_e: float) -> float:
+    """Posterior conclusion probability for one link given P'(E) = p_new_e,
+    ``linear_link``'s value as a Python float."""
     p_new_e = require_probability(p_new_e, "new evidence probability")
     require_base_rate("E", link.p_e)
-    if p_new_e <= link.p_e:
-        value = link.p_c_given_not_e + (link.p_c - link.p_c_given_not_e) * p_new_e / link.p_e
-    else:
-        value = link.p_c + (link.p_c_given_e - link.p_c) * (p_new_e - link.p_e) / (
-            1.0 - link.p_e
-        )
-    return min(max(value, 0.0), 1.0)
+    return float(linear_link(link.p_c, link.p_e, link.p_c_given_e, link.p_c_given_not_e, p_new_e))
 
 
 def _check_probabilities(values: Sequence[float]) -> list[float]:
@@ -85,10 +109,6 @@ def _check_probabilities(values: Sequence[float]) -> list[float]:
     if len(values) == 0:
         raise EmptyEvidenceError("need at least one evidence value")
     return [require_probability(v, "probabilities") for v in values]
-
-
-def _clamp_unit(p: float) -> float:
-    return min(max(p, ODDS_CLAMP), 1.0 - ODDS_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -141,31 +161,30 @@ def _trace(
 ) -> InferenceTrace:
     """The audit trail every rule builds: the clamped prior and its odds,
     one entry per fused (index, p_new_e, posterior) with its clamped odds
-    and likelihood ratio, and the combined odds.  The probability is the
-    odds product's, or under MIN/MAX the one fused posterior."""
-    used_prior = _clamp_unit(p_c)
-    prior_odds = used_prior / (1.0 - used_prior)
-    combined = prior_odds
-    entries = []
-    for index, p_new_e, posterior in fused:
-        used = _clamp_unit(posterior)
-        odds = used / (1.0 - used)
-        ratio = odds / prior_odds
-        combined *= ratio
-        entries.append(
-            EvidenceTrace(index, p_new_e, posterior, used, odds, ratio, used != posterior)
-        )
+    and likelihood ratio, and the combined odds, each from the sweep's
+    functions.  The probability is the odds product's, or under MIN/MAX the
+    one fused posterior."""
+    indices, updates, posteriors = zip(*fused)
+    values = np.array([p_c, *posteriors])
+    used = odds_clamp(values)
+    used_prior, *used_posteriors = used.tolist()
+    prior_clamped, *clamped = (used != values).tolist()
+    prior_odds, *evidence_odds = odds(values).tolist()
+    ratios, combined, probability = odds_product(prior_odds, evidence_odds)
+    entries = map(
+        EvidenceTrace, indices, updates, posteriors, used_posteriors, evidence_odds, ratios, clamped
+    )
     independent = rule is Rule.INDEPENDENT
     return InferenceTrace(
         rule=rule,
         prior=p_c,
         used_prior=used_prior,
         prior_odds=prior_odds,
-        prior_clamped=used_prior != p_c,
+        prior_clamped=prior_clamped,
         evidence=tuple(entries),
         combined_odds=combined,
-        probability=combined / (1.0 + combined) if independent else entries[0].posterior,
-        selected=None if independent else entries[0].index,
+        probability=probability if independent else posteriors[0],
+        selected=None if independent else indices[0],
         tie=tie,
     )
 
@@ -177,12 +196,11 @@ def combine_independent(
 
     Each posterior is turned into an effective likelihood ratio against the
     prior odds; the prior odds times the product of the ratios gives the
-    combined odds, which convert back to a probability.  Requires a prior
-    strictly inside (0, 1).
+    combined odds, which convert back to a probability.  Raises
+    DegenerateBaseRateError, with the sweep's text, when the prior is 0 or 1.
     """
     posteriors = _check_probabilities(posteriors)
-    if not 0.0 < (prior := require_real(p_c, "prior")) < 1.0:
-        raise ValueError(f"prior must lie strictly inside (0, 1), got {p_c!r}")
+    require_base_rate("C", prior := require_real(p_c, "prior"))
     trace = _trace(Rule.INDEPENDENT, prior, [(i, None, p) for i, p in enumerate(posteriors)])
     return trace.probability, trace
 
@@ -207,9 +225,10 @@ def infer(
         chosen = (0 if u1 >= u2 else 1,)
     else:
         raise ValueError(f"unknown rule: {rule!r}")
-    fused = []
-    for i in chosen:
-        link = LinkParams(view.p_c, view.p_e[i], view.p_c_given_e[i], view.p_c_given_not_e[i])
-        fused.append((i, update[i], propagate(link, update[i])))
+    fields = view.p_e, view.p_c_given_e, view.p_c_given_not_e
+    fused = [
+        (i, update[i], float(linear_link(view.p_c, *(f[i] for f in fields), update[i])))
+        for i in chosen
+    ]
     trace = _trace(rule, view.p_c, fused, tie=rule is not Rule.INDEPENDENT and bool(u1 == u2))
     return trace.probability, trace

@@ -53,10 +53,11 @@ IPF_TOLERANCE = 1e-10
 IPF_MAX_ITERATIONS = 10000
 MAX_RESAMPLES = 10
 
-#: Seed used when none is given.  The shipped default yields the expected
-#: qualitative outcome of the comparison (independent rule dominant in both
-#: classes, larger errors on associated networks, positive strength/error
-#: rank correlation) with a comfortable margin.
+#: Seed used when none is given.  With 400+400 networks (criterion 5's
+#: setting) it gives the expected outcome: independent rule dominant in both
+#: classes, larger errors on associated networks (0.0246 against 0.0189),
+#: positive strength/error rank correlation.  The class order is the seed's:
+#: with 4000+4000 it reverses (0.02235 associated, 0.02377 independent).
 DEFAULT_SEED = 30
 
 

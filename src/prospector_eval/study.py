@@ -33,7 +33,7 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from . import _serialize
-from .engine import ODDS_CLAMP, Rule
+from .engine import Rule, linear_link, odds, odds_product
 from .errors import InfeasibleUpdateError, InvalidTableError
 from .generate import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
 from .generate import DEFAULT_SEED, GenerationConfig, network_batch
@@ -151,18 +151,6 @@ class EvaluationRecord:
     oracle: float
 
 
-def _propagate(p_c, p_e, p_c_given_e, p_c_given_not_e, u):
-    """The engine's piecewise-linear link, elementwise."""
-    below = p_c_given_not_e + (p_c - p_c_given_not_e) * u / p_e
-    above = p_c + (p_c_given_e - p_c) * (u - p_e) / (1.0 - p_e)
-    return np.minimum(np.maximum(np.where(u <= p_e, below, above), 0.0), 1.0)
-
-
-def _odds(p):
-    p = np.minimum(np.maximum(p, ODDS_CLAMP), 1.0 - ODDS_CLAMP)
-    return p / (1.0 - p)
-
-
 def sweep(
     cells, grid: Sequence[float], *, ids: Sequence[str] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,13 +161,9 @@ def sweep(
     the rule answers, shape (N, G, G, 3) with rules in RULE_ORDER, and the
     minimum cross-entropy posteriors, shape (N, G, G), NaN where an update
     is unreachable; axis 1 runs over P'(E1) and axis 2 over P'(E2).  The
-    rules use the engine's formulas in the engine's order of operations:
-    piecewise-linear links, MIN/MAX with E1 winning ties, and the odds
-    product with probabilities clamped into [ODDS_CLAMP, 1 - ODDS_CLAMP].
-    So each answer equals the engine's ``infer`` bit for bit, at the
-    links' knees and the certain values 0 and 1 too: 3000 random tables
-    on such grids agreed exactly on every point, and the tests compare
-    the two with ``==``.  Raises DegenerateBaseRateError if some table has
+    rules call the engine's ``linear_link``, ``odds`` and ``odds_product``,
+    with MIN/MAX taking E1 on ties, so each answer equals the engine's
+    ``infer`` bit for bit.  Raises DegenerateBaseRateError if some table has
     P(C), P(E1) or P(E2) at 0 or 1: the links and the odds product are
     undefined there, and the engine refuses such a table as well;
     ``sweep_settings`` checks ``grid``.
@@ -192,17 +176,11 @@ def sweep(
         require_base_rate(name, rate, ids)
     u1, u2 = u[:, None], u[None, :]
     given_e1, given_not_e1, given_e2, given_not_e2 = link_conditionals(tables)
-    post1 = _propagate(p_c, p_e1, given_e1, given_not_e1, u1)
-    post2 = _propagate(p_c, p_e2, given_e2, given_not_e2, u2)
-    prior_odds = _odds(p_c)
-    combined = prior_odds * (_odds(post1) / prior_odds) * (_odds(post2) / prior_odds)
+    post1 = linear_link(p_c, p_e1, given_e1, given_not_e1, u1)
+    post2 = linear_link(p_c, p_e2, given_e2, given_not_e2, u2)
+    independent = odds_product(odds(p_c), map(odds, (post1, post2)))[-1]
     answers = np.stack(
-        (
-            np.where(u1 <= u2, post1, post2),
-            np.where(u1 >= u2, post1, post2),
-            combined / (1.0 + combined),
-        ),
-        axis=-1,
+        (np.where(u1 <= u2, post1, post2), np.where(u1 >= u2, post1, post2), independent), axis=-1
     )
     return answers, posteriors(tables, u1, u2)
 

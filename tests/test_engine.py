@@ -156,9 +156,12 @@ class TestCombineIndependent:
         assert (value, trace) == floats
 
     def test_prior_must_be_interior(self):
+        """A prior outside (0, 1) is refused as ``infer`` refuses such a P(C)."""
         for prior in (0.0, 1.0, np.float64(1.0), 1.5, -0.1, math.nan, 2):
-            with pytest.raises(ValueError, match=r"^prior must lie strictly inside \(0, 1\)"):
+            with pytest.raises(DegenerateBaseRateError) as excinfo:
                 combine_independent([0.5], prior)
+            text = f"base rate of C is {float(prior)!r}; the rules need 0 < P(C) < 1"
+            assert str(excinfo.value) == text
 
     @pytest.mark.parametrize("prior", ["0.5", True, None])
     def test_a_bool_or_non_real_prior_is_a_value_error(self, prior):

@@ -5,7 +5,8 @@ generating networks nor running a study may load ``numpy.random`` (about
 10 ms of cold start for ``prospector-eval generate``); that is checked in a
 fresh interpreter.  Only ``table`` decodes the eight-cell layout, so no
 other module imports its masks or cell-index pairs, divides by pair masses
-or raises DegenerateBaseRateError.  Deleting code must
+or raises DegenerateBaseRateError; only ``engine`` writes the rules'
+arithmetic, which the sweep imports.  Deleting code must
 not leave dead code behind: no module imports a name it never uses, and
 every module-level private function or constant is referenced in the
 package.  Importing the CLI builds none of the serializer's lazy tables or
@@ -296,6 +297,53 @@ def test_only_table_computes_the_profile_and_refuses_a_base_rate():
         and node.func.id == "DegenerateBaseRateError"
     ]
     assert refusals == ["table.py"]
+
+
+def names_in(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_only_engine_writes_the_rule_arithmetic():
+    """``engine`` writes each rule's arithmetic once, as the array functions
+    the sweep imports: the link with its [0, 1] clamp, the odds with the
+    ODDS_CLAMP clamp, and the odds product.  No other module names
+    ODDS_CLAMP, divides what holds x by ``1.0 - x`` (the odds, and the
+    link's upper branch) or does arithmetic on a name holding ``odds``."""
+    engine = importlib.import_module("prospector_eval.engine")
+    study = importlib.import_module("prospector_eval.study")
+    for name in ("linear_link", "odds", "odds_product"):
+        assert getattr(study, name) is getattr(engine, name)
+    writers = []
+    for module, tree in TREES.items():
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        if "ODDS_CLAMP" in loaded_names(tree) | imported:
+            writers.append((module, "ODDS_CLAMP"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.BinOp):
+                continue
+            right = node.right
+            one_minus = (
+                isinstance(right, ast.BinOp)
+                and isinstance(right.op, ast.Sub)
+                and ast.unparse(right.left) == "1.0"
+            )
+            if any("odds" in name for name in names_in(node)) or (
+                isinstance(node.op, ast.Div)
+                and one_minus
+                and names_in(right.right) <= names_in(node.left)
+            ):
+                writers.append((module, ast.unparse(node)))
+    assert {module for module, _ in writers} == {"engine.py"}
+    assert {text for _, text in writers} >= {
+        "ODDS_CLAMP",
+        "p / (1.0 - p)",
+        "(p_c_given_e - p_c) * (u - p_e) / (1.0 - p_e)",
+    }
 
 
 def test_only_table_decodes_the_batch_rows_and_kind_codes():

@@ -30,6 +30,7 @@ from prospector_eval import (
     NetworkView,
     Rule,
     StudyConfig,
+    combine_independent,
     compose_table,
     conditional_profile,
     diagnostics,
@@ -1245,15 +1246,23 @@ class TestSweepKernel:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_engine_point_by_point(self, case):
         """Every kernel answer equals the audited single query bit for bit,
-        ties (u1 = u2 on the diagonal), knees and clamped odds included."""
+        ties (u1 = u2 on the diagonal), knees and clamped odds included, and
+        the independent answer equals ``combine_independent`` of the two
+        links' ``propagate`` values."""
         table, grid = case
         answers, _ = sweep([table.cells], grid)
         view = network_view(table)
+        link1, link2 = (
+            LinkParams(view.p_c, view.p_e[i], view.p_c_given_e[i], view.p_c_given_not_e[i])
+            for i in range(2)
+        )
         for i, u1 in enumerate(grid):
             for j, u2 in enumerate(grid):
                 for k, rule in enumerate(RULE_ORDER):
                     expected = infer(view, rule, (u1, u2))[0]
                     assert answers[0, i, j, k] == expected
+                fused = [propagate(link1, u1), propagate(link2, u2)]
+                assert combine_independent(fused, view.p_c)[0] == answers[0, i, j, 2]
 
     def test_clamp_example_fires_the_clamp(self):
         _, trace = infer(network_view(CLAMPED), Rule.INDEPENDENT, (1.0, 0.0))
@@ -1330,6 +1339,7 @@ BASE_RATE_REFUSALS = {
     "evaluate_network-C": (lambda: evaluate_network(NEVER_C), refusal("C")),
     "error_surface-C": (lambda: error_surface(NEVER_C, Rule.CONJUNCTIVE, 0.5), refusal("C")),
     "infer-C": (lambda: infer(network_view(NEVER_C), Rule.INDEPENDENT, (0.3, 0.6)), refusal("C")),
+    "combine_independent-C": (lambda: combine_independent([0.5], 0.0), refusal("C")),
     "sweep-E1": (lambda: sweep([NEVER_E1.cells], GRID_QUARTERS), refusal("E1")),
     "sweep-ids-E1": (
         lambda: sweep([NEVER_E1.cells], GRID_QUARTERS, ids=["x-7"]),

@@ -9,12 +9,12 @@ compares the two across randomly generated network populations.
 
 Every public name, and every submodule as an attribute, loads on first use
 (PEP 562): ``import prospector_eval`` itself loads neither numpy nor any
-submodule, so a command-line query pays only for the modules it runs.
+submodule, so a command-line query pays only for the modules it runs.  No
+public name is a submodule's name (``generate`` is a function of
+``samplers``), so importing a submodule never rebinds a public name.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -25,8 +25,8 @@ _EXPORTS = {
     "errors": """DegenerateBaseRateError EmptyEvidenceError GenerationError
         InfeasibleConstraintsError InfeasibleUpdateError InvalidTableError NotIndependentError
         ProspectorEvalError ZeroMarginalError""",
-    "generate": "GenerationConfig generate generate_associated generate_independent",
     "oracle": "EvidenceUpdate UpdatedTable correct_posterior independent_closed_form mce_update",
+    "samplers": "GenerationConfig generate generate_associated generate_independent",
     "study": """DEFAULT_SEED DEFAULT_UPDATE_GRID GRID_FIFTH_VALUES GRID_QUARTERS Diagnostics
         EvaluationRecord Evaluations MonotonicityPattern NetworkErrorSummary NetworkEvaluation
         StudyConfig StudyReport diagnostics error_surface evaluate_network evaluate_tables
@@ -52,14 +52,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Package(ModuleType):
-    """Keeps ``generate``, the one public name a submodule shares, bound to
-    the function when the import system binds the loaded submodule here."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if name not in _HOME or not isinstance(value, ModuleType):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

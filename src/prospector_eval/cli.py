@@ -176,7 +176,7 @@ def _shown(path: str) -> str:
 
 
 def _cmd_generate(args, parser) -> int:
-    from .generate import DEFAULT_SEED, GenerationConfig, network_batch
+    from .samplers import DEFAULT_SEED, GenerationConfig, network_batch
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     try:

@@ -1,4 +1,4 @@
-"""Random network generation.
+"""Random network generation: the samplers behind ``generate``.
 
 Two samplers, one per evidence-relation class:
 
@@ -42,8 +42,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import GenerationError
-from .table import MARGIN_CELLS, JointTable, NetworkBatch, compose_cells, product_masses
-from .table import rates, require_int
+from .table import MARGIN_CELLS, JointTable, NetworkBatch, compose_cells, margin_halves
+from .table import product_masses, rates, require_int
 
 #: Fixed by the method: base rates are drawn from (margin, 1 - margin); a fit
 #: converges at this deviation within this many cycles, and a network is
@@ -217,12 +217,12 @@ def fit_margins(cells: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...
     (both read at each call), and a cycle scales E1, E2 and C in that order
     by t/cur on the true cells and (1 - t)/(1 - cur) on the others, cur
     being the true cells added left to right.  Rows are held cell-major,
-    (8, N), each margin's cells a basic-slice view of
-    ``q.reshape(2, 2, 2, N)``; at most ``_TAIL_ROWS`` rows finish in Python
-    floats, by the same IEEE operations in the same order.  Returns (fitted,
-    converged, deviation): converged rows are normalised by a numpy row sum,
-    the others hold their cells after the last cycle; ``deviation`` is each
-    row's margin deviation at its last check, or after the last cycle.
+    (8, N), each margin's cells a view from ``margin_halves``; at most
+    ``_TAIL_ROWS`` rows finish in Python floats, by the same IEEE
+    operations in the same order.  Returns (fitted, converged, deviation):
+    converged rows are normalised by a numpy row sum, the others hold their
+    cells after the last cycle; ``deviation`` is each row's margin
+    deviation at its last check, or after the last cycle.
     """
     fitted = np.array(cells, dtype=float)
     q, targets = fitted.T.copy(), np.asarray(targets, dtype=float).T.copy()
@@ -237,9 +237,7 @@ def fit_margins(cells: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...
             converged[rows[done]] = True
             keep = np.flatnonzero(~done)  # not a mask, which leaves q F-ordered
             rows, q, targets = rows[keep], q.take(keep, axis=1), targets.take(keep, axis=1)
-        cube = q.reshape(2, 2, 2, -1)
-        halves = (cube[1], cube[0]), (cube[:, 1], cube[:, 0]), (cube[:, :, 1], cube[:, :, 0])
-        for (true, false), target in zip(halves, targets):
+        for (true, false), target in zip(margin_halves(q), targets):
             current = true[0, 0] + true[0, 1] + true[1, 0] + true[1, 1]
             true *= target / current
             false *= (1.0 - target) / (1.0 - current)

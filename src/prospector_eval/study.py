@@ -35,9 +35,9 @@ import numpy as np
 from . import _serialize
 from .engine import Rule, linear_link, odds, odds_product
 from .errors import InfeasibleUpdateError, InvalidTableError
-from .generate import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
-from .generate import DEFAULT_SEED, GenerationConfig, network_batch
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
+from .samplers import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
+from .samplers import DEFAULT_SEED, GenerationConfig, network_batch
 from .table import (
     FilterMode,
     JointTable,
@@ -635,6 +635,8 @@ class ErrorSurface(Sequence):
         return self.errors.size
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
         i, j = divmod(range(len(self))[k], len(self.values))
         return (self.values[i], self.values[j], float(self.errors[i, j]))
 
@@ -650,24 +652,21 @@ MAX_SURFACE_VALUES = 1001
 def _lattice(step: float) -> list[float]:
     """0, step, 2*step, … below 1 - 1e-9, then 1.0.
 
-    Refused before anything is built if ``step`` is outside (0, 0.5] or the
-    axis would have more than MAX_SURFACE_VALUES values, that is, if the
-    value at index MAX_SURFACE_VALUES - 1 would still lie below the end.
+    ``step`` is read as a Python float (ValueError for a bool or a non-real
+    one) and refused if it is outside (0, 0.5] or the axis would have more
+    than MAX_SURFACE_VALUES values, that is, if the value at index
+    MAX_SURFACE_VALUES - 1 still lies below the end.
     """
+    step = require_real(step, "step")
     if not 0.0 < step <= 0.5:
         raise ValueError(f"step must lie in (0, 0.5], got {step!r}")
     end = 1.0 - 1e-9
-    if (MAX_SURFACE_VALUES - 1) * step < end:
+    values = np.arange(MAX_SURFACE_VALUES) * step
+    if values[-1] < end:
         raise ValueError(
             f"step {step!r} gives more than {MAX_SURFACE_VALUES} lattice values per axis"
         )
-    values = []
-    k = 0
-    while k * step < end:
-        values.append(k * step)
-        k += 1
-    values.append(1.0)
-    return values
+    return [*values[values < end].tolist(), 1.0]
 
 
 def error_surface(table: JointTable, rule: Rule, step: float) -> ErrorSurface:
@@ -675,9 +674,10 @@ def error_surface(table: JointTable, rule: Rule, step: float) -> ErrorSurface:
 
     The lattice runs 0, step, 2*step, … and always ends exactly at 1.0.
     Rows are (e1, e2, signed error), row-major in (e1, e2).  Raises
-    ValueError unless 0 < step <= 0.5 and the lattice has at most
-    MAX_SURFACE_VALUES values per axis or ``rule`` is not a Rule, and
-    InfeasibleUpdateError if some lattice update is unreachable.
+    ValueError unless ``step`` is a real number (not a bool) with
+    0 < step <= 0.5 and the lattice has at most MAX_SURFACE_VALUES values
+    per axis or ``rule`` is not a Rule, and InfeasibleUpdateError if some
+    lattice update is unreachable.
     """
     if rule not in RULE_ORDER:
         raise ValueError(f"unknown rule: {rule!r}")

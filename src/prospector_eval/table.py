@@ -16,8 +16,9 @@ This is the only module that decodes the cell order.  The others use its
 helpers, which broadcast over arrays of shape (..., 8), one table along the
 last axis: ``rates``, ``pair_masses``, ``conclusion_cells``,
 ``conditional_profiles``, ``link_conditionals``, ``product_masses``,
-``compose_cells`` and ``scale_pairs``, plus ``MARGIN_CELLS`` for the margin
-fit and ``require_base_rate``, the one refusal of a base rate at 0 or 1.
+``compose_cells`` and ``scale_pairs``, plus ``MARGIN_CELLS`` and
+``margin_halves`` for the margin fit and ``require_base_rate``, the one
+refusal of a base rate at 0 or 1.
 ``conditional_profile``, ``network_view`` and ``validate`` take one table.
 
 A batch of networks is a ``NetworkBatch``, the one owner of the batch
@@ -79,6 +80,14 @@ PAIR_CELLS: tuple[tuple[int, int], ...] = tuple(
 MARGIN_CELLS = tuple(
     (np.flatnonzero(mask), np.flatnonzero(~mask)) for mask in (MASK_E1, MASK_E2, MASK_C)
 )
+
+
+def margin_halves(q: np.ndarray):
+    """(true, false) cells of E1, E2 and C, in fitting order, of tables held
+    cell-major, ``q`` (8, N) and C-contiguous: basic-slice (2, 2, N) views,
+    so scaling one scales ``q`` in place."""
+    cube = q.reshape(2, 2, 2, -1)
+    return (cube[1], cube[0]), (cube[:, 1], cube[:, 0]), (cube[:, :, 1], cube[:, :, 0])
 
 
 def rates(cells):

@@ -4,13 +4,12 @@ Everything here runs in-process: stdout/stderr are captured with capsys and
 files land in tmp_path, so the suite stays fast and deterministic.
 """
 
-import importlib
 import json
 from collections import Counter
 
 import pytest
 
-from prospector_eval import load_networks, save_networks
+from prospector_eval import load_networks, samplers, save_networks
 from prospector_eval.cli import main
 from prospector_eval.table import JointTable, Provenance, compose_table
 
@@ -58,9 +57,7 @@ class TestGenerate:
         def exhausted(config):
             raise MemoryError(message)
 
-        # The package's ``generate`` attribute is the function, not the module.
-        generate_module = importlib.import_module("prospector_eval.generate")
-        monkeypatch.setattr(generate_module, "network_batch", exhausted)
+        monkeypatch.setattr(samplers, "network_batch", exhausted)
         out = tmp_path / "x.json"
         assert run("generate", "--kind", "independent", "--count", 10**9, "--out", out) == 1
         err = capsys.readouterr().err

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from prospector_eval import case_study_table, generate
 from prospector_eval.cli import build_parser, main
-from prospector_eval.generate import GenerationConfig
+from prospector_eval.samplers import GenerationConfig
 from prospector_eval.table import NetworkBatch
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import importlib
 
 import numpy as np
 import pytest
@@ -15,9 +14,10 @@ from prospector_eval import (
     generate,
     generate_associated,
     generate_independent,
+    samplers,
     validate,
 )
-from prospector_eval.generate import (
+from prospector_eval.samplers import (
     BASE_RATE_MARGIN,
     IPF_MAX_ITERATIONS,
     IPF_TOLERANCE,
@@ -31,10 +31,6 @@ from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, NetworkBatch, Proven
 
 # One-sided Kolmogorov-Smirnov critical value at the 1% level for n = 400.
 KS_CRITICAL_1PCT_400 = 1.62762 / np.sqrt(400)
-
-# The module itself, whose constants a test may patch: the package's
-# ``generate`` attribute is the function of that name.
-generate_module = importlib.import_module("prospector_eval.generate")
 
 
 def margins(table: JointTable) -> tuple[float, float, float]:
@@ -67,8 +63,8 @@ def scalar_fit(cells, targets, tolerance, max_iterations):
 def scalar_associated(config: GenerationConfig) -> list[JointTable]:
     """Reference sampler: draw, fit and resample each network in turn, with
     the generator's constants as they are when it is called."""
-    eps = generate_module.BASE_RATE_MARGIN
-    max_resamples = generate_module.MAX_RESAMPLES
+    eps = samplers.BASE_RATE_MARGIN
+    max_resamples = samplers.MAX_RESAMPLES
     tables = []
     for index in range(config.count):
         for attempt in range(max_resamples):
@@ -82,8 +78,8 @@ def scalar_associated(config: GenerationConfig) -> list[JointTable]:
             cells, _ = scalar_fit(
                 raw / raw.sum(),
                 targets,
-                generate_module.IPF_TOLERANCE,
-                generate_module.IPF_MAX_ITERATIONS,
+                samplers.IPF_TOLERANCE,
+                samplers.IPF_MAX_ITERATIONS,
             )
             if cells is not None:
                 provenance = Provenance(seed=config.seed, index=index, resamples=attempt)
@@ -192,7 +188,7 @@ class TestIpfFit:
         assert tuple(fitted) == pytest.approx(tuple(reversed_order), abs=1e-9)
 
     def test_reports_deviation_when_capped(self, rng, monkeypatch):
-        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(samplers, "IPF_MAX_ITERATIONS", 1)
         raw = rng.uniform(0.01, 1.0, 8)
         _, converged, deviation = fit_one(raw / raw.sum(), (0.9, 0.1, 0.5))
         assert not converged
@@ -210,8 +206,8 @@ class TestBatchedFit:
         assert [t.provenance for t in batched] == [t.provenance for t in reference]
 
     def test_small_cap_resamples_match_scalar_loop(self, monkeypatch):
-        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 10)
-        monkeypatch.setattr(generate_module, "MAX_RESAMPLES", 8)
+        monkeypatch.setattr(samplers, "IPF_MAX_ITERATIONS", 10)
+        monkeypatch.setattr(samplers, "MAX_RESAMPLES", 8)
         config = GenerationConfig(count=200, seed=DEFAULT_SEED, kind="associated")
         batched = generate_associated(config)
         reference = scalar_associated(config)
@@ -223,7 +219,7 @@ class TestBatchedFit:
         assert max(resamples) == 7
 
     def test_exhausted_budget_names_the_same_network(self, monkeypatch):
-        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 8)
+        monkeypatch.setattr(samplers, "IPF_MAX_ITERATIONS", 8)
         config = GenerationConfig(count=200, seed=DEFAULT_SEED, kind="associated")
         with pytest.raises(GenerationError) as expected:
             scalar_associated(config)
@@ -238,7 +234,7 @@ class TestBatchedFit:
             (margins(case1), rng.uniform(0.05, 0.95, (6, 3)))
         )
         cap = 12  # below what the slowest of these rows needs
-        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", cap)
+        monkeypatch.setattr(samplers, "IPF_MAX_ITERATIONS", cap)
         fitted, converged, deviation = fit_margins(cells, targets)
         cycles = set()
         for row in range(len(cells)):
@@ -256,7 +252,7 @@ class TestBatchedFit:
     def test_fewer_rows_than_the_tail_from_the_first_cycle(self, rng):
         raw = rng.uniform(0.01, 1.0, (10, 8))
         cells, targets = raw / raw.sum(axis=1)[:, None], rng.uniform(0.05, 0.95, (10, 3))
-        assert len(cells) < generate_module._TAIL_ROWS
+        assert len(cells) < samplers._TAIL_ROWS
         fitted, converged, _ = fit_margins(cells, targets)
         assert converged.all()
         for row in range(len(cells)):
@@ -273,9 +269,9 @@ class TestBatchedFit:
         raw = rng.uniform(0.01, 1.0, (10, 8))
         cells = np.vstack((np.tile(case1.as_array(), (20, 1)), raw / raw.sum(axis=1)[:, None]))
         targets = np.vstack((np.tile(margins(case1), (20, 1)), rng.uniform(0.05, 0.95, (10, 3))))
-        assert len(cells) > generate_module._TAIL_ROWS >= 10
+        assert len(cells) > samplers._TAIL_ROWS >= 10
         cap = 12
-        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", cap)
+        monkeypatch.setattr(samplers, "IPF_MAX_ITERATIONS", cap)
         fitted, converged, deviation = fit_margins(cells, targets)
         for row in range(len(cells)):
             expected, detail = scalar_fit(cells[row], targets[row], IPF_TOLERANCE, cap)
@@ -431,7 +427,7 @@ class TestAssociatedGeneration:
     def test_exhausted_resamples_raise(self, monkeypatch):
         # An iteration cap of 1 cannot fit random targets, so every attempt
         # fails and the budget runs out.
-        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(samplers, "IPF_MAX_ITERATIONS", 1)
         config = GenerationConfig(count=1, seed=5, kind="associated")
         with pytest.raises(GenerationError):
             generate_associated(config)

@@ -120,7 +120,7 @@ def test_an_oracle_query_loads_no_study_sampler_or_serializer(tmp_path, by_file)
     posterior, loaded = run_fresh(ORACLE, "oracle", *select, "--e1", "0.3", "--e2", "0.9")
     loaded = set(loaded.split())
     assert float(posterior) > 0 and {"prospector_eval.oracle", "numpy"} <= loaded
-    assert not loaded & {f"prospector_eval.{name}" for name in ("study", "generate", "_serialize")}
+    assert not loaded & {f"prospector_eval.{name}" for name in ("study", "samplers", "_serialize")}
     # Only the network file is JSON: a built-in case loads no JSON parser.
     assert ("json" in loaded) is by_file
 
@@ -136,7 +136,7 @@ def test_generating_networks_loads_no_study(tmp_path):
     """``generate`` without ``--seed`` takes the default seed from the
     sampler's module, so the study harness stays unloaded."""
     *_, loaded = run_fresh(GENERATE, tmp_path / "networks.json")
-    assert {"prospector_eval.generate", "prospector_eval.table"} <= set(loaded.split())
+    assert {"prospector_eval.samplers", "prospector_eval.table"} <= set(loaded.split())
     assert "prospector_eval.study" not in loaded.split()
 
 
@@ -161,15 +161,15 @@ PUBLIC = [
     "errors.NotIndependentError",
     "errors.ProspectorEvalError",
     "errors.ZeroMarginalError",
-    "generate.GenerationConfig",
-    "generate.generate",
-    "generate.generate_associated",
-    "generate.generate_independent",
     "oracle.EvidenceUpdate",
     "oracle.UpdatedTable",
     "oracle.correct_posterior",
     "oracle.independent_closed_form",
     "oracle.mce_update",
+    "samplers.GenerationConfig",
+    "samplers.generate",
+    "samplers.generate_associated",
+    "samplers.generate_independent",
     "study.DEFAULT_SEED",
     "study.DEFAULT_UPDATE_GRID",
     "study.GRID_FIFTH_VALUES",
@@ -227,24 +227,37 @@ def test_an_unknown_name_is_an_attribute_error():
 
 
 FIRST_USE = """
+import sys
 import prospector_eval
-print(prospector_eval.study.results_csv_text.__module__)
-import prospector_eval.generate
+if sys.argv[1:]:
+    print(prospector_eval.study.__name__)
+import prospector_eval.samplers as samplers
 from prospector_eval import generate
-print(generate.__module__, generate.__name__)
+print(type(samplers).__name__, samplers.GenerationConfig.__module__)
+print(type(generate).__name__, generate.__module__, generate.__name__)
 """
 
 
-def test_submodules_resolve_and_do_not_shadow_a_public_name():
-    """A submodule is an attribute on first use; loading the ``generate``
-    module keeps the package's ``generate`` the function."""
-    assert run_fresh(FIRST_USE) == ["prospector_eval.study", "prospector_eval.generate generate"]
+def test_submodules_and_public_names_do_not_collide():
+    """A submodule is an attribute on first use, and no submodule shares a
+    public name: ``import prospector_eval.samplers`` gives the module
+    whether or not the study loaded it first, and the package's
+    ``generate`` stays the function."""
+    names = ["module prospector_eval.samplers", "function prospector_eval.samplers generate"]
+    assert run_fresh(FIRST_USE, "study") == ["prospector_eval.study", *names]
+    assert run_fresh(FIRST_USE) == names
+    assert not set(prospector_eval._EXPORTS) & set(prospector_eval.__all__)
 
 
-@pytest.mark.parametrize("module", ["study", "oracle", "generate", "cases", "engine"])
+@pytest.mark.parametrize("module", ["study", "oracle", "samplers", "cases", "engine"])
 def test_only_table_holds_the_cell_layout(module):
+    """No other module holds the cell masks or index pairs, or reshapes
+    cells into the (E1, E2, C) cube (``table.margin_halves`` does)."""
     names = vars(importlib.import_module(f"prospector_eval.{module}"))
     assert not {"MASK_E1", "MASK_E2", "MASK_C", "PAIR_CELLS"} & names.keys()
+    tree = TREES[f"{module}.py"]
+    calls = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [call for call in calls if ".reshape(2, 2, 2" in call]
 
 
 def bound_from(tree: ast.AST, function: str) -> set[str]:

@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -47,7 +46,7 @@ from prospector_eval import (
     summarize,
     validate,
 )
-from prospector_eval import cli, study
+from prospector_eval import cli, samplers, study
 from prospector_eval.study import (
     DEFAULT_SEED,
     DEFAULT_UPDATE_GRID,
@@ -279,6 +278,9 @@ class TestErrorSurface:
         rows = tuple(points)
         assert [points[k] for k in range(-len(rows), len(rows))] == list(rows + rows)
         assert rows[1][:2] == (0.0, 0.5)
+        assert points[1:3] == rows[1:3] and len(rows[1:3]) == 2
+        assert points[::-1] == rows[::-1]
+        assert points[:0] == ()
         with pytest.raises(IndexError):
             points[len(rows)]
 
@@ -291,6 +293,18 @@ class TestErrorSurface:
             error_surface(case1, Rule.INDEPENDENT, 0.0)
         with pytest.raises(ValueError):
             error_surface(case1, Rule.INDEPENDENT, 0.6)
+        with pytest.raises(ValueError, match="^step must be a real number, got True$"):
+            error_surface(case1, Rule.INDEPENDENT, True)
+
+    def test_step_is_read_as_a_python_float(self, case2):
+        """A float32 step builds the lattice of the float it rounds to, in
+        doubles, as grid values and updates are read."""
+        narrow = error_surface(case2, Rule.INDEPENDENT, np.float32(0.1))
+        assert surface_csv_text(narrow) == surface_csv_text(
+            error_surface(case2, Rule.INDEPENDENT, float(np.float32(0.1)))
+        )
+        assert all(type(value) is float for value in narrow.values)
+        assert surface_csv_text(narrow).splitlines()[2] == "0,0.10000000149011612,0.0055709823440414918"
 
     @pytest.mark.parametrize("step", [0.7, 0.0, math.nan, 1e-12, -0.1, math.inf])
     def test_bad_steps_are_refused_before_building(self, case1, step):
@@ -305,6 +319,14 @@ class TestErrorSurface:
         assert len(study._lattice(0.3)) == 5
         with pytest.raises(ValueError, match="more than 5 lattice values"):
             study._lattice(0.2)
+
+    @given(st.floats(1e-3, 0.5))
+    def test_lattice_is_every_multiple_of_the_step_below_the_end(self, step):
+        values, k = [], 0
+        while k * step < 1.0 - 1e-9:
+            values.append(k * step)
+            k += 1
+        assert study._lattice(step) == [*values, 1.0]
 
     def test_bound_at_the_shipped_cap(self):
         assert len(study._lattice(1.0 / (study.MAX_SURFACE_VALUES - 1))) == study.MAX_SURFACE_VALUES
@@ -349,10 +371,8 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("filter_enabled", [True, False])
     def test_tables_are_the_generated_networks(self, filter_enabled, monkeypatch):
-        # A low iteration cap makes some associated networks resample.  The
-        # package's ``generate`` attribute is the function, not the module.
-        generate_module = importlib.import_module("prospector_eval.generate")
-        monkeypatch.setattr(generate_module, "IPF_MAX_ITERATIONS", 10)
+        # A low iteration cap makes some associated networks resample.
+        monkeypatch.setattr(samplers, "IPF_MAX_ITERATIONS", 10)
         config = StudyConfig.default(seed=DEFAULT_SEED, count=200, filter_enabled=filter_enabled)
         generated = {
             "independent": generate(config.independent),

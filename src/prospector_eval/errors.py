@@ -2,7 +2,8 @@
 
 Every error raised by this package derives from :class:`ProspectorEvalError`,
 so callers (including the CLI) can catch one type to distinguish domain
-failures from programming errors.
+failures from programming errors.  An error carries nothing but its message,
+which the CLI prints as its one-line refusal.
 """
 
 from __future__ import annotations
@@ -15,13 +16,8 @@ class ProspectorEvalError(Exception):
 class InvalidTableError(ProspectorEvalError, ValueError):
     """A joint table violates a structural invariant required by an operation.
 
-    ``issues`` carries the individual findings when the error comes from a
-    full validation pass.
+    From a full validation pass, the message joins ``validate``'s findings.
     """
-
-    def __init__(self, message: str, issues: tuple = ()):
-        super().__init__(message)
-        self.issues = tuple(issues)
 
 
 class ZeroMarginalError(ProspectorEvalError):

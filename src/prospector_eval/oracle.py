@@ -15,7 +15,8 @@ weight x = n'_TT is the root in [max(0, u1 + u2 - 1), min(u1, u2)] of
 
     (1 - theta) x^2 + [(1 - u1 - u2) + theta (u1 + u2)] x - theta u1 u2 = 0,
 
-the other three weights follow from the margins, and
+the other three weights follow from the margins (where such a difference
+would keep no correct bit, from a root at the small diagonal cell), and
 
     P'(C) = sum over (a, b) of n'_ab * P(C | E1=a, E2=b).
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from .errors import InfeasibleUpdateError, NotIndependentError
 from .table import (
+    EVIDENCE_STATES,
     JointTable,
     check_cells,
     conditional_profiles,
@@ -43,6 +45,9 @@ from .table import (
     require_valid,
     scale_pairs,
 )
+
+#: One unit in the last place of 1.0.
+_ULP = np.finfo(float).eps
 
 #: Margins within this of their targets count as met: an update at the
 #: table's own base rates returns the cells unchanged, and rounding of this
@@ -87,6 +92,16 @@ def unreachable_message(u1: float, u2: float) -> str:
     )
 
 
+def _root(log_t, u, v):
+    """The (T, T) weight with margins u and v at odds ratio t = e^log_t >= 1.
+    Scaled by 1 / max(1, t - 1), every term stays finite, even for t = inf,
+    and the discriminant is a sum of non-negative terms."""
+    d = np.expm1(log_t)
+    a, b = np.minimum(d, 1.0), np.minimum(1.0 / d, 1.0)
+    disc = (a * (u - v)) ** 2 + b * b + 2.0 * a * b * (u * (1.0 - v) + v * (1.0 - u))
+    return 2.0 * (a + b) * u * v / (b + a * (u + v) + np.sqrt(disc))
+
+
 def pair_weights(pairs, u1, u2) -> np.ndarray:
     """New evidence-pair weights with margins P'(E1) = u1 and P'(E2) = u2.
 
@@ -100,16 +115,9 @@ def pair_weights(pairs, u1, u2) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # log theta: no product of weights can underflow or overflow.
         log_theta = np.log(n_ff) + np.log(n_tt) - np.log(n_ft) - np.log(n_tf)
-        # Relabel E2 where theta < 1, so the root is taken with t = e^|log theta|
-        # >= 1, where the discriminant is a sum of non-negative terms.  The
-        # equation is scaled by 1 / max(1, t - 1): with a = min(1, t - 1) and
-        # b = min(1, 1 / (t - 1)) every term stays finite, even for t = inf.
+        # Relabel E2 where theta < 1, so the root is taken with t >= 1.
         flip = log_theta < 0.0
-        v2 = np.where(flip, 1.0 - u2, u2)
-        d = np.expm1(np.abs(log_theta))
-        a, b = np.minimum(d, 1.0), np.minimum(1.0 / d, 1.0)
-        disc = (a * (u1 - v2)) ** 2 + b * b + 2.0 * a * b * (u1 * (1.0 - v2) + v2 * (1.0 - u1))
-        y = 2.0 * (a + b) * u1 * v2 / (b + a * (u1 + v2) + np.sqrt(disc))
+        y = _root(np.abs(log_theta), u1, np.where(flip, 1.0 - u2, u2))
         x = np.where(flip, u1 - y, y)
     zero = pairs <= 0.0
     degenerate = zero.any()
@@ -122,12 +130,47 @@ def pair_weights(pairs, u1, u2) -> np.ndarray:
     # Clipping to the bounds any table with these margins obeys removes
     # rounding and makes certain targets exact.
     x = np.minimum(np.maximum(x, np.maximum(0.0, u2 - (1.0 - u1))), np.minimum(u1, u2))
-    weights = np.maximum(np.stack(((1.0 - u1) - (u2 - x), u2 - x, u1 - x, x), axis=-1), 0.0)
+    ff, ft, tf = (1.0 - u1) - (u2 - x), u2 - x, u1 - x
+    weights = np.stack((ff, ft, tf, x), axis=-1)
+    # A weight of at most an ulp of 1 is a difference of margins with no correct
+    # bit left.  Certain targets make exact zeros, and zero pair weights are
+    # pinned below; any other such row is solved again at its small cell.
+    interior = ((0.0 < u1) & (u1 < 1.0)) & ((0.0 < u2) & (u2 < 1.0))
+    least = np.minimum(np.minimum(ff, ft), np.minimum(tf, x))
+    redo = (least <= _ULP) & interior & ~zero.any(axis=-1)
+    if redo.any():
+        rows = (np.broadcast_to(v, redo.shape)[redo] for v in (log_theta, u1, u2))
+        weights[redo] = _small_cell_weights(*rows)
+    weights = np.maximum(weights, 0.0)
     if degenerate:
         unreachable = (zero & (weights > MATCH_TOL)).any(axis=-1)
         weights = np.where(zero, 0.0, weights)
         weights = np.where(unreachable[..., None], np.nan, weights)
     return weights
+
+
+def _small_cell_weights(log_theta, u1, u2) -> np.ndarray:
+    """``pair_weights`` of positive rows at interior targets, each weight
+    with its relative accuracy.  The root is taken at the diagonal cell of
+    the t >= 1 frame whose margins p and q add to at most 1, and the far
+    cell is the smaller remaining margin less its neighbour.  The two cells
+    beside the root differ by p - q and, by the odds-ratio identity,
+    multiply to root * far / t: the lesser is solved from those."""
+    e1 = np.where(log_theta < 0.0, u1 <= u2, u1 + u2 <= 1.0)  # the root cell's states
+    e2 = e1 ^ (log_theta < 0.0)
+    p, p_rest = np.where(e1, u1, 1.0 - u1), np.where(e1, 1.0 - u1, u1)
+    q, q_rest = np.where(e2, u2, 1.0 - u2), np.where(e2, 1.0 - u2, u2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = np.minimum(_root(np.abs(log_theta), p, q), np.minimum(p, q))
+        far = np.where(p_rest <= q_rest, p_rest - (q - root), q_rest - (p - root))
+        gap, product = p - q, root * far / np.exp(np.abs(log_theta))
+        lesser = 2.0 * product / (np.abs(gap) + np.sqrt(gap * gap + 4.0 * product))
+    lesser = np.where(product > 0.0, lesser, 0.0)
+    near_p = np.where(gap < 0.0, lesser, lesser + gap)  # cell (e1, not e2)
+    near_q = np.where(gap < 0.0, lesser - gap, lesser)  # cell (not e1, e2)
+    # Cell (a, b) is the one at 2 * (a == e1) + (b == e2) of (far, near_q, near_p, root).
+    at = np.stack([2 * (e1 == a) + (e2 == b) for a, b in EVIDENCE_STATES], axis=-1)
+    return np.take_along_axis(np.stack((far, near_q, near_p, root), axis=-1), at, axis=-1)
 
 
 def posteriors(cells, u1, u2) -> np.ndarray:

@@ -20,7 +20,11 @@ from ``SeedSequence(entropy=seed, spawn_key=(i, attempt))``, whose raw
 outputs become doubles as ``Generator.random`` makes them and are scaled as
 ``Generator.uniform`` scales them.  Batches are therefore reproducible and
 order-independent, and the files rest only on ``SeedSequence`` and PCG64
-raw output, which NumPy keeps stable across releases.  Both run here for
+raw output, which NumPy keeps stable across releases.  The key has no class
+in it, so independent network ``i`` and associated network ``i`` draw the
+same first doubles and, unless the associated one was resampled, share
+their evidence base rates within ``IPF_TOLERANCE``: the classes a study
+compares are paired on P(E1) and P(E2).  Both run here for
 every pending network in one array pass (``_stream_words``, and the array
 PCG64 ``_draw_doubles``, checked bit for bit against ``numpy.random`` by
 the tests), and so does the arithmetic after the draws: one array pass

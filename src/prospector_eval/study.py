@@ -419,8 +419,7 @@ def _evaluate(
             require_valid(table)
         except InvalidTableError as exc:
             raise InvalidTableError(
-                f"network {network_id} (provenance {table.provenance}): {exc}",
-                issues=exc.issues,
+                f"network {network_id} (provenance {table.provenance}): {exc}"
             ) from exc
     profiles = conditional_profiles(cells)
     codes = _pattern_code(*profiles.T, filter_mode)

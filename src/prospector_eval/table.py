@@ -321,14 +321,6 @@ def compose_table(
 
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    """One violated invariant: a stable code plus a message with the offending value."""
-
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
 class CellChecks:
     """Every quantity ``validate`` checks, for a batch of tables (one row each).
 
@@ -379,11 +371,9 @@ def check_cells(
     )
 
 
-def validate(
-    table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR
-) -> tuple[ValidationIssue, ...]:
-    """Check structural invariants, returning every violation found: none
-    for a valid table.
+def validate(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) -> tuple[str, ...]:
+    """Check structural invariants, returning a message for every violation
+    found: none for a valid table.
 
     Checks: finite cells, nonnegativity, normalization (sum within
     ``NORMALIZATION_TOL`` of 1), the product identity on evidence pairs when
@@ -397,49 +387,35 @@ def validate(
     cells = table.cells
     if not checks.finite[0]:
         bad = next(i for i, value in enumerate(cells) if not math.isfinite(value))
-        message = f"cell {bad} is not finite: {cells[bad]!r}"
-        return (ValidationIssue("non-finite", message),)
+        return (f"cell {bad} is not finite: {cells[bad]!r}",)
 
-    issues = [
-        ValidationIssue("negative-cell", f"cell {i} is negative: {cells[i]!r}")
-        for i in np.flatnonzero(checks.negative[0]).tolist()
-    ]
+    negative = np.flatnonzero(checks.negative[0]).tolist()
+    issues = [f"cell {i} is negative: {cells[i]!r}" for i in negative]
     if checks.not_normalized[0]:
         issues.append(
-            ValidationIssue(
-                "not-normalized",
-                f"cells sum to {float(checks.total[0])!r}, expected 1 within {NORMALIZATION_TOL}",
-            )
+            f"cells sum to {float(checks.total[0])!r}, expected 1 within {NORMALIZATION_TOL}"
         )
     deviations = checks.deviation[0].tolist()
     for k in np.flatnonzero(checks.mismatch[0]).tolist():
         a, b = EVIDENCE_STATES[k]
         issues.append(
-            ValidationIssue(
-                "independence-mismatch",
-                f"kind=independent but P(E1={a}, E2={b}) deviates from "
-                f"the product of base rates by {deviations[k]!r}",
-            )
+            f"kind=independent but P(E1={a}, E2={b}) deviates from "
+            f"the product of base rates by {deviations[k]!r}"
         )
     masses = checks.masses[0].tolist()
     for k in np.flatnonzero(checks.degenerate[0]).tolist():
         a, b = EVIDENCE_STATES[k]
         issues.append(
-            ValidationIssue(
-                "degenerate-marginal",
-                f"evidence state (E1={a}, E2={b}) has probability {masses[k]!r}, "
-                f"below {marginal_floor}",
-            )
+            f"evidence state (E1={a}, E2={b}) has probability {masses[k]!r}, "
+            f"below {marginal_floor}"
         )
     return tuple(issues)
 
 
 def require_valid(table: JointTable, *, marginal_floor: float = MARGINAL_FLOOR) -> None:
     """Raise InvalidTableError (listing every issue) unless the table is valid."""
-    issues = validate(table, marginal_floor=marginal_floor)
-    if issues:
-        summary = "; ".join(issue.message for issue in issues)
-        raise InvalidTableError(f"invalid table: {summary}", issues=issues)
+    if issues := validate(table, marginal_floor=marginal_floor):
+        raise InvalidTableError(f"invalid table: {'; '.join(issues)}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from prospector_eval.samplers import (
     IPF_TOLERANCE,
     _draw_doubles,
     _stream_words,
+    associated_cells,
     fit_margins,
     independent_cells,
 )
 from prospector_eval.study import DEFAULT_SEED
-from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, NetworkBatch, Provenance
+from prospector_eval.table import MASK_C, MASK_E1, MASK_E2, NetworkBatch, Provenance, rates
 
 # One-sided Kolmogorov-Smirnov critical value at the 1% level for n = 400.
 KS_CRITICAL_1PCT_400 = 1.62762 / np.sqrt(400)
@@ -335,6 +336,21 @@ class TestBatchedSeeding:
         assert [t.cells for t in generate_associated(config)] == [
             t.cells for t in scalar_associated(config)
         ]
+
+    def test_the_two_classes_share_their_streams(self):
+        """The stream key (seed, i, attempt) has no class in it, so network i
+        of either class draws the same first doubles, and a first-attempt
+        associated network fits its evidence base rates to the independent
+        one's within IPF_TOLERANCE: criterion 5 compares classes paired on
+        P(E1) and P(E2).  Under another seed the pairing is gone."""
+        independent, _ = independent_cells(GenerationConfig(400, DEFAULT_SEED, "independent"))
+        associated, resamples = associated_cells(GenerationConfig(400, DEFAULT_SEED, "associated"))
+        other, _ = associated_cells(GenerationConfig(400, DEFAULT_SEED + 1, "associated"))
+        assert not resamples.any()
+        evidence = np.array(rates(independent)[:2])
+        paired = np.abs(np.array(rates(associated)[:2]) - evidence)
+        assert 0.0 < paired.max() <= IPF_TOLERANCE
+        assert np.abs(np.array(rates(other)[:2]) - evidence).max() > 0.5
 
 
 class TestArrayPcg64:

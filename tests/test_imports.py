@@ -10,7 +10,9 @@ arithmetic, which the sweep imports.  Deleting code must
 not leave dead code behind: no module imports a name it never uses, and
 every module-level private function or constant is referenced in the
 package.  Importing the CLI builds none of the serializer's lazy tables or
-templates.  Every Python file parses at the declared floor, Python 3.10.
+templates.  Every Python file parses at the declared floor, Python 3.10,
+and the CI workflow's floor row installs the floors ``pyproject.toml``
+declares.
 
 The package namespace loads on first use: ``import prospector_eval`` loads
 no submodule and no numpy, an ``oracle`` query loads neither the study
@@ -23,6 +25,7 @@ resolves, to the same object.
 import ast
 import dataclasses
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -439,3 +442,17 @@ def test_every_python_file_parses_at_the_declared_floor():
     assert Path(__file__).resolve() in files
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_workflow_floor_row_matches_the_declared_floors():
+    """The CI row that tests at the floors installs the Python and numpy
+    versions ``pyproject.toml`` declares, and no row goes below them."""
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    python = re.search(r'^requires-python = ">=(\d+\.\d+)"$', project, re.M).group(1)
+    numpy = re.search(r'^    "numpy>=(\d+\.\d+)",$', project, re.M).group(1)
+    rows = re.findall(r'- python: "(\d+\.\d+)"\n\s+numpy: "([^"]+)"', workflow)
+    assert (python, numpy) == ("3.10", "1.24")
+    assert (python, f"numpy=={numpy}.*") in rows
+    versions = [tuple(map(int, row_python.split("."))) for row_python, _ in rows]
+    assert min(versions) == (3, 10)

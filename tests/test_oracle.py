@@ -24,7 +24,7 @@ from prospector_eval import (
     independent_closed_form,
     mce_update,
 )
-from prospector_eval.oracle import MATCH_TOL, posteriors
+from prospector_eval.oracle import MATCH_TOL, pair_weights, posteriors
 from prospector_eval.table import (
     MARGINAL_FLOOR,
     MASK_E1,
@@ -437,9 +437,46 @@ def wide_tables(draw) -> JointTable:
 #: A table spanning the whole cell range.
 WIDE = normalized([1, 1e-14, 0.3, 1e-7, 1e-14, 0.5, 1e-3, 0.2])
 
+#: A table whose FT weight, updated to (1 - 1e-12, 1e-12), is 2.6e-16: as a
+#: difference of margins it keeps no correct bit.
+CANCELLING = JointTable(
+    (
+        0.04329004251002088,
+        0.004329004251002087,
+        0.43290042510020876,
+        0.04329004251002088,
+        0.43290042510020876,
+        0.04329004251002088,
+        4.329004251002088e-09,
+        1.3689513433717848e-08,
+    )
+)
+
 
 class TestHighPrecisionReference:
     """The closed form against the quadratic solved in 80-digit decimals."""
+
+    @pytest.mark.parametrize(
+        "pairs, u1, u2",
+        [
+            ((0.5, 1e-20, 1e-20, 0.5), 0.3, 0.6),  # TF cancels
+            ((1e-20, 0.5, 0.5, 1e-20), 0.3, 0.6),  # TT cancels, theta < 1
+            ((0.5, 1e-20, 1e-20, 0.5), 0.3, 0.3),  # FT and TF both cancel
+            ((0.5, 1e-20, 1e-20, 0.5), 0.7, 0.6),  # FT cancels, root at FF
+            (tuple(pair_masses(CANCELLING.cells).tolist()), 1 - 1e-12, 1e-12),
+        ],
+    )
+    def test_weights_below_an_ulp_keep_their_relative_accuracy(self, pairs, u1, u2):
+        """Each weight is within a few ulp of the reference's, relatively,
+        where a difference of margins would keep no correct bit of it.  The
+        odds ratio t = e^|log theta| carries the rounding of log theta, about
+        |log theta| ulp."""
+        n_ff, n_ft, n_tf, n_tt = pairs
+        bound = Decimal((8 + abs(math.log(n_ff * n_tt / (n_ft * n_tf)))) * ULP)
+        reference = decimal_update([v for n in pairs for v in (n / 2, n / 2)], u1, u2)
+        for k, weight in enumerate(pair_weights(np.array(pairs), u1, u2).tolist()):
+            expected = reference[2 * k] + reference[2 * k + 1]
+            assert abs(Decimal(weight) - expected) <= bound * expected
 
     @given(table=wide_tables(), u1=edge_targets, u2=edge_targets)
     @example(table=WIDE, u1=1 - 1e-12, u2=1e-12)
@@ -474,13 +511,15 @@ class TestHighPrecisionReference:
 
     @given(table=wide_tables(), u1=edge_targets, u2=edge_targets)
     @example(table=WIDE, u1=1 - 1e-6, u2=1e-12)
+    @example(table=CANCELLING, u1=1 - 1e-12, u2=1e-12)
     @settings(max_examples=300, deadline=None)
     def test_mce_update_keeps_the_odds_ratios_and_meets_the_margins(self, table, u1, u2):
         """The cells are within a few ulp of the reference's, both margins
         are met, and each evidence state keeps its conclusion odds.  A
         conditional odds ratio across evidence states also holds within the
-        weights' absolute error over each weight: a weight far below 1 ulp
-        of 1 is a difference of margins and has no relative accuracy."""
+        weights' absolute error over each weight, the accuracy a difference
+        of margins has; CANCELLING has a weight that no such difference
+        gets right."""
         updated = mce_update(table, EvidenceUpdate(u1, u2)).table.cells
         p_e1, p_e2, _ = rates(table.cells)
         if abs(p_e1 - u1) <= MATCH_TOL and abs(p_e2 - u2) <= MATCH_TOL:

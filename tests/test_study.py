@@ -73,7 +73,7 @@ from prospector_eval.errors import (
     InvalidTableError,
 )
 from prospector_eval.oracle import unreachable_message
-from prospector_eval.table import MARGINAL_FLOOR, NetworkBatch, check_cells, rates, require_valid
+from prospector_eval.table import MARGINAL_FLOOR, NetworkBatch, check_cells, rates
 
 
 class TestMonotonicityPattern:
@@ -1223,9 +1223,6 @@ class TestReportOutputs:
             "network net-0003 (provenance None): invalid table: "
             "cells sum to 1.6, expected 1 within 1e-12"
         )
-        with pytest.raises(InvalidTableError) as direct:
-            require_valid(bad)
-        assert excinfo.value.issues == direct.value.issues
 
     def test_evaluate_tables_rejects_invalid_networks(self):
         bad = JointTable((0.2,) * 8)  # sums to 1.6

@@ -17,11 +17,13 @@ document order, so the first unsupported value, non-string key or
 non-finite float raises as rendering leaf by leaf would.
 
 Array CSV rows are byte slots and masks, joined in one buffer by
-``csv_rows``.  ``float_fields`` writes ``%.17g`` of each finite x with
-1e-4 <= |x| < 1 (``[-]0.``, 0-3 zeros, 17 significant digits less trailing
-zeros) from the exact product of its 53-bit significand and 5**(16 - k),
-k = floor(log10 |x|), rounded half to even, in four 8-byte words spelt by
-SWAR (Warren, Hacker's Delight, ch. 10); others use ``%``.
+``csv_rows``.  Each field leads with its separator, so its kept bytes are
+one run; the gather's cost follows the bytes it scans, so the slots are
+kept narrow.  ``float_fields`` writes a comma and ``%.17g`` of each finite
+x with 1e-4 <= |x| < 1 (``,[-]0.``, 0-3 zeros, 17 significant digits less
+trailing zeros) from the exact product of its 53-bit significand and
+5**(16 - k), k = floor(log10 |x|), rounded half to even, in three 8-byte
+words spelt by SWAR (Warren, Hacker's Delight, ch. 10); others use ``%``.
 """
 
 from __future__ import annotations
@@ -170,12 +172,12 @@ def _slot_values(examples: Sequence, columns: Sequence[Sequence]) -> list:
     floats = [j for j, kind in enumerate(kinds) if kind is float]
     if floats:
         slots, mask = float_fields(np.column_stack([columns[j] for j in floats]))
-        text = slots[mask].tobytes()
+        text = slots[mask].tobytes() + b","
         if b"-0," in text:  # only "-0" ends so: an exponent has two digits
             text = text.replace(b"-0,", b"-0.0,")
         texts = text.decode("ascii").split(",")
         for i, j in enumerate(floats):
-            values[j::width] = texts[i : -1 : len(floats)]
+            values[j::width] = texts[1 + i : -1 : len(floats)]
     for j, (kind, column) in enumerate(zip(kinds, columns, strict=True)):
         if kind is str:
             values[j::width] = map(encode_basestring, column)
@@ -205,10 +207,11 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Bytes per field of ``float_fields``, four little-endian words: a fast-path
-#: field's ``[-]0.``, zeros and lead digit right-aligned, its 16 other digits,
-#: its comma last; any other value's text (at most 24 bytes) starts the field.
-FIELD = 32
+#: Bytes per field of ``float_fields``, three little-endian words: a
+#: fast-path field's ``,[-]0.``, zeros and lead digit right-aligned, then its
+#: 16 other digits; any other value's comma and text start the field.  A call
+#: widens its fields by a fourth word when some such text needs the room.
+FIELD = 24
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 #: 5**(16 - k) at index k + 4, for the decimal exponents k = -4 ... -1.
@@ -221,27 +224,35 @@ _SPLITS = ((3518437209, 45, 0x3FFF, 32, 10**4), (5243, 19, 0x7F0000007F, 16, 100
 
 
 @cache
-def _tables() -> tuple[np.ndarray, np.ndarray]:
+def _tables(width: int) -> tuple[np.ndarray, np.ndarray]:
     """Built on first use, not at import: word 0 of a fast-path field less
     its lead digit, at index 4 * negative + k + 4; and the kept bytes of a
-    fast-path field, at index 17 * that + its kept digits after the lead."""
-    prefixes = [b"-" * neg + b"0." + b"0" * (3 - c) for neg in (0, 1) for c in range(4)]
+    fast-path field ``width`` bytes wide, at index 17 * that + its kept
+    digits after the lead, one run from the comma on."""
+    prefixes = [b",-"[: 1 + neg] + b"0." + b"0" * (3 - c) for neg in (0, 1) for c in range(4)]
     words = np.frombuffer(b"".join(p.rjust(7) + b"\0" for p in prefixes), dtype="<u8")
-    start, pos = 7 - np.array([len(p) for p in prefixes])[:, None, None], np.arange(FIELD)
-    kept = (pos >= start) & (pos < 8) | (pos >= 8) & (pos < 8 + np.arange(17)[:, None])
-    return words, (kept | (pos == FIELD - 1)).reshape(-1, FIELD)
+    start, pos = 7 - np.array([len(p) for p in prefixes])[:, None, None], np.arange(width)
+    kept = (pos >= start) & (pos < 8 + np.arange(17)[:, None])
+    return words, kept.reshape(-1, width)
 
 
 def float_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``%.17g`` text of a float array as CSV fields: byte slots of
-    shape (..., columns * FIELD), each value's text followed by a comma,
-    and the mask of their kept bytes.  A non-finite value raises
-    ``format_float``'s ValueError for the first one in row-major order."""
-    prefixes, masks = _tables()
+    shape (..., columns * width), each value's text led by a comma, and the
+    mask of their kept bytes; width is ``FIELD``, or 32 where some value's
+    text needs it.  A non-finite value raises ``format_float``'s ValueError
+    for the first one in row-major order."""
     values = np.ascontiguousarray(values, dtype=float)
     flat = values.ravel()
     size = np.abs(flat)
     fast = (size >= 1e-4) & (size < 1.0)
+    other = np.flatnonzero(~fast)
+    rare = flat[other]
+    if not np.isfinite(rare).all():
+        format_float(rare[~np.isfinite(rare)][0])
+    texts = (",%.17g " * rare.size % tuple(rare.tolist())).split()
+    width = FIELD if max(map(len, texts), default=0) <= FIELD else 32
+    prefixes, masks = _tables(width)
     size = np.where(fast, size, 0.5)  # keeps the other rows' arithmetic defined
     mantissa, exponent = np.frexp(size)
     mantissa = (mantissa * 2.0**53).astype(np.uint64)
@@ -266,19 +277,14 @@ def float_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # number, from a double's exponent (no byte exceeds 9, so rounding stays).
     kept = (np.frexp(eights[1] * 2.0**64 + eights[0])[1] + 7) // 8
     variant = 4 * (flat < 0) + k4
-    words = np.empty((flat.size, 4), dtype="<u8")
+    words = np.empty((flat.size, width // 8), dtype="<u8")
     words[:, 0] = prefixes[variant] | (lead + 48) << 56
     words[:, 1], words[:, 2] = eights | 0x3030303030303030
-    words[:, 3] = ord(",") << 56
+    words[:, 3:] = 0
     slots, mask = words.view(np.uint8), np.take(masks, 17 * variant + kept, axis=0)
-    other = np.flatnonzero(~fast)
-    rare = flat[other]
-    if not np.isfinite(rare).all():
-        format_float(rare[~np.isfinite(rare)][0])
-    text = np.array(("%.17g " * rare.size % tuple(rare.tolist())).split(), dtype=f"S{FIELD - 1}")
-    slots[other, :-1] = text.view(np.uint8).reshape(-1, FIELD - 1)
-    mask[other, :-1] = slots[other, :-1] != 0
-    shape = (*values.shape[:-1], values.shape[-1] * FIELD)
+    slots[other] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    mask[other] = slots[other] != 0
+    shape = (*values.shape[:-1], values.shape[-1] * width)
     return slots.reshape(shape), mask.reshape(shape)
 
 
@@ -293,14 +299,12 @@ def text_fields(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def csv_rows(*parts: tuple[np.ndarray, np.ndarray]) -> str:
-    """The text of CSV rows given as (slots, mask) parts, joined left to
-    right in one buffer: the parts' leading axes broadcast to the rows'.
-    Each row ends in a kept separator byte, which becomes the row's
-    newline."""
+    """The kept bytes of (slots, mask) parts, joined left to right in one
+    buffer: the parts' leading axes broadcast to the rows'.  Each field
+    carries its own separator, so the text is every row's fields in order."""
     shape = np.broadcast_shapes(*(slots.shape[:-1] for slots, _ in parts))
     slots, mask = (
         np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1)
         for arrays in zip(*parts)
     )
-    slots[..., -1] = ord("\n")
     return str(slots[mask], "utf-8")

@@ -46,8 +46,8 @@ from .table import (
     scale_pairs,
 )
 
-#: One unit in the last place of 1.0.
-_ULP = np.finfo(float).eps
+#: One unit in the last place of 1.0, and the smallest normal double.
+_ULP, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 #: Margins within this of their targets count as met: an update at the
 #: table's own base rates returns the cells unchanged, and rounding of this
@@ -99,7 +99,11 @@ def _root(log_t, u, v):
     d = np.expm1(log_t)
     a, b = np.minimum(d, 1.0), np.minimum(1.0 / d, 1.0)
     disc = (a * (u - v)) ** 2 + b * b + 2.0 * a * b * (u * (1.0 - v) + v * (1.0 - u))
-    return 2.0 * (a + b) * u * v / (b + a * (u + v) + np.sqrt(disc))
+    scale, den = 2.0 * (a + b), b + a * (u + v) + np.sqrt(disc)
+    root = scale * u * v / den
+    # Where u * v is subnormal, it would round away the root's last digits.
+    tiny = u * v < _TINY
+    return np.where(tiny, scale * u / den * v, root) if tiny.any() else root
 
 
 def pair_weights(pairs, u1, u2) -> np.ndarray:
@@ -132,12 +136,13 @@ def pair_weights(pairs, u1, u2) -> np.ndarray:
     x = np.minimum(np.maximum(x, np.maximum(0.0, u2 - (1.0 - u1))), np.minimum(u1, u2))
     ff, ft, tf = (1.0 - u1) - (u2 - x), u2 - x, u1 - x
     weights = np.stack((ff, ft, tf, x), axis=-1)
-    # A weight of at most an ulp of 1 is a difference of margins with no correct
-    # bit left.  Certain targets make exact zeros, and zero pair weights are
-    # pinned below; any other such row is solved again at its small cell.
+    # A weight of at most a few ulp of 1 is a difference of margins with few or
+    # no correct bits left.  Certain targets make exact zeros, and zero pair
+    # weights are pinned below; any other such row is solved again at its
+    # small cell.
     interior = ((0.0 < u1) & (u1 < 1.0)) & ((0.0 < u2) & (u2 < 1.0))
     least = np.minimum(np.minimum(ff, ft), np.minimum(tf, x))
-    redo = (least <= _ULP) & interior & ~zero.any(axis=-1)
+    redo = (least <= 8 * _ULP) & interior & ~zero.any(axis=-1)
     if redo.any():
         rows = (np.broadcast_to(v, redo.shape)[redo] for v in (log_theta, u1, u2))
         weights[redo] = _small_cell_weights(*rows)

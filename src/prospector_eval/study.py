@@ -723,23 +723,27 @@ def results_csv_text(evaluations: Evaluations) -> str:
     """Per-update results, one row per (network, grid point).
 
     Byte-identical to ``_serialize.csv_text`` on the same rows (pinned by
-    the tests).  The networks are written in chunks of ``_CSV_CHUNK`` rows
-    of the columns, each one ``_serialize.csv_rows`` buffer that broadcasts
-    three parts: the networks' text fields and the "e1,e2" fields of the
-    grid, both formatted once for the file, and the seven float columns,
-    whose ``%.17g`` text ``_serialize.float_fields`` renders in numpy.  An
-    id that would need quoting is refused first, with ``format_cell``'s
-    error; then a non-finite float, with ``float_fields``' error for the
-    first one in row order.
+    the tests).  Each field leads with its separator: the header is written
+    without its newline, every row starts with one, and a single newline
+    closes the file.  The networks are written in chunks of ``_CSV_CHUNK``
+    rows of the columns, each one ``_serialize.csv_rows`` buffer that
+    broadcasts three parts: text fields of each network's newline and
+    "id,kind,pattern" and of each grid point's ",e1,e2", both formatted once
+    for the file, and the seven float columns, whose ``%.17g`` text
+    ``_serialize.float_fields`` renders in numpy.  An id that would need quoting is refused first, with
+    ``format_cell``'s error; then a non-finite float, with ``float_fields``'
+    error for the first one in row order.
     """
     points = tuple(product(evaluations.grid, evaluations.grid))
     kinds, patterns = evaluations.batch.kind_names(), _names(_PATTERN_NAMES, evaluations.patterns)
     heads = tuple(zip(evaluations.ids, kinds, patterns))
     answers, oracle = evaluations.answers, evaluations.oracle[..., None]
-    pieces = [",".join(RESULTS_HEADER) + "\n"]
+    pieces = [",".join(RESULTS_HEADER)]
     # Only the ids can need quoting: kinds and patterns are fixed names.
-    texts = _serialize.text_fields([f"{_serialize.format_cell(i)},{k},{p}," for i, k, p in heads])
-    grid = _serialize.float_fields(np.array(points, dtype=float).reshape(-1, 2))
+    texts = _serialize.text_fields([f"\n{_serialize.format_cell(i)},{k},{p}" for i, k, p in heads])
+    grid = _serialize.text_fields(
+        [f",{_serialize.format_float(e1)},{_serialize.format_float(e2)}" for e1, e2 in points]
+    )
     for start in range(0, len(heads), _CSV_CHUNK):
         rows = slice(start, start + _CSV_CHUNK)
         values = np.concatenate((answers[rows], oracle[rows], oracle[rows] - answers[rows]), -1)
@@ -748,6 +752,7 @@ def results_csv_text(evaluations: Evaluations) -> str:
             grid,
             _serialize.float_fields(values.reshape(len(values), len(points), 7)),
         ))
+    pieces.append("\n")
     return "".join(pieces)
 
 

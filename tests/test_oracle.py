@@ -398,13 +398,15 @@ EDGE_TARGETS = (0.0, 1e-12, 1e-6, 0.25, 0.5, 1 - 1e-6, 1 - 1e-12, 1.0)
 edge_targets = st.sampled_from(EDGE_TARGETS) | st.floats(0.0, 1.0)
 
 
-def decimal_update(cells, u1: float, u2: float) -> list[Decimal]:
+def decimal_update(cells, u1: float, u2: float, digits: int = 80) -> list[Decimal]:
     """The minimum cross-entropy update of positive ``cells`` in 80-digit
     decimals: n'_TT is the root in the Frechet bounds of the quadratic in
     ``oracle``'s docstring, each root taken in the form that does not
-    cancel, and every evidence state's two cells scale by n'_ab / n_ab."""
+    cancel, and every evidence state's two cells scale by n'_ab / n_ab.
+    The discriminant's terms grow as theta**2 and can cancel to theta, so
+    an odds ratio of 10**d needs about d more ``digits``."""
     with localcontext() as ctx:
-        ctx.prec = 80
+        ctx.prec = digits
         c = [Decimal(v) for v in cells]
         n = [c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7]]
         a, b = Decimal(u1), Decimal(u2)
@@ -453,6 +455,36 @@ CANCELLING = JointTable(
 )
 
 
+#: Pair weights whose FT weight, updated to (1 - 4.5e-14, 2.1e-14), is
+#: 4.5e-27: as a difference of margins it came out 2.8e-16, between one and
+#: two ulp of 1.
+ONE_TO_TWO_ULP = (
+    2.874413672901781e-07, 0.9996311986517646, 4.947146857829312e-10, 0.00036851341215337
+)
+
+#: Targets the CLI accepts, from 1e-300 to within 1e-16 of 1.
+accepted_targets = (
+    st.floats(-300.0, -0.3).map(lambda e: 10.0**e)
+    | st.floats(-16.0, -0.3).map(lambda e: 1.0 - 10.0**e)
+    | st.floats(1e-300, 1.0 - 1e-16)
+)
+
+
+@st.composite
+def spanning_pairs(draw) -> tuple[float, ...]:
+    """Positive pair weights over up to 300 decades, summing to about 1."""
+    weights = 10.0 ** np.array(draw(st.lists(st.floats(-300.0, 0.0), min_size=4, max_size=4)))
+    return tuple((weights / weights.sum()).tolist())
+
+
+def reference_weights(pairs, u1: float, u2: float) -> list[Decimal]:
+    """``decimal_update``'s new pair weights, with a digit more per e-fold
+    of theta."""
+    cells = [v for n in pairs for v in (n / 2, n / 2)]
+    new = decimal_update(cells, u1, u2, digits=80 + round(abs(log_odds_ratio(pairs))))
+    return [new[2 * k] + new[2 * k + 1] for k in range(4)]
+
+
 class TestHighPrecisionReference:
     """The closed form against the quadratic solved in 80-digit decimals."""
 
@@ -464,19 +496,50 @@ class TestHighPrecisionReference:
             ((0.5, 1e-20, 1e-20, 0.5), 0.3, 0.3),  # FT and TF both cancel
             ((0.5, 1e-20, 1e-20, 0.5), 0.7, 0.6),  # FT cancels, root at FF
             (tuple(pair_masses(CANCELLING.cells).tolist()), 1 - 1e-12, 1e-12),
+            (ONE_TO_TWO_ULP, 0.9999999999999549, 2.1487224381541462e-14),  # FT, 4.5e-27
+            ((0.5, 1e-300, 1e-300, 0.5), 1e-160, 1e-160),  # u1 * u2 is subnormal
         ],
     )
     def test_weights_below_an_ulp_keep_their_relative_accuracy(self, pairs, u1, u2):
         """Each weight is within a few ulp of the reference's, relatively,
-        where a difference of margins would keep no correct bit of it.  The
-        odds ratio t = e^|log theta| carries the rounding of log theta, about
+        where a difference of margins would keep no correct bit of it, or
+        where the product of the targets is subnormal; a weight below the
+        normal range has no relative accuracy, and stays there.  The odds ratio
+        t = e^|log theta| carries the rounding of log theta, about
         |log theta| ulp."""
-        n_ff, n_ft, n_tf, n_tt = pairs
-        bound = Decimal((8 + abs(math.log(n_ff * n_tt / (n_ft * n_tf)))) * ULP)
-        reference = decimal_update([v for n in pairs for v in (n / 2, n / 2)], u1, u2)
-        for k, weight in enumerate(pair_weights(np.array(pairs), u1, u2).tolist()):
-            expected = reference[2 * k] + reference[2 * k + 1]
-            assert abs(Decimal(weight) - expected) <= bound * expected
+        bound = Decimal((8 + abs(log_odds_ratio(pairs))) * ULP)
+        weights = pair_weights(np.array(pairs), u1, u2).tolist()
+        for weight, expected in zip(weights, reference_weights(pairs, u1, u2)):
+            if expected >= Decimal(sys.float_info.min):  # none to keep below that
+                assert abs(Decimal(weight) - expected) <= bound * expected
+            else:
+                assert weight < sys.float_info.min
+
+    @given(pairs=spanning_pairs(), u1=accepted_targets, u2=accepted_targets)
+    @example(pairs=ONE_TO_TWO_ULP, u1=0.9999999999999549, u2=2.1487224381541462e-14)
+    @example(pairs=(0.5, 1e-300, 1e-300, 0.5), u1=1e-160, u2=1e-160)
+    @settings(max_examples=200, deadline=None)
+    def test_pair_weights_on_the_whole_accepted_domain(self, pairs, u1, u2):
+        """Each weight is within 8 ulp * sum(1 / w) of the reference's,
+        relatively, which is the weights' absolute accuracy of a few ulp,
+        and so is the odds ratio where every weight is a normal double.  The
+        odds ratio also carries the rounding of log theta, a sum of four
+        logs each rounded to half an ulp of its size: 2 ulp * sum |log n|.
+        Without that term, pairs (0.5, 0.5, 2.8e-159, 5e-159) at targets
+        10**-0.375 broke the bound, 3.07e-14 against 3.01e-14.  None of
+        4000 sampled rows broke the weights' bound."""
+        weights = pair_weights(np.array(pairs), u1, u2).tolist()
+        expected = reference_weights(pairs, u1, u2)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            bound = Decimal(8 * ULP) * sum(1 / w for w in expected)
+            for weight, w in zip(weights, expected):
+                assert abs(Decimal(weight) - w) <= bound * w
+            if min(weights) >= sys.float_info.min:
+                new, old = [Decimal(w) for w in weights], [Decimal(n) for n in pairs]
+                kept = new[0] * new[3] / (new[1] * new[2]) * (old[1] * old[2]) / (old[0] * old[3])
+                logs = Decimal(2 * ULP * sum(abs(math.log(n)) for n in pairs))
+                assert abs(kept - 1) <= bound + logs
 
     @given(table=wide_tables(), u1=edge_targets, u2=edge_targets)
     @example(table=WIDE, u1=1 - 1e-12, u2=1e-12)

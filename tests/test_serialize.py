@@ -106,6 +106,21 @@ class TestDumps:
         with pytest.raises(TypeError, match=f"cannot serialize {type(leaf).__name__}"):
             _serialize.dumps([{"a": 1.5, "b": [leaf]}])
 
+    def test_negative_zero_as_the_last_float(self):
+        """A float field carries no comma after its text, so the last float
+        of the head and of each ``Rows`` chunk is followed by none: -0.0
+        there is still written ``-0.0``."""
+        assert _serialize.dumps([1.5, -0.0]) == json_reference.dumps([1.5, -0.0])
+        count = _serialize._CHUNK + 1
+        last = [0.25] * count
+        last[_serialize._CHUNK - 1] = last[-1] = -0.0
+        columns = ([0.5] * count, ["n"] * count, last)
+        rows = _serialize.Rows([{"a": 0.0, "s": "", "b": 0.0}], columns)
+        document = [{"a": a, "s": t, "b": b} for a, t, b in zip(*columns)]
+        text = _serialize.dumps({"rows": rows})
+        assert text == json_reference.dumps({"rows": document})
+        assert text.count("-0.0") == 2
+
     def test_keys_that_look_like_format_directives(self):
         document = [dict.fromkeys(ODD_KEYS, "%s"), {key: 1.0 for key in ODD_KEYS}]
         text = _serialize.dumps(document)
@@ -140,15 +155,15 @@ class TestDumps:
 
 def assert_fields_match(values) -> None:
     """``float_fields`` equals ``format(v, ".17g")`` for every value, as a
-    column (each value ends its row with a newline) and as one row (each
-    value but the last is followed by a comma).  The first mismatches are
-    reported, not a diff of the whole text."""
+    column and as one row: either way each value is led by a comma, so the
+    text is the same.  The first mismatches are reported, not a diff of the
+    whole text."""
     values = np.asarray(values, dtype=float).ravel().tolist()
     expected = [format(v, ".17g") for v in values]
-    for shape, separator in (((-1, 1), "\n"), ((1, -1), ",")):
+    for shape in ((-1, 1), (1, -1)):
         text = _serialize.csv_rows(_serialize.float_fields(np.reshape(values, shape)))
-        assert text.endswith("\n")
-        fields = text[:-1].split(separator)
+        assert text.startswith(",")
+        fields = text[1:].split(",")
         assert len(fields) == len(expected)
         assert [(v, f, e) for v, f, e in zip(values, fields, expected) if f != e][:5] == []
 
@@ -186,7 +201,7 @@ class TestFloatFields:
                   -2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300, 1e16, 1.5e-5]
         assert_fields_match(values)
         text = _serialize.csv_rows(_serialize.float_fields(np.array([values])))
-        assert text.startswith("0,-0,4.9406564584124654e-324,-4.9406564584124654e-324,")
+        assert text.startswith(",0,-0,4.9406564584124654e-324,-4.9406564584124654e-324,")
 
     def test_random_doubles_across_the_fast_path(self):
         rng = np.random.default_rng(9)
@@ -226,10 +241,28 @@ class TestFloatFields:
             [-5e-324, 0.07, 1e16, -0.3, 123.456, 0.000123456789],
         ])
         slots, mask = _serialize.float_fields(values)
-        assert slots.shape == mask.shape == (3, 6 * _serialize.FIELD)
-        rows = [",".join(format(v, ".17g") for v in row) for row in values.tolist()]
-        expected = "".join(row + "\n" for row in rows)
+        # -5e-324's text and comma take 25 bytes, so every field takes 32.
+        assert slots.shape == mask.shape == (3, 6 * 32)
+        expected = "".join("," + format(v, ".17g") for row in values.tolist() for v in row)
         assert _serialize.csv_rows((slots, mask)) == expected
+
+    @pytest.mark.parametrize("wide", [-4.9406564584124654e-324, -1.2345678901234567e-200])
+    def test_one_long_text_widens_every_field(self, wide):
+        """A negative 17-digit value with a three-digit exponent is 24
+        characters, 25 with its comma: that call's fields are 32 bytes
+        wide, fast-path ones too, and their text is unchanged."""
+        values = np.array([[0.25, wide, -0.0012345678901234567], [1.0, -0.5, 0.98765432099999995]])
+        slots, mask = _serialize.float_fields(values)
+        assert len(format(wide, ".17g")) == 24
+        assert slots.shape == mask.shape == (2, 3 * 32)
+        expected = "".join("," + format(v, ".17g") for row in values.tolist() for v in row)
+        assert _serialize.csv_rows((slots, mask)) == expected
+        assert_fields_match(values)
+        # Without the sign, the text and its comma fill 24 bytes exactly.
+        narrow = np.array([[1.0, -wide, -0.5]])
+        slots, mask = _serialize.float_fields(narrow)
+        assert slots.shape == (1, 3 * _serialize.FIELD) == (1, 3 * 24)
+        assert _serialize.csv_rows((slots, mask)) == f",1,{-wide:.17g},-0.5"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(floats | fast_floats | fast_floats.map(lambda x: -x), min_size=1, max_size=40))
@@ -250,6 +283,6 @@ class TestFloatFields:
         assert str(excinfo.value) == f"non-finite value cannot be serialized: {message}"
 
     def test_text_fields_keep_every_byte(self):
-        texts = _serialize.text_fields(["nét-α,", "nul\x00,", "%s,"])
+        texts = _serialize.text_fields(["\nnét-α", "\nnul\x00", "\n%s"])
         values = _serialize.float_fields(np.array([[0.5], [1.0], [-0.0]]))
-        assert _serialize.csv_rows(texts, values) == "nét-α,0.5\nnul\x00,1\n%s,-0\n"
+        assert _serialize.csv_rows(texts, values) == "\nnét-α,0.5\nnul\x00,1\n%s,-0"

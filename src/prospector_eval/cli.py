@@ -227,19 +227,30 @@ def _cmd_report(args, parser) -> int:
     return 0
 
 
+def _write_surface(table: JointTable, rule: Rule, args, parser) -> int:
+    """Write ``rule``'s error surface of ``table`` at --step to --out and
+    return its size; exits 2 on a bad --step or a degenerate base rate."""
+    from .study import error_surface, surface_csv_text
+
+    try:
+        points = error_surface(table, rule, args.step)
+    except ValueError as exc:
+        parser.error(f"--step: {exc}")
+    except DegenerateBaseRateError as exc:
+        parser.error(f"unusable network: {exc}")
+    Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")
+    return len(points)
+
+
 def _cmd_case_study(args, parser) -> int:
-    from .study import RULE_ORDER, error_surface, evaluate_network, summarize, surface_csv_text
+    from .study import RULE_ORDER, evaluate_network, summarize
 
     table = case_study_table(args.id)
     grid = _parse_grid(args.grid, parser)
     view = network_view(table)
     q = conditional_profile(table)
     summary = summarize(evaluate_network(table, grid))
-    try:
-        points = error_surface(table, Rule.INDEPENDENT, args.step)
-    except ValueError as exc:
-        parser.error(f"--step: {exc}")
-    Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")
+    count = _write_surface(table, Rule.INDEPENDENT, args, parser)
 
     print(f"case study {args.id}")
     print(
@@ -256,7 +267,7 @@ def _cmd_case_study(args, parser) -> int:
             f"avg |err| {stats.mean_abs:.6g}  max |err| {stats.max_abs:.6g}"
         )
     print(
-        f"independent-rule surface (step {args.step:g}, {len(points)} points) "
+        f"independent-rule surface (step {args.step:g}, {count} points) "
         f"written to {_shown(args.out)}"
     )
     return 0
@@ -275,17 +286,8 @@ def _cmd_oracle(args, parser) -> int:
 
 
 def _cmd_surface(args, parser) -> int:
-    from .study import error_surface, surface_csv_text
-
-    table = _select_network(args, parser)
-    try:
-        points = error_surface(table, Rule(args.rule), args.step)
-    except ValueError as exc:
-        parser.error(f"--step: {exc}")
-    except DegenerateBaseRateError as exc:
-        parser.error(f"unusable network: {exc}")
-    Path(args.out).write_text(surface_csv_text(points), encoding="utf-8")
-    print(f"wrote {len(points)} surface points to {_shown(args.out)}")
+    count = _write_surface(_select_network(args, parser), Rule(args.rule), args, parser)
+    print(f"wrote {count} surface points to {_shown(args.out)}")
     return 0
 
 

@@ -21,11 +21,12 @@ and ``infer`` answers it under one of three rule sets:
 
 The arithmetic is written once, as elementwise numpy functions that the
 study's sweep shares: ``linear_link``, ``odds`` (after clamping into
-[1e-12, 1 - 1e-12], so certain evidence stays finite) and ``odds_product``.
-Every rule's trace is built from them one way: the clamped prior and its
-odds, one entry per fused posterior (each clamp flagged), the combined odds,
-and the answer.  Ties in MIN/MAX (u1 == u2) go to E1 and are flagged.  Like
-the sweep, ``infer`` and ``combine_independent`` refuse a P(C) of 0 or 1.
+[1e-12, 1 - 1e-12], so certain evidence stays finite), ``odds_product`` and
+the MIN/MAX choice ``takes_e1``, which gives ties (u1 == u2) to E1.  Every
+rule's trace is built from them one way: the clamped prior and its odds, one
+entry per fused posterior (each clamp flagged), the combined odds, and the
+answer.  Like the sweep, ``infer`` and ``combine_independent`` refuse a P(C)
+of 0 or 1.
 """
 
 from __future__ import annotations
@@ -94,6 +95,15 @@ def odds_product(prior_odds, evidence_odds):
         ratios.append(value / prior_odds)
         combined = combined * ratios[-1]
     return ratios, combined, combined / (1.0 + combined)
+
+
+def takes_e1(rule, u1, u2):
+    """Where MIN or MAX propagates E1's link, elementwise: MIN takes the
+    smaller update, MAX the larger, and a tie goes to E1 (ValueError for any
+    other rule)."""
+    if rule not in (Rule.CONJUNCTIVE, Rule.DISJUNCTIVE):
+        raise ValueError(f"unknown rule: {rule!r}")
+    return u1 <= u2 if rule is Rule.CONJUNCTIVE else u1 >= u2
 
 
 def propagate(link: LinkParams, p_new_e: float) -> float:
@@ -217,14 +227,7 @@ def infer(
     for name, rate in (("C", view.p_c), ("E1", view.p_e[0]), ("E2", view.p_e[1])):
         require_base_rate(name, rate)
     u1, u2 = update
-    if rule is Rule.INDEPENDENT:
-        chosen = (0, 1)
-    elif rule is Rule.CONJUNCTIVE:
-        chosen = (0 if u1 <= u2 else 1,)
-    elif rule is Rule.DISJUNCTIVE:
-        chosen = (0 if u1 >= u2 else 1,)
-    else:
-        raise ValueError(f"unknown rule: {rule!r}")
+    chosen = (0, 1) if rule is Rule.INDEPENDENT else (0 if takes_e1(rule, u1, u2) else 1,)
     fields = view.p_e, view.p_c_given_e, view.p_c_given_not_e
     fused = [
         (i, update[i], float(linear_link(view.p_c, *(f[i] for f in fields), update[i])))

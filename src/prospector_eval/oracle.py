@@ -16,7 +16,7 @@ weight x = n'_TT is the root in [max(0, u1 + u2 - 1), min(u1, u2)] of
     (1 - theta) x^2 + [(1 - u1 - u2) + theta (u1 + u2)] x - theta u1 u2 = 0,
 
 the other three weights follow from the margins (where such a difference
-would keep no correct bit, from a root at the small diagonal cell), and
+is at most 2^-16, from a root at the small diagonal cell), and
 
     P'(C) = sum over (a, b) of n'_ab * P(C | E1=a, E2=b).
 
@@ -46,8 +46,13 @@ from .table import (
     scale_pairs,
 )
 
-#: One unit in the last place of 1.0, and the smallest normal double.
-_ULP, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+#: The smallest normal double.
+_TINY = np.finfo(float).tiny
+
+#: A weight formed as a difference of margins is off by about an ulp of 1,
+#: so one above this keeps about 2^-36 of itself; a row with a weight at
+#: most this is solved again at its small cell.
+_REDO_CUT = 2.0**-16
 
 #: Margins within this of their targets count as met: an update at the
 #: table's own base rates returns the cells unchanged, and rounding of this
@@ -98,12 +103,17 @@ def _root(log_t, u, v):
     and the discriminant is a sum of non-negative terms."""
     d = np.expm1(log_t)
     a, b = np.minimum(d, 1.0), np.minimum(1.0 / d, 1.0)
-    disc = (a * (u - v)) ** 2 + b * b + 2.0 * a * b * (u * (1.0 - v) + v * (1.0 - u))
+    mixed = u * (1.0 - v) + v * (1.0 - u)
+    disc = (a * (u - v)) ** 2 + b * b + 2.0 * a * b * mixed
     scale, den = 2.0 * (a + b), b + a * (u + v) + np.sqrt(disc)
     root = scale * u * v / den
-    # Where u * v is subnormal, it would round away the root's last digits.
-    tiny = u * v < _TINY
-    return np.where(tiny, scale * u / den * v, root) if tiny.any() else root
+    # Where u * v is subnormal, it would round away the root's last digits,
+    # and the discriminant's terms may underflow: hypot forms its root.
+    tiny = (u * v < _TINY) & (u > 0.0) & (v > 0.0)
+    if not tiny.any():
+        return root
+    disc_root = np.hypot(np.hypot(a * (u - v), b), np.sqrt(2.0 * a * b) * np.sqrt(mixed))
+    return np.where(tiny, scale * u / (b + a * (u + v) + disc_root) * v, root)
 
 
 def pair_weights(pairs, u1, u2) -> np.ndarray:
@@ -136,13 +146,13 @@ def pair_weights(pairs, u1, u2) -> np.ndarray:
     x = np.minimum(np.maximum(x, np.maximum(0.0, u2 - (1.0 - u1))), np.minimum(u1, u2))
     ff, ft, tf = (1.0 - u1) - (u2 - x), u2 - x, u1 - x
     weights = np.stack((ff, ft, tf, x), axis=-1)
-    # A weight of at most a few ulp of 1 is a difference of margins with few or
-    # no correct bits left.  Certain targets make exact zeros, and zero pair
-    # weights are pinned below; any other such row is solved again at its
-    # small cell.
+    # A weight of at most _REDO_CUT is a difference of margins with fewer
+    # than 36 correct bits left.  Certain targets make exact zeros, and
+    # zero pair weights are pinned below; any other such row is solved
+    # again at its small cell.
     interior = ((0.0 < u1) & (u1 < 1.0)) & ((0.0 < u2) & (u2 < 1.0))
     least = np.minimum(np.minimum(ff, ft), np.minimum(tf, x))
-    redo = (least <= 8 * _ULP) & interior & ~zero.any(axis=-1)
+    redo = (least <= _REDO_CUT) & interior & ~zero.any(axis=-1)
     if redo.any():
         rows = (np.broadcast_to(v, redo.shape)[redo] for v in (log_theta, u1, u2))
         weights[redo] = _small_cell_weights(*rows)
@@ -159,18 +169,22 @@ def _small_cell_weights(log_theta, u1, u2) -> np.ndarray:
     with its relative accuracy.  The root is taken at the diagonal cell of
     the t >= 1 frame whose margins p and q add to at most 1, and the far
     cell is the smaller remaining margin less its neighbour.  The two cells
-    beside the root differ by p - q and, by the odds-ratio identity,
-    multiply to root * far / t: the lesser is solved from those."""
+    beside the root differ by p - q.  Where the root is at most half the
+    smaller margin, the lesser is that margin less the root; elsewhere it is
+    solved from their difference and, by the odds-ratio identity, their
+    product s * s = root * far / t, with s formed so that it cannot
+    underflow."""
     e1 = np.where(log_theta < 0.0, u1 <= u2, u1 + u2 <= 1.0)  # the root cell's states
     e2 = e1 ^ (log_theta < 0.0)
     p, p_rest = np.where(e1, u1, 1.0 - u1), np.where(e1, 1.0 - u1, u1)
     q, q_rest = np.where(e2, u2, 1.0 - u2), np.where(e2, 1.0 - u2, u2)
+    low = np.minimum(p, q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = np.minimum(_root(np.abs(log_theta), p, q), np.minimum(p, q))
+        root = np.minimum(_root(np.abs(log_theta), p, q), low)
         far = np.where(p_rest <= q_rest, p_rest - (q - root), q_rest - (p - root))
-        gap, product = p - q, root * far / np.exp(np.abs(log_theta))
-        lesser = 2.0 * product / (np.abs(gap) + np.sqrt(gap * gap + 4.0 * product))
-    lesser = np.where(product > 0.0, lesser, 0.0)
+        gap, s = p - q, np.sqrt(root) * np.sqrt(far) * np.exp(-0.5 * np.abs(log_theta))
+        solved = 2.0 * s / (np.abs(gap) + np.hypot(gap, 2.0 * s)) * s
+    lesser = np.where(root <= 0.5 * low, low - root, np.where(s > 0.0, solved, 0.0))
     near_p = np.where(gap < 0.0, lesser, lesser + gap)  # cell (e1, not e2)
     near_q = np.where(gap < 0.0, lesser - gap, lesser)  # cell (not e1, e2)
     # Cell (a, b) is the one at 2 * (a == e1) + (b == e2) of (far, near_q, near_p, root).

@@ -33,7 +33,7 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from . import _serialize
-from .engine import Rule, linear_link, odds, odds_product
+from .engine import Rule, linear_link, odds, odds_product, takes_e1
 from .errors import InfeasibleUpdateError, InvalidTableError
 from .oracle import EvidenceUpdate, posteriors, unreachable_message
 from .samplers import BASE_RATE_MARGIN, IPF_MAX_ITERATIONS, IPF_TOLERANCE, MAX_RESAMPLES
@@ -161,8 +161,8 @@ def sweep(
     the rule answers, shape (N, G, G, 3) with rules in RULE_ORDER, and the
     minimum cross-entropy posteriors, shape (N, G, G), NaN where an update
     is unreachable; axis 1 runs over P'(E1) and axis 2 over P'(E2).  The
-    rules call the engine's ``linear_link``, ``odds`` and ``odds_product``,
-    with MIN/MAX taking E1 on ties, so each answer equals the engine's
+    rules call the engine's ``linear_link``, ``odds``, ``odds_product`` and
+    ``takes_e1`` (MIN/MAX take E1 on ties), so each answer equals the engine's
     ``infer`` bit for bit.  Raises DegenerateBaseRateError if some table has
     P(C), P(E1) or P(E2) at 0 or 1: the links and the odds product are
     undefined there, and the engine refuses such a table as well;
@@ -179,10 +179,11 @@ def sweep(
     post1 = linear_link(p_c, p_e1, given_e1, given_not_e1, u1)
     post2 = linear_link(p_c, p_e2, given_e2, given_not_e2, u2)
     independent = odds_product(odds(p_c), map(odds, (post1, post2)))[-1]
-    answers = np.stack(
-        (np.where(u1 <= u2, post1, post2), np.where(u1 >= u2, post1, post2), independent), axis=-1
-    )
-    return answers, posteriors(tables, u1, u2)
+    answers = [
+        independent if rule is Rule.INDEPENDENT else np.where(takes_e1(rule, u1, u2), post1, post2)
+        for rule in RULE_ORDER
+    ]
+    return np.stack(answers, axis=-1), posteriors(tables, u1, u2)
 
 
 @lru_cache(maxsize=4)
@@ -692,18 +693,10 @@ def error_surface(table: JointTable, rule: Rule, step: float) -> ErrorSurface:
 # ---------------------------------------------------------------------------
 
 RESULTS_HEADER = (
-    "network_id",
-    "kind",
-    "pattern",
-    "e1",
-    "e2",
-    "answer_conjunctive",
-    "answer_disjunctive",
-    "answer_independent",
+    "network_id", "kind", "pattern", "e1", "e2",
+    *(f"answer_{name}" for name in _RULE_NAMES),
     "oracle",
-    "error_conjunctive",
-    "error_disjunctive",
-    "error_independent",
+    *(f"error_{name}" for name in _RULE_NAMES),
 )
 
 SURFACE_HEADER = ("e1", "e2", "signed_error")
@@ -817,9 +810,7 @@ def report_to_dict(report: StudyReport) -> dict:
         classes[kind] = {
             "generated": cls.generated,
             "filtered_in": cls.filtered_in,
-            "best_rule_counts": {
-                name: cls.best_rule_counts[rule] for rule, name in zip(RULE_ORDER, _RULE_NAMES)
-            },
+            "best_rule_counts": {rule.value: cls.best_rule_counts[rule] for rule in RULE_ORDER},
             "overall_average_error": cls.overall_average_error,
             "overall_maximum_error": cls.overall_maximum_error,
         }
@@ -850,21 +841,15 @@ def report_json_text(report: StudyReport) -> str:
 
 def format_class_table(report: StudyReport) -> str:
     """Human-readable per-class comparison block (6 significant digits)."""
-    header = (
-        f"{'class':<13}{'generated':>10}{'kept':>6}"
-        f"{'conjunctive':>13}{'disjunctive':>13}{'independent':>13}"
-        f"{'avg |err|':>12}{'max |err|':>12}"
-    )
+    names = "".join(f"{name:>13}" for name in _RULE_NAMES)
+    header = f"{'class':<13}{'generated':>10}{'kept':>6}{names}{'avg |err|':>12}{'max |err|':>12}"
     lines = ["best rule set per network, by relation class", header]
     for kind, cls in report.classes.items():
         average = "-" if cls.overall_average_error is None else f"{cls.overall_average_error:.6g}"
         maximum = "-" if cls.overall_maximum_error is None else f"{cls.overall_maximum_error:.6g}"
+        counts = "".join(f"{cls.best_rule_counts[rule]:>13}" for rule in RULE_ORDER)
         lines.append(
-            f"{kind:<13}{cls.generated:>10}{cls.filtered_in:>6}"
-            f"{cls.best_rule_counts[Rule.CONJUNCTIVE]:>13}"
-            f"{cls.best_rule_counts[Rule.DISJUNCTIVE]:>13}"
-            f"{cls.best_rule_counts[Rule.INDEPENDENT]:>13}"
-            f"{average:>12}{maximum:>12}"
+            f"{kind:<13}{cls.generated:>10}{cls.filtered_in:>6}{counts}{average:>12}{maximum:>12}"
         )
     if report.spearman_strength_error is not None:
         lines.append(

@@ -6,13 +6,14 @@ generating networks nor running a study may load ``numpy.random`` (about
 fresh interpreter.  Only ``table`` decodes the eight-cell layout, so no
 other module imports its masks or cell-index pairs, divides by pair masses
 or raises DegenerateBaseRateError; only ``engine`` writes the rules'
-arithmetic, which the sweep imports.  Deleting code must
+arithmetic and the MIN/MAX choice, which the sweep imports, and names the
+MIN and MAX rules.  Deleting code must
 not leave dead code behind: no module imports a name it never uses, and
 every module-level private function or constant is referenced in the
 package.  Importing the CLI builds none of the serializer's lazy tables or
 templates.  Every Python file parses at the declared floor, Python 3.10,
 and the CI workflow's floor row installs the floors ``pyproject.toml``
-declares.
+declares, whose console script is the CLI's ``main``.
 
 The package namespace loads on first use: ``import prospector_eval`` loads
 no submodule and no numpy, an ``oracle`` query loads neither the study
@@ -327,7 +328,7 @@ def test_only_engine_writes_the_rule_arithmetic():
     link's upper branch) or does arithmetic on a name holding ``odds``."""
     engine = importlib.import_module("prospector_eval.engine")
     study = importlib.import_module("prospector_eval.study")
-    for name in ("linear_link", "odds", "odds_product"):
+    for name in ("linear_link", "odds", "odds_product", "takes_e1"):
         assert getattr(study, name) is getattr(engine, name)
     writers = []
     for module, tree in TREES.items():
@@ -360,6 +361,48 @@ def test_only_engine_writes_the_rule_arithmetic():
         "p / (1.0 - p)",
         "(p_c_given_e - p_c) * (u - p_e) / (1.0 - p_e)",
     }
+
+
+def string_constants(tree: ast.AST) -> list[str]:
+    """Every string constant in ``tree`` that is not a bare string statement
+    (a docstring), f-string parts included."""
+    docs = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs
+    ]
+
+
+def test_only_engine_spells_a_rule_name():
+    """The output files and the class table name the rules from
+    ``RULE_ORDER``, so no module but ``engine`` holds a string naming the
+    MIN or MAX rule.  (``independent`` also names a class of networks.)"""
+    spelled = [
+        (module, text)
+        for module, tree in TREES.items()
+        for text in string_constants(tree)
+        if "conjunctive" in text or "disjunctive" in text
+    ]
+    assert {module for module, _ in spelled} == {"engine.py"}
+
+
+def test_the_study_compares_no_update_with_another():
+    """The MIN/MAX choice is ``engine.takes_e1``: the sweep compares no
+    update u1 with u2.  (The oracle compares them to pick the frame of its
+    small-cell solve, which is no rule decision.)"""
+    updates = {"u1", "u2"}
+    comparisons = [
+        ast.unparse(node)
+        for node in ast.walk(TREES["study.py"])
+        if isinstance(node, ast.Compare)
+        and all(names_in(side) & updates for side in (node.left, *node.comparators))
+    ]
+    assert comparisons == []
 
 
 def test_only_table_decodes_the_batch_rows_and_kind_codes():
@@ -456,3 +499,13 @@ def test_the_workflow_floor_row_matches_the_declared_floors():
     assert (python, f"numpy=={numpy}.*") in rows
     versions = [tuple(map(int, row_python.split("."))) for row_python, _ in rows]
     assert min(versions) == (3, 10)
+
+
+def test_the_console_script_is_the_cli_main():
+    """The ``prospector-eval`` script ``pyproject.toml`` declares resolves
+    to ``cli.main``; the CI workflow installs the package and runs it."""
+    from prospector_eval.cli import main
+
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^prospector-eval = "([\w.]+):(\w+)"$', project, re.M).groups()
+    assert getattr(importlib.import_module(module), name) is main

@@ -462,6 +462,21 @@ ONE_TO_TWO_ULP = (
     2.874413672901781e-07, 0.9996311986517646, 4.947146857829312e-10, 0.00036851341215337
 )
 
+#: Pair weights whose FT weight, updated to the targets below, came out 0 for
+#: 3.754791519629917e-215: the product of the cells beside the root underflowed.
+TINY_NEIGHBOURS = (
+    0.15463502885489266, 0.845364971144931, 1.2817889576254266e-15, 1.7494321320275334e-13
+)
+TINY_NEIGHBOURS_TARGETS = (3.0030894154415656e-145, 3.754791519629917e-215)
+
+#: Pair weights whose TF weight, updated to the targets below, came out 0 for
+#: 5.37437988645617e-237 and TT twice its value: u1 * u2 is subnormal and the
+#: discriminant's terms underflowed.
+UNDERFLOWING_DISCRIMINANT = (
+    1.0, 1.001431099940085e-157, 5.0584699329994955e-110, 1.5026470726090028e-75
+)
+UNDERFLOWING_DISCRIMINANT_TARGETS = (5.37437988645617e-237, 9.181075428827362e-232)
+
 #: Targets the CLI accepts, from 1e-300 to within 1e-16 of 1.
 accepted_targets = (
     st.floats(-300.0, -0.3).map(lambda e: 10.0**e)
@@ -498,6 +513,23 @@ class TestHighPrecisionReference:
             (tuple(pair_masses(CANCELLING.cells).tolist()), 1 - 1e-12, 1e-12),
             (ONE_TO_TWO_ULP, 0.9999999999999549, 2.1487224381541462e-14),  # FT, 4.5e-27
             ((0.5, 1e-300, 1e-300, 0.5), 1e-160, 1e-160),  # u1 * u2 is subnormal
+            (TINY_NEIGHBOURS, *TINY_NEIGHBOURS_TARGETS),  # FT, 3.8e-215
+            (UNDERFLOWING_DISCRIMINANT, *UNDERFLOWING_DISCRIMINANT_TARGETS),  # TF, 5.4e-237
+            (  # FT, 1.8e-236
+                (
+                    9.017736012180159e-09,
+                    3.1952552161712476e-81,
+                    2.815440076467199e-88,
+                    0.999999990982264,
+                ),
+                7.696736778406516e-147,
+                1.3778410849913297e-222,
+            ),
+            (  # FT, 1.4e-305
+                (1.288989837553759e-107, 7.368686865380061e-197, 5.733554988722662e-135, 1.0),
+                1.6940631598278078e-49,
+                7.104558935660473e-131,
+            ),
         ],
     )
     def test_weights_below_an_ulp_keep_their_relative_accuracy(self, pairs, u1, u2):
@@ -518,6 +550,12 @@ class TestHighPrecisionReference:
     @given(pairs=spanning_pairs(), u1=accepted_targets, u2=accepted_targets)
     @example(pairs=ONE_TO_TWO_ULP, u1=0.9999999999999549, u2=2.1487224381541462e-14)
     @example(pairs=(0.5, 1e-300, 1e-300, 0.5), u1=1e-160, u2=1e-160)
+    @example(pairs=TINY_NEIGHBOURS, u1=TINY_NEIGHBOURS_TARGETS[0], u2=TINY_NEIGHBOURS_TARGETS[1])
+    @example(
+        pairs=UNDERFLOWING_DISCRIMINANT,
+        u1=UNDERFLOWING_DISCRIMINANT_TARGETS[0],
+        u2=UNDERFLOWING_DISCRIMINANT_TARGETS[1],
+    )
     @settings(max_examples=200, deadline=None)
     def test_pair_weights_on_the_whole_accepted_domain(self, pairs, u1, u2):
         """Each weight is within 8 ulp * sum(1 / w) of the reference's,
@@ -540,6 +578,39 @@ class TestHighPrecisionReference:
                 kept = new[0] * new[3] / (new[1] * new[2]) * (old[1] * old[2]) / (old[0] * old[3])
                 logs = Decimal(2 * ULP * sum(abs(math.log(n)) for n in pairs))
                 assert abs(kept - 1) <= bound + logs
+
+    def test_each_weight_of_a_fixed_sample_keeps_its_relative_accuracy(self):
+        """1000 rows from the whole-domain property's distributions at a
+        fixed seed; 993 of them are solved again at their small cell.  Each
+        weight is within (8 + |log theta|) ulp + 2^-36 of the reference's,
+        relatively, which is tighter than the property's bound wherever a
+        weight is tiny: a row is solved again where a weight is at most
+        2^-16, so a difference of margins keeps 2^-36 of itself.  A weight
+        whose reference is below the normal range stays there."""
+        rng = np.random.default_rng(3)
+        raw = 10.0 ** rng.uniform(-300.0, 0.0, (1000, 4))
+        pairs = raw / raw.sum(axis=1, keepdims=True)
+        drawn = np.stack(
+            (
+                10.0 ** rng.uniform(-300.0, -0.3, (1000, 2)),
+                1.0 - 10.0 ** rng.uniform(-16.0, -0.3, (1000, 2)),
+                rng.uniform(1e-300, 1.0 - 1e-16, (1000, 2)),
+            )
+        )
+        pick = rng.integers(0, 3, (1, 1000, 2))  # each target's distribution
+        u1, u2 = np.take_along_axis(drawn, pick, axis=0)[0].T
+        weights = pair_weights(pairs, u1, u2).tolist()
+        broken = []
+        for row, ws, t1, t2 in zip(pairs.tolist(), weights, u1.tolist(), u2.tolist()):
+            bound = Decimal((8 + abs(log_odds_ratio(row))) * ULP) + Decimal(2.0**-36)
+            for weight, expected in zip(ws, reference_weights(row, t1, t2)):
+                if expected >= Decimal(sys.float_info.min):
+                    kept = abs(Decimal(weight) - expected) <= bound * expected
+                else:
+                    kept = weight < sys.float_info.min
+                if not kept:
+                    broken.append((row, t1, t2, weight, expected))
+        assert broken == []
 
     @given(table=wide_tables(), u1=edge_targets, u2=edge_targets)
     @example(table=WIDE, u1=1 - 1e-12, u2=1e-12)

@@ -16,14 +16,18 @@ each chunk, are formatted by one ``float_fields`` call.  Errors come in
 document order, so the first unsupported value, non-string key or
 non-finite float raises as rendering leaf by leaf would.
 
-Array CSV rows are byte slots and masks, joined in one buffer by
-``csv_rows``.  Each field leads with its separator, so its kept bytes are
-one run; the gather's cost follows the bytes it scans, so the slots are
-kept narrow.  ``float_fields`` writes a comma and ``%.17g`` of each finite
-x with 1e-4 <= |x| < 1 (``,[-]0.``, 0-3 zeros, 17 significant digits less
+Array CSV rows are fixed-width byte slots whose unused bytes hold ``PAD``,
+0xFF, a byte UTF-8 never writes, so each slot carries its own extent:
+``csv_rows`` assigns the parts into one row buffer and keeps its bytes that
+are not ``PAD``.  Each field leads with its separator, so its text is one
+run; the gather's cost follows the bytes it scans, so the slots are kept
+narrow.  ``float_fields`` writes a comma and ``%.17g`` of each finite x
+with 1e-4 <= |x| < 1 (``,[-]0.``, 0-3 zeros, 17 significant digits less
 trailing zeros) from the exact product of its 53-bit significand and
 5**(16 - k), k = floor(log10 |x|), rounded half to even, in three 8-byte
-words spelt by SWAR (Warren, Hacker's Delight, ch. 10); others use ``%``.
+words spelt by SWAR (Warren, Hacker's Delight, ch. 10): its digit bytes
+take their ASCII ``'0'`` bits up to the last kept digit and pad bits after
+it.  Others use ``%``.
 """
 
 from __future__ import annotations
@@ -171,8 +175,8 @@ def _slot_values(examples: Sequence, columns: Sequence[Sequence]) -> list:
     values: list = [None] * (len(columns[0]) * width if columns else 0)
     floats = [j for j, kind in enumerate(kinds) if kind is float]
     if floats:
-        slots, mask = float_fields(np.column_stack([columns[j] for j in floats]))
-        text = slots[mask].tobytes() + b","
+        slots = float_fields(np.column_stack([columns[j] for j in floats]))
+        text = slots[slots != PAD].tobytes() + b","
         if b"-0," in text:  # only "-0" ends so: an exponent has two digits
             text = text.replace(b"-0,", b"-0.0,")
         texts = text.decode("ascii").split(",")
@@ -213,35 +217,38 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
 #: widens its fields by a fourth word when some such text needs the room.
 FIELD = 24
 
+#: Fills every byte of a slot that holds no text: UTF-8 never writes it.
+PAD = 0xFF
+
 _LOW32 = np.uint64(0xFFFFFFFF)
 #: 5**(16 - k) at index k + 4, for the decimal exponents k = -4 ... -1.
 _POW5 = np.array([5**20, 5**19, 5**18, 5**17], dtype=np.uint64)
-#: SWAR steps (m, shift, mask, bits, divisor) that spell v < 10**8 as 8 digit
-#: bytes, most significant first: each lane becomes q = v * m >> shift & mask
+#: SWAR steps (m, shift, lanes, bits, divisor) that spell v < 10**8 as 8 digit
+#: bytes, most significant first: each lane becomes q = v * m >> shift & lanes
 #: (exact there) plus, in its upper half, v - q * divisor, in one subtraction.
 _SPLITS = ((3518437209, 45, 0x3FFF, 32, 10**4), (5243, 19, 0x7F0000007F, 16, 100),
            (103, 10, 0xF000F000F000F, 8, 10))
 
 
 @cache
-def _tables(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Built on first use, not at import: word 0 of a fast-path field less
-    its lead digit, at index 4 * negative + k + 4; and the kept bytes of a
-    fast-path field ``width`` bytes wide, at index 17 * that + its kept
-    digits after the lead, one run from the comma on."""
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """Built on first use, not at import: word 0 of a fast-path field with
+    a lead digit of 0, pads first, at index 4 * negative + k + 4; and, in
+    column kept, the bits of the two digit words that make each digit byte
+    its ASCII digit up to the last kept one and ``PAD`` after it (where the
+    digits are 0)."""
     prefixes = [b",-"[: 1 + neg] + b"0." + b"0" * (3 - c) for neg in (0, 1) for c in range(4)]
-    words = np.frombuffer(b"".join(p.rjust(7) + b"\0" for p in prefixes), dtype="<u8")
-    start, pos = 7 - np.array([len(p) for p in prefixes])[:, None, None], np.arange(width)
-    kept = (pos >= start) & (pos < 8 + np.arange(17)[:, None])
-    return words, kept.reshape(-1, width)
+    words = np.frombuffer(b"".join(p.rjust(7, b"\xff") + b"0" for p in prefixes), dtype="<u8")
+    digits = b"".join(b"0" * kept + b"\xff" * (16 - kept) for kept in range(17))
+    return words, np.frombuffer(digits, dtype="<u8").reshape(17, 2).T.copy()
 
 
-def float_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def float_fields(values: np.ndarray) -> np.ndarray:
     """The ``%.17g`` text of a float array as CSV fields: byte slots of
-    shape (..., columns * width), each value's text led by a comma, and the
-    mask of their kept bytes; width is ``FIELD``, or 32 where some value's
-    text needs it.  A non-finite value raises ``format_float``'s ValueError
-    for the first one in row-major order."""
+    shape (..., columns * width), each value's text led by a comma and
+    padded with ``PAD``; width is ``FIELD``, or 32 where some value's text
+    needs it.  A non-finite value raises ``format_float``'s ValueError for
+    the first one in row-major order."""
     values = np.ascontiguousarray(values, dtype=float)
     flat = values.ravel()
     size = np.abs(flat)
@@ -252,59 +259,77 @@ def float_fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         format_float(rare[~np.isfinite(rare)][0])
     texts = (",%.17g " * rare.size % tuple(rare.tolist())).split()
     width = FIELD if max(map(len, texts), default=0) <= FIELD else 32
-    prefixes, masks = _tables(width)
-    size = np.where(fast, size, 0.5)  # keeps the other rows' arithmetic defined
+    prefixes, digit_bits = _tables()
+    # Arithmetic is done in place where an operand is spent: every new array
+    # of a large call costs fresh pages.
+    size[other] = 0.5  # keeps the other rows' arithmetic defined
     mantissa, exponent = np.frexp(size)
-    mantissa = (mantissa * 2.0**53).astype(np.uint64)
+    mantissa *= 2.0**53
+    mantissa = mantissa.astype(np.uint64)
     # k + 4; the doubles 1e-3, 1e-2 and 0.1 each lie above that power of ten.
-    k4 = (size >= 1e-3).astype(np.int64) + (size >= 1e-2) + (size >= 0.1)
+    k4 = (size >= 1e-3).astype(np.int64)
+    k4 += size >= 1e-2
+    k4 += size >= 0.1
     # round-half-even(mantissa * 5**(16 - k) / 2**shift): the 17 digits.
-    power, shift = _POW5[k4], (33 + k4 - exponent).astype(np.uint64)
+    power, shift = _POW5.take(k4), (33 + k4 - exponent).astype(np.uint64)
     m0, m1, p0, p1 = mantissa & _LOW32, mantissa >> 32, power & _LOW32, power >> 32
-    low, middle = m0 * p0, m0 * p1 + m1 * p0
-    carry = (low >> 32) + (middle & _LOW32)
-    lo = (low & _LOW32) | (carry << 32)
-    hi = m1 * p1 + (middle >> 32) + (carry >> 32)
+    lo, middle, hi = m0 * p0, m0 * p1, m1 * p1
+    middle += m1 * p0
+    carry = lo >> 32
+    carry += middle & _LOW32
+    lo &= _LOW32
+    lo |= carry << 32
+    hi += middle >> 32
+    hi += carry >> 32
     back = 64 - shift
-    digits = (hi << back) | (lo >> shift)
+    digits = hi << back
+    digits |= lo >> shift
     # Half to even: the bits shifted out, left-aligned and | odd, exceed a half.
-    digits += ((lo << back) | (digits & 1)) > np.uint64(1 << 63)
+    lo <<= back
+    lo |= digits & 1
+    digits += lo > np.uint64(1 << 63)
     top, lead = digits // 10**8, digits // 10**16  # floor divides: divmod is slower
-    eights = np.stack((top - lead * 10**8, digits - top * 10**8))  # the other 16 digits
+    eights = np.empty((2, flat.size), dtype=np.uint64)  # the other 16 digits
+    np.subtract(top, lead * 10**8, out=eights[0])
+    np.subtract(digits, top * 10**8, out=eights[1])
     for m, right, lanes, bits, divisor in _SPLITS:
-        eights = (eights << bits) - (eights * m >> right & lanes) * ((divisor << bits) - 1)
+        quotients = eights * m
+        quotients >>= right
+        quotients &= lanes
+        quotients *= (divisor << bits) - 1
+        eights <<= bits
+        eights -= quotients
     # Digits kept after the lead: the byte length of the 16 digit bytes as one
     # number, from a double's exponent (no byte exceeds 9, so rounding stays).
     kept = (np.frexp(eights[1] * 2.0**64 + eights[0])[1] + 7) // 8
-    variant = 4 * (flat < 0) + k4
     words = np.empty((flat.size, width // 8), dtype="<u8")
-    words[:, 0] = prefixes[variant] | (lead + 48) << 56
-    words[:, 1], words[:, 2] = eights | 0x3030303030303030
-    words[:, 3:] = 0
-    slots, mask = words.view(np.uint8), np.take(masks, 17 * variant + kept, axis=0)
-    slots[other] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    mask[other] = slots[other] != 0
-    shape = (*values.shape[:-1], values.shape[-1] * width)
-    return slots.reshape(shape), mask.reshape(shape)
+    words[:, 0] = prefixes.take(4 * (flat < 0) + k4) | lead << 56
+    words[:, 1], words[:, 2] = eights | digit_bits.take(kept, axis=1)
+    slots = words.view(np.uint8)
+    slots[:, FIELD:] = PAD  # the fourth word of a widened call
+    padded = "".join([text.ljust(width, "\xff") for text in texts])
+    slots[other] = np.frombuffer(padded.encode("latin-1"), dtype=np.uint8).reshape(-1, width)
+    return slots.reshape(*values.shape[:-1], values.shape[-1] * width)
 
 
-def text_fields(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def text_fields(texts: Sequence[str]) -> np.ndarray:
     """Each text's UTF-8 bytes as one row of byte slots, as wide as the
-    longest, and the mask of its bytes."""
+    longest, padded with ``PAD``."""
     encoded = [text.encode("utf-8") for text in texts]
-    slots = np.array(encoded, dtype=bytes)
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    width = slots.itemsize
-    return slots.view(np.uint8).reshape(-1, width), np.arange(width) < lengths[:, None]
+    width = max(map(len, encoded), default=0)
+    padded = b"".join([text.ljust(width, b"\xff") for text in encoded])
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(encoded), width)
 
 
-def csv_rows(*parts: tuple[np.ndarray, np.ndarray]) -> str:
-    """The kept bytes of (slots, mask) parts, joined left to right in one
-    buffer: the parts' leading axes broadcast to the rows'.  Each field
-    carries its own separator, so the text is every row's fields in order."""
-    shape = np.broadcast_shapes(*(slots.shape[:-1] for slots, _ in parts))
-    slots, mask = (
-        np.concatenate([np.broadcast_to(a, (*shape, a.shape[-1])) for a in arrays], axis=-1)
-        for arrays in zip(*parts)
-    )
-    return str(slots[mask], "utf-8")
+def csv_rows(*parts: np.ndarray) -> str:
+    """The bytes other than ``PAD`` of byte-slot parts, joined left to right
+    in one buffer: the parts' leading axes broadcast to the rows'.  Each
+    field carries its own separator, so the text is every row's fields in
+    order."""
+    shape = np.broadcast_shapes(*(part.shape[:-1] for part in parts))
+    rows = np.empty((*shape, sum(part.shape[-1] for part in parts)), dtype=np.uint8)
+    start = 0
+    for part in parts:
+        rows[..., start : start + part.shape[-1]] = part
+        start += part.shape[-1]
+    return str(rows[rows != PAD], "utf-8")

@@ -196,10 +196,13 @@ def posteriors(cells, u1, u2) -> np.ndarray:
     """P'(C) under the minimum cross-entropy update, NaN where unreachable.
 
     ``cells`` holds tables in the canonical order along its last axis and
-    broadcasts (without that axis) against ``u1`` and ``u2``.
+    broadcasts (without that axis) against ``u1`` and ``u2``.  The four
+    weighted terms, FF, FT, TF, TT, are added left to right, the order in
+    which numpy sums a length-4 axis and so the one the study's pinned
+    bytes encode.
     """
-    weights = pair_weights(pair_masses(cells), u1, u2)
-    return (weights * conditional_profiles(cells)).sum(axis=-1)
+    terms = pair_weights(pair_masses(cells), u1, u2) * conditional_profiles(cells)
+    return terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
 
 
 def mce_update(table: JointTable, update: EvidenceUpdate) -> UpdatedTable:

@@ -179,6 +179,27 @@ def decimal_ties() -> np.ndarray:
     return np.concatenate(families)
 
 
+def assert_slots_padded(values) -> None:
+    """Each slot of ``float_fields`` holds its value's ``,%.17g`` text as
+    one run and ``PAD`` in every other byte: the pads alone mark the text."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    slots = _serialize.float_fields(values)
+    texts = [("," + format(v, ".17g")).encode() for v in values.ravel().tolist()]
+    width = _serialize.FIELD if max(map(len, texts)) <= _serialize.FIELD else 32
+    assert slots.dtype == np.uint8 and slots.shape == (*values.shape[:-1], values.shape[-1] * width)
+    pad = bytes([_serialize.PAD])
+    for slot, text in zip(slots.reshape(-1, width), texts):
+        raw = slot.tobytes()
+        assert (raw.strip(pad), raw.count(pad)) == (text, width - len(text))
+
+
+def kept_digits_examples() -> list[float]:
+    """One fast-path value per count of digits kept after the lead, 0 to 16:
+    t / 2**e for odd t near 0.3 * 2**e is exactly a decimal of e digits,
+    t * 5**e, in [0.1, 1)."""
+    return [((round(0.3 * 2**e) | 1) / 2**e) for e in range(1, 18)]
+
+
 floats = st.floats(allow_nan=False, allow_infinity=False)
 fast_floats = st.floats(min_value=1e-4, max_value=1.0, exclude_max=True)
 
@@ -240,11 +261,11 @@ class TestFloatFields:
             [1e300, -0.5, 2.5, 0.0001, -0.0, 0.98765432099999995],
             [-5e-324, 0.07, 1e16, -0.3, 123.456, 0.000123456789],
         ])
-        slots, mask = _serialize.float_fields(values)
+        slots = _serialize.float_fields(values)
         # -5e-324's text and comma take 25 bytes, so every field takes 32.
-        assert slots.shape == mask.shape == (3, 6 * 32)
+        assert slots.shape == (3, 6 * 32)
         expected = "".join("," + format(v, ".17g") for row in values.tolist() for v in row)
-        assert _serialize.csv_rows((slots, mask)) == expected
+        assert _serialize.csv_rows(slots) == expected
 
     @pytest.mark.parametrize("wide", [-4.9406564584124654e-324, -1.2345678901234567e-200])
     def test_one_long_text_widens_every_field(self, wide):
@@ -252,17 +273,17 @@ class TestFloatFields:
         characters, 25 with its comma: that call's fields are 32 bytes
         wide, fast-path ones too, and their text is unchanged."""
         values = np.array([[0.25, wide, -0.0012345678901234567], [1.0, -0.5, 0.98765432099999995]])
-        slots, mask = _serialize.float_fields(values)
+        slots = _serialize.float_fields(values)
         assert len(format(wide, ".17g")) == 24
-        assert slots.shape == mask.shape == (2, 3 * 32)
+        assert slots.shape == (2, 3 * 32)
         expected = "".join("," + format(v, ".17g") for row in values.tolist() for v in row)
-        assert _serialize.csv_rows((slots, mask)) == expected
+        assert _serialize.csv_rows(slots) == expected
         assert_fields_match(values)
         # Without the sign, the text and its comma fill 24 bytes exactly.
         narrow = np.array([[1.0, -wide, -0.5]])
-        slots, mask = _serialize.float_fields(narrow)
+        slots = _serialize.float_fields(narrow)
         assert slots.shape == (1, 3 * _serialize.FIELD) == (1, 3 * 24)
-        assert _serialize.csv_rows((slots, mask)) == f",1,{-wide:.17g},-0.5"
+        assert _serialize.csv_rows(slots) == f",1,{-wide:.17g},-0.5"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(floats | fast_floats | fast_floats.map(lambda x: -x), min_size=1, max_size=40))
@@ -281,6 +302,25 @@ class TestFloatFields:
         with pytest.raises(ValueError) as excinfo:
             _serialize.float_fields(np.array(values))
         assert str(excinfo.value) == f"non-finite value cannot be serialized: {message}"
+
+    @pytest.mark.parametrize("kept", range(17))
+    @pytest.mark.parametrize("widened", [False, True])
+    def test_slots_pad_after_every_kept_count(self, kept, widened):
+        """The digit bytes after the last kept one are pads, for each kept
+        count, in 24-byte fields and, beside a text that widens the call,
+        in 32-byte ones, whose fourth word is all pad."""
+        value = kept_digits_examples()[kept]
+        assert len(format(value, ".17g").rstrip("0")) == 3 + kept
+        row = [value, -value, 0.5] + [-5e-324] * widened
+        assert_slots_padded(row)
+        width = 32 if widened else _serialize.FIELD
+        assert _serialize.float_fields(np.array([row])).shape == (1, len(row) * width)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(floats | fast_floats | fast_floats.map(lambda x: -x), min_size=1, max_size=40))
+    def test_slots_hold_each_text_and_pads(self, values):
+        assert_slots_padded(values)
+        assert_slots_padded(np.reshape(values, (-1, 1)))
 
     def test_text_fields_keep_every_byte(self):
         texts = _serialize.text_fields(["\nnét-α", "\nnul\x00", "\n%s"])

@@ -33,7 +33,6 @@ it.  Others use ``%``.
 from __future__ import annotations
 
 from collections import UserString
-from functools import cache
 from json.encoder import encode_basestring
 from math import isfinite
 from typing import Any, Iterable, Sequence
@@ -177,9 +176,8 @@ def _slot_values(examples: Sequence, columns: Sequence[Sequence]) -> list:
     if floats:
         slots = float_fields(np.column_stack([columns[j] for j in floats]))
         text = slots[slots != PAD].tobytes() + b","
-        if b"-0," in text:  # only "-0" ends so: an exponent has two digits
-            text = text.replace(b"-0,", b"-0.0,")
-        texts = text.decode("ascii").split(",")
+        # Only "-0" ends so: an exponent has two digits.
+        texts = text.replace(b"-0,", b"-0.0,").decode("ascii").split(",")
         for i, j in enumerate(floats):
             values[j::width] = texts[1 + i : -1 : len(floats)]
     for j, (kind, column) in enumerate(zip(kinds, columns, strict=True)):
@@ -229,18 +227,15 @@ _POW5 = np.array([5**20, 5**19, 5**18, 5**17], dtype=np.uint64)
 _SPLITS = ((3518437209, 45, 0x3FFF, 32, 10**4), (5243, 19, 0x7F0000007F, 16, 100),
            (103, 10, 0xF000F000F000F, 8, 10))
 
-
-@cache
-def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """Built on first use, not at import: word 0 of a fast-path field with
-    a lead digit of 0, pads first, at index 4 * negative + k + 4; and, in
-    column kept, the bits of the two digit words that make each digit byte
-    its ASCII digit up to the last kept one and ``PAD`` after it (where the
-    digits are 0)."""
-    prefixes = [b",-"[: 1 + neg] + b"0." + b"0" * (3 - c) for neg in (0, 1) for c in range(4)]
-    words = np.frombuffer(b"".join(p.rjust(7, b"\xff") + b"0" for p in prefixes), dtype="<u8")
-    digits = b"".join(b"0" * kept + b"\xff" * (16 - kept) for kept in range(17))
-    return words, np.frombuffer(digits, dtype="<u8").reshape(17, 2).T.copy()
+#: Word 0 of a fast-path field with lead digit 0, pads first, at 4 * negative + k + 4.
+_PREFIXES = np.frombuffer(b"".join(
+    (b",-"[: 1 + neg] + b"0." + b"0" * (3 - c)).rjust(7, b"\xff") + b"0"
+    for neg in (0, 1) for c in range(4)
+), dtype="<u8")
+#: Column kept: the bits making digit bytes ASCII up to the last kept one, ``PAD`` after.
+_DIGIT_BITS = np.frombuffer(
+    b"".join(b"0" * kept + b"\xff" * (16 - kept) for kept in range(17)), dtype="<u8"
+).reshape(17, 2).T.copy()
 
 
 def float_fields(values: np.ndarray) -> np.ndarray:
@@ -259,7 +254,6 @@ def float_fields(values: np.ndarray) -> np.ndarray:
         format_float(rare[~np.isfinite(rare)][0])
     texts = (",%.17g " * rare.size % tuple(rare.tolist())).split()
     width = FIELD if max(map(len, texts), default=0) <= FIELD else 32
-    prefixes, digit_bits = _tables()
     # Arithmetic is done in place where an operand is spent: every new array
     # of a large call costs fresh pages.
     size[other] = 0.5  # keeps the other rows' arithmetic defined
@@ -303,8 +297,8 @@ def float_fields(values: np.ndarray) -> np.ndarray:
     # number, from a double's exponent (no byte exceeds 9, so rounding stays).
     kept = (np.frexp(eights[1] * 2.0**64 + eights[0])[1] + 7) // 8
     words = np.empty((flat.size, width // 8), dtype="<u8")
-    words[:, 0] = prefixes.take(4 * (flat < 0) + k4) | lead << 56
-    words[:, 1], words[:, 2] = eights | digit_bits.take(kept, axis=1)
+    words[:, 0] = _PREFIXES.take(4 * (flat < 0) + k4) | lead << 56
+    words[:, 1], words[:, 2] = eights | _DIGIT_BITS.take(kept, axis=1)
     slots = words.view(np.uint8)
     slots[:, FIELD:] = PAD  # the fourth word of a widened call
     padded = "".join([text.ljust(width, "\xff") for text in texts])

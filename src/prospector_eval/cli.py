@@ -85,9 +85,7 @@ def _add_network_selection(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--case", type=int, choices=CASE_STUDY_IDS, help="built-in case study")
     group.add_argument("--networks", help="network file to read")
-    sub.add_argument(
-        "--index", type=int, default=0, help="network index within --networks (default 0)"
-    )
+    sub.add_argument("--index", type=int, help="network index within --networks (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,12 +153,15 @@ def _select_network(
     """The table named by --case or --networks/--index; exits 2 unless it
     passes ``require_valid`` with the given evidence-state floor."""
     if args.case is not None:
+        if args.index is not None:
+            parser.error("--index applies only to --networks")
         table = case_study_table(args.case)
     else:
         batch = _load_networks_checked(args.networks, parser)
-        if not 0 <= args.index < len(batch):
-            parser.error(f"--index {args.index} out of range (file has {len(batch)} networks)")
-        table = batch[args.index]
+        index = args.index or 0
+        if not 0 <= index < len(batch):
+            parser.error(f"--index {index} out of range (file has {len(batch)} networks)")
+        table = batch[index]
     try:
         require_valid(table, marginal_floor=marginal_floor)
     except InvalidTableError as exc:

@@ -46,7 +46,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import GenerationError
-from .table import MARGIN_CELLS, JointTable, NetworkBatch, compose_cells, margin_halves
+from .table import JointTable, NetworkBatch, compose_cells, margin_halves
 from .table import product_masses, rates, require_int
 
 #: Fixed by the method: base rates are drawn from (margin, 1 - margin); a fit
@@ -193,7 +193,9 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
 
 #: Rows at which ``fit_margins`` goes on in Python floats, cheaper than numpy.
 _TAIL_ROWS = 24
-_MARGINS = [(true.tolist(), false.tolist()) for true, false in MARGIN_CELLS]
+#: (true, false) cell indices of each margin, as ``margin_halves`` lays them out.
+_MARGINS = [(true.ravel().tolist(), false.ravel().tolist())
+            for true, false in margin_halves(np.arange(8)[:, None])]
 
 
 def _fit_row(q: list[float], targets: list[float], cycles: int):
@@ -220,11 +222,9 @@ def fit_margins(cells: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...
     ``IPF_TOLERANCE`` before each cycle, at most ``IPF_MAX_ITERATIONS`` times
     (both read at each call), and a cycle scales E1, E2 and C in that order
     by t/cur on the true cells and (1 - t)/(1 - cur) on the others, cur
-    being the true cells added left to right.  E1's cur is the margin the
-    check just computed: ``rates`` adds from 0.0, which leaves a sum of
-    positive cells unchanged, so reusing it changes no bit.  Rows are held
-    cell-major, (8, N), each margin's cells a view from ``margin_halves``;
-    at most ``_TAIL_ROWS`` rows finish in Python floats, by the same IEEE
+    being the true cells added left to right.  Rows are held cell-major,
+    (8, N), each margin's cells a view from ``margin_halves``; at most
+    ``_TAIL_ROWS`` rows finish in Python floats, by the same IEEE
     operations in the same order.  Returns (fitted, converged, deviation):
     converged rows are normalised by a numpy row sum, the others hold their
     cells after the last cycle; ``deviation`` is each row's margin
@@ -232,27 +232,21 @@ def fit_margins(cells: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, ...
     """
     fitted = np.array(cells, dtype=float)
     q, targets = fitted.T.copy(), np.asarray(targets, dtype=float).T.copy()
-    rests = 1.0 - targets
     converged, deviation = np.zeros(len(fitted), dtype=bool), np.empty(len(fitted))
     rows, cycles = np.arange(len(fitted)), IPF_MAX_ITERATIONS
     while len(rows) > _TAIL_ROWS and cycles:
         cycles -= 1
-        e1, e2, c = rates(q.T)
-        checked = np.maximum(
-            np.maximum(np.abs(e1 - targets[0]), np.abs(e2 - targets[1])), np.abs(c - targets[2])
-        )
-        deviation[rows] = checked
-        done = checked <= IPF_TOLERANCE
+        deviation[rows] = np.abs(np.array(rates(q.T)) - targets).max(axis=0)
+        done = deviation[rows] <= IPF_TOLERANCE
         if done.any():
             fitted[rows[done]] = q[:, done].T
             converged[rows[done]] = True
             keep = np.flatnonzero(~done)  # not a mask, which leaves q F-ordered
-            rows, q, e1 = rows[keep], q.take(keep, axis=1), e1[keep]
-            targets, rests = targets.take(keep, axis=1), rests.take(keep, axis=1)
-        for k, ((true, false), target, rest) in enumerate(zip(margin_halves(q), targets, rests)):
-            current = e1 if k == 0 else true[0, 0] + true[0, 1] + true[1, 0] + true[1, 1]
+            rows, q, targets = rows[keep], q.take(keep, axis=1), targets.take(keep, axis=1)
+        for (true, false), target in zip(margin_halves(q), targets):
+            current = true[0, 0] + true[0, 1] + true[1, 0] + true[1, 1]
             true *= target / current
-            false *= rest / (1.0 - current)
+            false *= (1.0 - target) / (1.0 - current)
     for row, row_cells, row_targets in zip(rows.tolist(), q.T.tolist(), targets.T.tolist()):
         converged[row], deviation[row] = _fit_row(row_cells, row_targets, cycles)
         fitted[row] = row_cells

@@ -16,9 +16,9 @@ This is the only module that decodes the cell order.  The others use its
 helpers, which broadcast over arrays of shape (..., 8), one table along the
 last axis: ``rates``, ``pair_masses``, ``conclusion_cells``,
 ``conditional_profiles``, ``link_conditionals``, ``product_masses``,
-``compose_cells`` and ``scale_pairs``, plus ``MARGIN_CELLS`` and
-``margin_halves`` for the margin fit and ``require_base_rate``, the one
-refusal of a base rate at 0 or 1.
+``compose_cells`` and ``scale_pairs``, plus ``margin_halves`` for the
+margin fit and ``require_base_rate``, the one refusal of a base rate at 0
+or 1.
 ``conditional_profile``, ``network_view`` and ``validate`` take one table.
 
 A batch of networks is a ``NetworkBatch``, the one owner of the batch
@@ -74,11 +74,6 @@ MASK_C = np.array([i & 1 == 1 for i in range(8)])
 #: in FF, FT, TF, TT order.
 PAIR_CELLS: tuple[tuple[int, int], ...] = tuple(
     (cell_index(a, b, False), cell_index(a, b, True)) for a, b in EVIDENCE_STATES
-)
-
-#: (true-cell, false-cell) flat indices of E1, E2 and C, in fitting order.
-MARGIN_CELLS = tuple(
-    (np.flatnonzero(mask), np.flatnonzero(~mask)) for mask in (MASK_E1, MASK_E2, MASK_C)
 )
 
 

@@ -280,6 +280,40 @@ class TestOracle:
         assert "error:" in capsys.readouterr().err
 
 
+class TestIndexSelection:
+    @pytest.mark.parametrize("command", ["oracle", "surface"])
+    @pytest.mark.parametrize("index", [0, 7, -1])
+    def test_index_with_case_is_a_one_line_usage_error(self, tmp_path, capsys, command, index):
+        out = tmp_path / "s.csv"
+        if command == "oracle":
+            argv = ("oracle", "--e1", 0.5, "--e2", 0.5)
+        else:
+            argv = ("surface", "--rule", "independent", "--out", out)
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv, "--case", 1, "--index", index)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        messages = [line for line in captured.err.splitlines() if "error:" in line]
+        assert messages == ["prospector-eval: error: --index applies only to --networks"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["oracle", "surface"])
+    def test_networks_without_index_reads_the_first(self, tmp_path, capsys, command):
+        networks = make_networks_file(tmp_path)
+        out = tmp_path / "s.csv"
+        if command == "oracle":
+            argv = ("oracle", "--e1", 0.4, "--e2", 0.6)
+        else:
+            argv = ("surface", "--rule", "independent", "--step", 0.5, "--out", out)
+        results = []
+        for index in ((), ("--index", 0)):
+            capsys.readouterr()
+            assert run(*argv, "--networks", networks, *index) == 0
+            results.append(out.read_bytes() if command == "surface" else capsys.readouterr().out)
+        assert results[0] == results[1]
+
+
 #: Tables the validator rejects: cells summing to 1.2, and a negative cell.
 INVALID_TABLES = [
     (0.15,) * 8,

@@ -24,13 +24,13 @@ from prospector_eval import (
     network_view,
     validate,
 )
+from prospector_eval import samplers
 from prospector_eval.errors import DegenerateBaseRateError, InfeasibleUpdateError
 from prospector_eval.study import build_report, report_json_text
 from prospector_eval.table import (
     EVIDENCE_STATES,
     INDEPENDENCE_TOL,
     KINDS,
-    MARGIN_CELLS,
     MARGINAL_FLOOR,
     NORMALIZATION_TOL,
     NetworkBatch,
@@ -45,6 +45,7 @@ from prospector_eval.table import (
     conditional_profiles,
     link_conditionals,
     load_networks,
+    margin_halves,
     pair_masses,
     product_masses,
     rates,
@@ -525,9 +526,11 @@ class TestLayoutHelpers:
                 assert same_bits(scaled[k, [f, t]], cells[k, [f, t]] * mass[state])
 
     def test_margin_cells_split_by_the_masks(self):
-        for (true_cells, false_cells), mask in zip(MARGIN_CELLS, (MASK_E1, MASK_E2, MASK_C)):
-            assert true_cells.tolist() == np.flatnonzero(mask).tolist()
-            assert false_cells.tolist() == np.flatnonzero(~mask).tolist()
+        halves = margin_halves(np.arange(8)[:, None])
+        masks = (MASK_E1, MASK_E2, MASK_C)
+        for (true, false), (true_cells, false_cells), mask in zip(halves, samplers._MARGINS, masks):
+            assert true.ravel().tolist() == true_cells == np.flatnonzero(mask).tolist()
+            assert false.ravel().tolist() == false_cells == np.flatnonzero(~mask).tolist()
 
 
 class TestClosedFormRefusals:

@@ -23,9 +23,10 @@ are not ``PAD``.  Each field leads with its separator, so its text is one
 run; the gather's cost follows the bytes it scans, so the slots are kept
 narrow.  ``float_fields`` writes a comma and ``%.17g`` of each finite x
 with 1e-4 <= |x| < 1 (``,[-]0.``, 0-3 zeros, 17 significant digits less
-trailing zeros) from the exact product of its 53-bit significand and
-5**(16 - k), k = floor(log10 |x|), rounded half to even, in three 8-byte
-words spelt by SWAR (Warren, Hacker's Delight, ch. 10): its digit bytes
+trailing zeros) from |x| * 10**(16 - k), k = floor(log10 |x|), held
+exactly as a double product plus its error by Dekker's two-product (Dekker,
+Numer. Math. 18, 1971) and rounded half to even, in three 8-byte words
+spelt by SWAR (Warren, Hacker's Delight, ch. 10): its digit bytes
 take their ASCII ``'0'`` bits up to the last kept digit and pad bits after
 it.  Others use ``%``.
 """
@@ -150,16 +151,16 @@ def _write_rows(rows: Rows, level: int) -> str:
         return "[]"
     templates, leaves = zip(*(_template(example, level + 1) for example in rows.examples))
     layout = [0] * count if rows.layout is None else rows.layout
-    inner = "  " * (level + 1)
-    separator = ",\n" + inner
-    chunks = []
+    separator = ",\n" + "  " * (level + 1)
+    pieces = ["[" + separator[1:]]  # one join makes the one copy of the text
     for start in range(0, count, _CHUNK):
         part = slice(start, start + _CHUNK)
         values = _slot_values(leaves[0], [column[part] for column in rows.columns])
         if any(layout[part]):  # some rows lack the leaves that hold None
             values = [value for value in values if value is not None]
-        chunks.append(separator.join([templates[k] for k in layout[part]]) % tuple(values))
-    return "[\n" + inner + separator.join(chunks) + "\n" + "  " * level + "]"
+        pieces += separator.join([templates[k] for k in layout[part]]) % tuple(values), separator
+    pieces[-1] = "\n" + "  " * level + "]"
+    return "".join(pieces)
 
 
 def _slot_values(examples: Sequence, columns: Sequence[Sequence]) -> list:
@@ -218,9 +219,15 @@ FIELD = 24
 #: Fills every byte of a slot that holds no text: UTF-8 never writes it.
 PAD = 0xFF
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-#: 5**(16 - k) at index k + 4, for the decimal exponents k = -4 ... -1.
-_POW5 = np.array([5**20, 5**19, 5**18, 5**17], dtype=np.uint64)
+#: 10**(16 - k) at index k + 4, for the decimal exponents k = -4 ... -1: each
+#: is 5**(16 - k) * 2**(16 - k) with 5**20 < 2**53, so an exact double.
+_TENS = np.array([10**20, 10**19, 10**18, 10**17], dtype=float)
+#: Veltkamp's splitter: v * s - (v * s - v) is v rounded to 26 significant
+#: bits, v less it fits in 26 bits too, and a product of such halves is exact.
+_SPLITTER = 2.0**27 + 1
+#: The exact halves of _TENS.
+_TENS_HIGH = _TENS * _SPLITTER - (_TENS * _SPLITTER - _TENS)
+_TENS_LOW = _TENS - _TENS_HIGH
 #: SWAR steps (m, shift, lanes, bits, divisor) that spell v < 10**8 as 8 digit
 #: bytes, most significant first: each lane becomes q = v * m >> shift & lanes
 #: (exact there) plus, in its upper half, v - q * divisor, in one subtraction.
@@ -254,34 +261,22 @@ def float_fields(values: np.ndarray) -> np.ndarray:
         format_float(rare[~np.isfinite(rare)][0])
     texts = (",%.17g " * rare.size % tuple(rare.tolist())).split()
     width = FIELD if max(map(len, texts), default=0) <= FIELD else 32
-    # Arithmetic is done in place where an operand is spent: every new array
-    # of a large call costs fresh pages.
     size[other] = 0.5  # keeps the other rows' arithmetic defined
-    mantissa, exponent = np.frexp(size)
-    mantissa *= 2.0**53
-    mantissa = mantissa.astype(np.uint64)
     # k + 4; the doubles 1e-3, 1e-2 and 0.1 each lie above that power of ten.
     k4 = (size >= 1e-3).astype(np.int64)
     k4 += size >= 1e-2
     k4 += size >= 0.1
-    # round-half-even(mantissa * 5**(16 - k) / 2**shift): the 17 digits.
-    power, shift = _POW5.take(k4), (33 + k4 - exponent).astype(np.uint64)
-    m0, m1, p0, p1 = mantissa & _LOW32, mantissa >> 32, power & _LOW32, power >> 32
-    lo, middle, hi = m0 * p0, m0 * p1, m1 * p1
-    middle += m1 * p0
-    carry = lo >> 32
-    carry += middle & _LOW32
-    lo &= _LOW32
-    lo |= carry << 32
-    hi += middle >> 32
-    hi += carry >> 32
-    back = 64 - shift
-    digits = hi << back
-    digits |= lo >> shift
-    # Half to even: the bits shifted out, left-aligned and | odd, exceed a half.
-    lo <<= back
-    lo |= digits & 1
-    digits += lo > np.uint64(1 << 63)
+    # Dekker's two-product: size * 10**(16 - k) is product + error exactly,
+    # error summed from the Veltkamp halves of both factors.
+    tens_high, tens_low = _TENS_HIGH.take(k4), _TENS_LOW.take(k4)
+    product = size * _TENS.take(k4)
+    split = size * _SPLITTER
+    high = split - (split - size)
+    size -= high  # its low half
+    error = (high * tens_high - product) + high * tens_low + size * tens_high + size * tens_low
+    # product >= 10**16 > 2**53 is an even integer, so rounding error half to
+    # even rounds the sum half to even: the 17 digits.
+    digits = (product.astype(np.int64) + np.rint(error).astype(np.int64)).view(np.uint64)
     top, lead = digits // 10**8, digits // 10**16  # floor divides: divmod is slower
     eights = np.empty((2, flat.size), dtype=np.uint64)  # the other 16 digits
     np.subtract(top, lead * 10**8, out=eights[0])

@@ -121,6 +121,30 @@ class TestDumps:
         assert text == json_reference.dumps({"rows": document})
         assert text.count("-0.0") == 2
 
+    @pytest.mark.parametrize("count", [1, 511, 512, 513, 1024, 1025])
+    def test_rows_at_the_chunk_edges(self, count):
+        """Every chunk's text is followed by a separator and the last one is
+        replaced by the closing text, so a list that ends on a chunk edge or
+        one row past it closes as the reference does.  Rows without
+        provenance (their int columns hold None) sit first and last in every
+        chunk."""
+        chunk = _serialize._CHUNK
+        bare = [k % chunk in (0, chunk - 1) or k == count - 1 for k in range(count)]
+        example = {"kind": "", "provenance": {"seed": 0, "index": 0}, "cells": [0.0, 0.0]}
+        kinds = [f"k{k}" for k in range(count)]
+        seeds = [None if b else k for k, b in enumerate(bare)]
+        indices = [None if b else 3 * k for k, b in enumerate(bare)]
+        cells = np.random.default_rng(count).uniform(-1.5, 1.5, (count, 2)).tolist()
+        columns = (kinds, seeds, indices, *zip(*cells))
+        rows = _serialize.Rows((example, {**example, "provenance": None}), columns, bare)
+        document = [
+            {"kind": kind, "provenance": None if s is None else {"seed": s, "index": i}, "cells": c}
+            for kind, s, i, c in zip(kinds, seeds, indices, cells)
+        ]
+        text = _serialize.dumps({"networks": rows})
+        assert text == json_reference.dumps({"networks": document})
+        assert text.count('"provenance": null') == sum(bare)
+
     def test_keys_that_look_like_format_directives(self):
         document = [dict.fromkeys(ODD_KEYS, "%s"), {key: 1.0 for key in ODD_KEYS}]
         text = _serialize.dumps(document)
